@@ -8,7 +8,8 @@ scale, classical alternating-projection baselines, and a Monte-Carlo
 benchmark harness.
 """
 
-from .baselines import IterativeOptions, fienup_sf, fienup_solve, gs_solve
+from .baselines import (IterativeOptions, fienup_sf, fienup_solve, gs_sf,
+                        gs_solve)
 from .cork import AdmmOptions, CorkDiagnostics, solve_cork
 from .crb import compute_crb, intensity_jacobian
 from .measurement import (AugmentationSpec, ImpulseMarginWarning, add_noise,
@@ -21,6 +22,6 @@ from .signals import (MeasurementSet, autocorrelation, correlation_psd_check,
                       correlation_to_intensity, default_transform_length,
                       dft_partial, global_phase_distance, intensity_measure)
 from .specfact import (InvalidCorrelationError, SfOptions, is_min_phase,
-                       kolmogorov_sf, polynomial_roots, root_sf)
+                       kolmogorov_sf, root_sf)
 
 __version__ = "0.1.0"

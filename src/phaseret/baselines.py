@@ -8,9 +8,9 @@ decreases the cost
     cost(x) = min over unit-modulus psi of || diag(sqrt(b)) psi - F_M x ||^2
             = || sqrt(b) - |F_M x| ||^2.
 
-Dykstra's correction with unit step gives Fienup's algorithm.  Fienup-SF
-re-expresses the Fienup output through its autocorrelation and factors it,
-yielding a minimum-phase estimate with the identical fit (the intensity
+Dykstra's correction with unit step gives Fienup's algorithm.  Fienup-SF and
+GS-SF re-express the iterative output through its autocorrelation and factor
+it, yielding a minimum-phase estimate with the identical fit (the intensity
 model depends on the signal only through its autocorrelation).
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 from .signals import MeasurementSet, autocorrelation
 from .specfact import SfOptions, kolmogorov_sf
 
-__all__ = ["IterativeOptions", "gs_solve", "fienup_solve", "fienup_sf"]
+__all__ = ["IterativeOptions", "gs_solve", "gs_sf", "fienup_solve", "fienup_sf"]
 
 
 @dataclass
@@ -32,7 +32,7 @@ class IterativeOptions:
     tol: float = 1e-10
     seed: int = 0
     gs_refine_iters: int = 5000   # cap on the GS refinement after Fienup
-    sf_l: int | None = None       # transform length for the Fienup-SF step
+    sf_l: int | None = None       # transform length for the *_sf factorization
 
 
 def _magnitude_project(y: np.ndarray, root_b: np.ndarray) -> np.ndarray:
@@ -111,6 +111,11 @@ def fienup_solve(b: MeasurementSet, opts: IterativeOptions | None = None):
     return x
 
 
+def _min_phase_equivalent(x: np.ndarray, opts: IterativeOptions) -> np.ndarray:
+    """The minimum-phase signal with the autocorrelation (and fit) of ``x``."""
+    return kolmogorov_sf(autocorrelation(x), SfOptions(l=opts.sf_l))
+
+
 def fienup_sf(b: MeasurementSet, opts: IterativeOptions | None = None):
     """Fienup followed by autocorrelation + spectral factorization.
 
@@ -118,6 +123,11 @@ def fienup_sf(b: MeasurementSet, opts: IterativeOptions | None = None):
     hence the same fit) as the raw Fienup estimate.
     """
     opts = opts or IterativeOptions()
-    x = fienup_solve(b, opts)
-    r = autocorrelation(x)
-    return kolmogorov_sf(r, SfOptions(l=opts.sf_l))
+    return _min_phase_equivalent(fienup_solve(b, opts), opts)
+
+
+def gs_sf(b: MeasurementSet, opts: IterativeOptions | None = None):
+    """Gerchberg-Saxton followed by the same factorization as ``fienup_sf``."""
+    opts = opts or IterativeOptions()
+    x, _ = gs_solve(b, opts)
+    return _min_phase_equivalent(x, opts)

@@ -1,7 +1,8 @@
 """Command-line pipeline: measure, recover, factorize, bench.
 
-Exit codes: 0 success, 2 validation error, 3 solver non-convergence,
-4 I/O error.
+Exit codes: 0 success, 2 validation error, 3 solver non-convergence (or, on
+augmented data, an estimate that fails the min-phase certificate), 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from . import io as pio
 from .bench import ExperimentConfig, aggregate_and_persist, check_thresholds, \
     run_experiment
-from .baselines import IterativeOptions, fienup_sf, fienup_solve, gs_solve
+from .baselines import IterativeOptions, fienup_sf, gs_sf
 from .cork import AdmmOptions, solve_cork
 from .measurement import (AugmentationSpec, add_noise, deaugment,
                           default_delta, measure_augmented)
@@ -108,10 +109,7 @@ def cmd_recover(args) -> int:
     elif args.solver in ("fienup", "gs"):
         opts = IterativeOptions(max_iters=args.max_iters, tol=args.tol,
                                 seed=args.seed, sf_l=l)
-        if args.solver == "fienup":
-            xmin = fienup_sf(ms, opts)
-        else:
-            xmin, _ = gs_solve(ms, opts)
+        xmin = (fienup_sf if args.solver == "fienup" else gs_sf)(ms, opts)
     else:
         raise CliError(f"unknown solver {args.solver}", EXIT_VALIDATION)
 
@@ -133,6 +131,9 @@ def cmd_recover(args) -> int:
     pio.save_signal_file(args.output, estimate)
     print(json.dumps(diagnostics))
     if diagnostics.get("converged") is False:
+        return EXIT_NO_CONVERGENCE
+    # deaugment is exact only for a minimum-phase estimate
+    if not direct_mode and diagnostics.get("min_phase", {}).get("flag") is False:
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -11,9 +11,12 @@ with the three-step splitting
     z <- max(0, Re{F_L I~ r} + u)
     u <- u + Re{F_L I~ r} - z
 
-whose per-iteration cost is O(L log L).  The scalar divisor relies on
-F_M^H F_M = M I, valid for M >= 2N; below that the r-update falls back to a
-conjugate-gradient solve of the exact normal equations.
+whose per-iteration cost is O(L log L): one spectrum Re{F_L I~ r}, shared
+by the z- and u-updates and the primal residual, and two adjoint
+transforms, for the r-update and the dual residual.  Both maps are the
+shared operator pair of :mod:`phaseret.signals`.  The scalar divisor relies
+on F_M^H F_M = M I, valid for M >= 2N; below that the r-update falls back
+to a conjugate-gradient solve of the exact normal equations.
 """
 
 from __future__ import annotations
@@ -23,22 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .signals import (MeasurementSet, as_correlation, correlation_to_intensity,
-                      default_transform_length, doubled_lags)
+from .signals import (MeasurementSet, as_correlation, correlation_adjoint,
+                      correlation_spectrum, default_transform_length,
+                      doubled_lags)
 
-__all__ = ["AdmmOptions", "AdmmState", "CorkDiagnostics", "solve_cork",
-           "admm_iterate", "residuals"]
-
-
-def _re_transform(w: np.ndarray, m: int) -> np.ndarray:
-    """Re of the m-point DFT of w, folding modulo m when m < len(w)."""
-    if m < w.size:
-        folded = np.zeros(m, dtype=complex)
-        for start in range(0, w.size, m):
-            chunk = w[start:start + m]
-            folded[: chunk.size] += chunk
-        w = folded
-    return np.real(np.fft.fft(w, n=m))
+__all__ = ["AdmmOptions", "CorkDiagnostics", "solve_cork"]
 
 
 @dataclass
@@ -49,17 +41,6 @@ class AdmmOptions:
     tol_abs: float = 1e-10
     tol_rel: float = 1e-8
     real_signal: bool = False
-
-
-@dataclass
-class AdmmState:
-    r: np.ndarray                 # one-sided correlation iterate, length N
-    z: np.ndarray                 # nonnegative spectrum copy, length L
-    u: np.ndarray                 # scaled multipliers, length L
-    iter: int = 0
-    primal_residual: float = 0.0
-    dual_residual: float = 0.0
-    z_prev: np.ndarray | None = None
 
 
 @dataclass
@@ -92,44 +73,18 @@ class CorkDiagnostics:
         return {"iters": self.iters, "primal": self.primal, "dual": self.dual,
                 "fit": self.fit, "l": self.l, "rho": self.rho,
                 "converged": self.converged,
-                "underdetermined": self.underdetermined}
+                "underdetermined": self.underdetermined,
+                "feasibility_lift": self.feasibility_lift}
 
 
-class _Constants:
-    """Precomputed pieces shared by the three updates."""
-
-    def __init__(self, b: np.ndarray, n: int, l: int, rho: float,
-                 real_signal: bool):
-        self.b = b
-        self.m = b.size
-        self.n = n
-        self.l = l
-        self.rho = rho
-        self.real_signal = real_signal
-        # F_M^H b = M * ifft(b) truncated to the first N coefficients
-        self.fmh_b = self.m * np.fft.ifft(b)[:n]
-        self.direct_r_update = self.m >= 2 * n
-
-    def spectrum(self, r: np.ndarray) -> np.ndarray:
-        """Re{F_L I~ r}."""
-        return np.real(np.fft.fft(doubled_lags(r), n=self.l))
-
-    def flh(self, y: np.ndarray) -> np.ndarray:
-        """F_L^H y for real y, truncated to N entries."""
-        return self.l * np.fft.ifft(y)[: self.n]
-
-    def fit_value(self, r: np.ndarray) -> float:
-        model = correlation_to_intensity(r, self.m)
-        return float(np.linalg.norm(self.b - model) ** 2)
-
-
-def _r_update_cg(c: _Constants, rhs: np.ndarray, r0: np.ndarray) -> np.ndarray:
+def _r_update_cg(rhs: np.ndarray, r0: np.ndarray, m: int, l: int,
+                 rho: float) -> np.ndarray:
     """Exact normal-equation solve for M < 2N, over the real view of r.
 
     Minimizes ||b - Re{F_M I~ r}||^2 + rho ||Re{F_L I~ r} - (z-u)||^2; the
     normal operator is applied with FFTs inside a CG loop.
     """
-    n = c.n
+    n = r0.size
 
     def as_complex(v):
         return v[:n] + 1j * v[n:]
@@ -137,15 +92,10 @@ def _r_update_cg(c: _Constants, rhs: np.ndarray, r0: np.ndarray) -> np.ndarray:
     def as_real(x):
         return np.concatenate((x.real, x.imag))
 
-    def adjoint(y, length):
-        # complex adjoint of r -> Re{F I~ r} against a real vector y: I~ F^H y
-        return doubled_lags(length * np.fft.ifft(y)[:n])
-
     def normal_op(v):
         r = as_complex(v)
-        am = _re_transform(doubled_lags(r), c.m)
-        al = _re_transform(doubled_lags(r), c.l)
-        g = adjoint(am, c.m) + c.rho * adjoint(al, c.l)
+        g = (correlation_adjoint(correlation_spectrum(r, m), n)
+             + rho * correlation_adjoint(correlation_spectrum(r, l), n))
         return as_real(g)
 
     op = LinearOperator((2 * n, 2 * n), matvec=normal_op, dtype=float)
@@ -156,93 +106,74 @@ def _r_update_cg(c: _Constants, rhs: np.ndarray, r0: np.ndarray) -> np.ndarray:
     return as_complex(v)
 
 
-def admm_iterate(state: AdmmState, c: _Constants) -> AdmmState:
-    """One exact application of the three updates; z stays >= 0 exactly."""
-    zu = state.z - state.u
-    if c.direct_r_update:
-        r = (c.fmh_b + c.rho * c.flh(zu)) / (c.m + c.rho * c.l)
-    else:
-        rhs = doubled_lags(c.fmh_b) + c.rho * doubled_lags(c.flh(zu))
-        r = _r_update_cg(c, rhs, state.r)
-    if c.real_signal:
-        r = r.real.astype(complex)
-    r[0] = r[0].real
-    spec = c.spectrum(r)
-    z = np.maximum(0.0, spec + state.u)
-    u = state.u + spec - z
-    new = AdmmState(r=r, z=z, u=u, iter=state.iter + 1, z_prev=state.z)
-    new.primal_residual, new.dual_residual = residuals(new, c)
-    return new
-
-
-def residuals(state: AdmmState, c: _Constants) -> tuple[float, float]:
-    """Standard ADMM stopping quantities for this splitting."""
-    spec = c.spectrum(state.r)
-    primal = float(np.linalg.norm(spec - state.z))
-    if state.z_prev is None:
-        dual = 0.0
-    else:
-        g = doubled_lags(c.flh(state.z - state.z_prev))
-        dual = float(c.rho * np.linalg.norm(g))
-    return primal, dual
-
-
-def _initial_state(c: _Constants) -> AdmmState:
-    r = c.fmh_b / c.m
-    if c.real_signal:
-        r = r.real.astype(complex)
-    r[0] = r[0].real
-    z = np.maximum(0.0, c.spectrum(r))
-    u = np.zeros(c.l)
-    return AdmmState(r=r, z=z, u=u, iter=0)
-
-
 def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
     """Run the ADMM iterates to convergence; returns ``(r, diagnostics)``."""
     opts = opts or AdmmOptions()
-    n = b.n
+    n, m = b.n, b.m
     l = opts.l if opts.l is not None else default_transform_length(n)
     if l & (l - 1) or l < 2 * n:
         raise ValueError(f"transform length l={l} must be a power of two >= 2N")
-    rho = opts.rho if opts.rho is not None else b.m / l
+    rho = opts.rho if opts.rho is not None else m / l
     if rho <= 0:
         raise ValueError("rho must be positive")
 
-    c = _Constants(np.asarray(b.b, dtype=float), n, l, rho, opts.real_signal)
-    state = _initial_state(c)
+    def constrain(r):
+        if opts.real_signal:
+            r = r.real.astype(complex)
+        r[0] = r[0].real
+        return r
+
+    bvec = np.asarray(b.b, dtype=float)
+    lag_weights = doubled_lags(np.ones(n)).real
+    adj_b = correlation_adjoint(bvec, n)          # I~ F_M^H b
+    # Start from the unconstrained least-squares fit (exact for M >= 2N).
+    r = constrain(adj_b / (m * lag_weights))
+    spec = correlation_spectrum(r, l)
+    z = np.maximum(0.0, spec)
+    u = np.zeros(l)
+    primal = dual = 0.0
     history = []
     sqrt_l = np.sqrt(l)
     converged = False
-    for _ in range(opts.max_iters):
-        state = admm_iterate(state, c)
-        if not np.all(np.isfinite(state.r)):
+    iters = 0
+    for iters in range(1, opts.max_iters + 1):
+        rhs = adj_b + rho * correlation_adjoint(z - u, n)
+        if m >= 2 * n:
+            # F_M^H F_M = M I makes the normal operator (M + rho L) I~
+            r = rhs / ((m + rho * l) * lag_weights)
+        else:
+            r = _r_update_cg(rhs, r, m, l, rho)
+        r = constrain(r)
+        if not np.all(np.isfinite(r)):
             raise FloatingPointError(
-                f"ADMM diverged at iteration {state.iter} (NaN/Inf in iterates)")
-        spec = c.spectrum(state.r)
-        scale = max(float(np.linalg.norm(spec)), float(np.linalg.norm(state.z)))
-        history.append((state.primal_residual, state.dual_residual, scale))
+                f"ADMM diverged at iteration {iters} (NaN/Inf in iterates)")
+        spec = correlation_spectrum(r, l)
+        z_prev = z
+        z = np.maximum(0.0, spec + u)
+        u = u + spec - z
+        primal = float(np.linalg.norm(spec - z))
+        dual = float(rho * np.linalg.norm(correlation_adjoint(z - z_prev, n)))
+        scale = max(float(np.linalg.norm(spec)), float(np.linalg.norm(z)))
+        history.append((primal, dual, scale))
         eps = opts.tol_abs * sqrt_l + opts.tol_rel * scale
-        if state.primal_residual <= eps and state.dual_residual <= eps:
+        if primal <= eps and dual <= eps:
             converged = True
             break
 
-    r = state.r.copy()
     # Adding d to r0 raises every spectrum sample by exactly d, so any
     # residual infeasibility is removed by a (tiny) lag-zero lift.
-    deficit = float(c.spectrum(r).min())
-    lift = max(0.0, -deficit)
-    if lift > 0.0:
-        r[0] += lift
+    lift = max(0.0, -float(spec.min()))
     r = as_correlation(r)
+    r[0] += lift
     diag = CorkDiagnostics(
-        iters=state.iter,
-        primal=state.primal_residual,
-        dual=state.dual_residual,
-        fit=c.fit_value(r),
+        iters=iters,
+        primal=primal,
+        dual=dual,
+        fit=float(np.linalg.norm(bvec - correlation_spectrum(r, m)) ** 2),
         l=l,
         rho=rho,
         converged=converged,
-        underdetermined=b.m < 2 * n,
+        underdetermined=m < 2 * n,
         feasibility_lift=lift,
         residual_history=history,
     )

@@ -1,7 +1,11 @@
 """Desk-scale semidefinite solvers for lifted phase retrieval.
 
 The lifted variable is a Hermitian PSD matrix X standing in for x x^H, so
-intensities become linear traces b_m ~ f_m^H X f_m.  Three entry points:
+intensities become linear traces b_m ~ f_m^H X f_m.  Those depend on X only
+through its subdiagonal sums r_k = tr(T_k X), so the lifted map is applied
+as A(X) = Re{F_M I~ r} with the correlation operator pair of
+:mod:`phaseret.signals`, and its adjoint is a Hermitian Toeplitz matrix.
+Three entry points:
 
 * ``phaselift_value``: least-squares fit over the PSD cone, optionally with
   a -lambda*X00 pull; the lambda=0 objective is a lower bound on the fit of
@@ -21,12 +25,14 @@ the scalable path (that is the ADMM solver).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .signals import (MeasurementSet, as_correlation, correlation_psd_check,
-                      correlation_to_intensity)
+from .signals import (MeasurementSet, as_correlation, correlation_adjoint,
+                      correlation_psd_check, correlation_spectrum,
+                      correlation_to_intensity, doubled_lags)
 
 __all__ = ["SdpOptions", "SdpDiagnostics", "psd_project", "phaselift_value",
            "phaselift_sf", "sdp_sf", "lift_equivalence_check",
@@ -74,10 +80,42 @@ def partial_dft_matrix(n: int, m: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(n)) / m)
 
 
+@lru_cache(maxsize=None)
+def _lower_triangle(n: int):
+    """Flat indices of the lower triangle of an n x n matrix, and their lags."""
+    rows, cols = np.tril_indices(n)
+    return rows * n + cols, rows - cols
+
+
 def correlation_traces(x_mat: np.ndarray) -> np.ndarray:
     """r_k = tr(T_k X): sum of the k-th subdiagonal, k = 0..N-1."""
+    x_mat = np.asarray(x_mat)
     n = x_mat.shape[0]
-    return np.array([np.trace(x_mat, offset=-k) for k in range(n)])
+    flat, lag = _lower_triangle(n)
+    v = x_mat.ravel().take(flat)
+    return np.bincount(lag, v.real, n) + 1j * np.bincount(lag, v.imag, n)
+
+
+def _hermitian_toeplitz(lags: np.ndarray) -> np.ndarray:
+    """Hermitian Toeplitz matrix with ``lags[k]`` on the k-th subdiagonal.
+
+    ``Im lags[0]`` is dropped.
+    """
+    h = toeplitz(lags, np.conj(lags))
+    np.fill_diagonal(h, lags[0].real)
+    return h
+
+
+def _lifted_op(x_mat: np.ndarray, m: int) -> np.ndarray:
+    """A(X)_m = f_m^H X f_m = Re{F_M I~ r} with r the traces of Hermitian X."""
+    return correlation_spectrum(correlation_traces(x_mat), m)
+
+
+def _lifted_adjoint(c: np.ndarray, n: int) -> np.ndarray:
+    """A^*(c) = sum_m c_m f_m f_m^H, the Hermitian Toeplitz matrix of F_M^H c."""
+    lags = correlation_adjoint(c, n)
+    lags[1:] *= 0.5  # undo I~: the matrix holds lag k once in each triangle
+    return _hermitian_toeplitz(lags)
 
 
 class _FistaEngine:
@@ -121,7 +159,7 @@ class _FistaEngine:
 
 
 def _intensity_op(f_mat: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
-    """A(X)_m = f_m^H X f_m, computed as row sums of (F X) * conj(F)."""
+    """Dense reference for A(X): row sums of (F X) * conj(F)."""
     return np.real(np.einsum("mn,mn->m", f_mat @ x_mat, f_mat.conj()))
 
 
@@ -140,14 +178,6 @@ def _operator_norm(op, n: int, iters: int = 60) -> float:
     return float(lam) * 1.05  # safety margin over the power estimate
 
 
-def _fit_lipschitz(f_mat: np.ndarray) -> float:
-    """Largest eigenvalue of X -> 2 A^*(A(X))."""
-    def hess(x):
-        ax = _intensity_op(f_mat, x)
-        return 2.0 * _hermitize(f_mat.conj().T @ (ax[:, None] * f_mat))
-    return _operator_norm(hess, f_mat.shape[1])
-
-
 def phaselift_value(b: MeasurementSet, lam: float = 0.0,
                     opts: SdpOptions | None = None, x0: np.ndarray | None = None):
     """Minimize sum_m (b_m - f_m^H X f_m)^2 - lam * X00 over PSD X.
@@ -159,13 +189,13 @@ def phaselift_value(b: MeasurementSet, lam: float = 0.0,
     n = b.n
     if n > opts.size_guard:
         raise ValueError(f"phaselift_value is desk-scale only (N <= {opts.size_guard})")
-    f_mat = partial_dft_matrix(n, b.m)
+    m = b.m
     bvec = np.asarray(b.b, dtype=float)
-    lip = _fit_lipschitz(f_mat)
+    lip = _operator_norm(
+        lambda x_mat: 2.0 * _lifted_adjoint(_lifted_op(x_mat, m), n), n)
 
     def grad(x_mat):
-        c = _intensity_op(f_mat, x_mat) - bvec
-        g = 2.0 * _hermitize(f_mat.conj().T @ (c[:, None] * f_mat))
+        g = 2.0 * _lifted_adjoint(_lifted_op(x_mat, m) - bvec, n)
         if lam != 0.0:
             g[0, 0] -= lam
         return g
@@ -173,7 +203,7 @@ def phaselift_value(b: MeasurementSet, lam: float = 0.0,
     grad_scale = np.linalg.norm(grad(np.zeros((n, n), dtype=complex)))
     engine = _FistaEngine(n, grad, lip, opts.max_iters, opts.grad_tol, grad_scale)
     x_mat, converged = engine.run(x0)
-    fit = float(np.sum((_intensity_op(f_mat, x_mat) - bvec) ** 2))
+    fit = float(np.sum((_lifted_op(x_mat, m) - bvec) ** 2))
     return x_mat, fit, converged
 
 
@@ -274,24 +304,19 @@ def sdp_sf(r, opts: SdpOptions | None = None) -> np.ndarray:
         from .specfact import InvalidCorrelationError
         raise InvalidCorrelationError("r fails the sampled nonnegativity check")
 
-    # real-constraint multiplicity: lag 0 contributes one equation, others two
-    weights = np.full(n, 2.0)
-    weights[0] = 1.0
+    # real-constraint multiplicity: lag 0 contributes one equation, others
+    # two, so subdiagonal k carries I~ d_k and superdiagonal the conjugate
     scale = r0 ** 2
 
     def make_grad(lam):
         def grad(x_mat):
-            d = correlation_traces(x_mat) - r
-            # subdiagonal k carries w_k d_k, superdiagonal the conjugate
-            g = toeplitz(weights * d, weights * np.conj(d)) / scale
-            g = _hermitize(g.astype(complex))
+            g = _hermitian_toeplitz(doubled_lags(correlation_traces(x_mat) - r)) / scale
             g[0, 0] -= lam
             return g
         return grad
 
     def penalty_hessian(x_mat):
-        t = correlation_traces(x_mat)
-        return _hermitize(toeplitz(weights * t, weights * np.conj(t)).astype(complex)) / scale
+        return _hermitian_toeplitz(doubled_lags(correlation_traces(x_mat))) / scale
 
     lip = _operator_norm(penalty_hessian, n)
     x_mat = np.outer(np.ones(n), np.ones(n)) * (r0 / n) + 0j

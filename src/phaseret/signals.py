@@ -20,6 +20,8 @@ __all__ = [
     "autocorrelation",
     "doubled_lags",
     "correlation_to_intensity",
+    "correlation_spectrum",
+    "correlation_adjoint",
     "correlation_psd_check",
     "global_phase_distance",
     "default_transform_length",
@@ -102,14 +104,32 @@ def correlation_to_intensity(r, m: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    w = doubled_lags(as_correlation(r))
+    return correlation_spectrum(as_correlation(r), m)
+
+
+def correlation_spectrum(r: np.ndarray, m: int) -> np.ndarray:
+    """Unvalidated kernel of :func:`correlation_to_intensity` for hot loops.
+
+    ``r`` must be a 1D array and ``m >= 1``; ``Im r[0]`` is ignored.
+    """
+    w = doubled_lags(r)
     if m < w.size:
-        folded = np.zeros(m, dtype=complex)
-        for start in range(0, w.size, m):
-            chunk = w[start:start + m]
-            folded[: chunk.size] += chunk
-        w = folded
+        w = np.pad(w, (0, -w.size % m)).reshape(-1, m).sum(axis=0)
     return np.real(np.fft.fft(w, n=m))
+
+
+def correlation_adjoint(y: np.ndarray, n: int) -> np.ndarray:
+    """Adjoint of ``r -> correlation_spectrum(r, m)``: I~ F_m^H y on N lags.
+
+    ``y`` is real of length m, and ``<A r, y> = Re<r, A^* y>``.  For
+    ``m < n`` the m-point transform is extended periodically, the adjoint
+    of folding modulo m.
+    """
+    m = y.size
+    w = np.fft.ifft(y)
+    w = m * (w[:n] if m >= n else np.resize(w, n))
+    w[1:] *= 2.0
+    return w
 
 
 def correlation_psd_check(r, l: int | None = None, tol: float | None = None):
@@ -122,7 +142,7 @@ def correlation_psd_check(r, l: int | None = None, tol: float | None = None):
     r = as_correlation(r)
     if l is None:
         l = default_transform_length(r.size)
-    spectrum = correlation_to_intensity(r, l)
+    spectrum = correlation_spectrum(r, l)
     idx = int(np.argmin(spectrum))
     min_value = float(spectrum[idx])
     if tol is None:

@@ -4,9 +4,10 @@ Two routes are provided.  The FFT route (``kolmogorov_sf``) takes half the
 log of the sampled correlation spectrum, obtains the phase as its Hilbert
 transform (log-magnitude and phase of a minimum-phase transfer function are
 a Hilbert pair), and inverts.  The algebraic route (``root_sf``) factors the
-two-sided correlation polynomial, whose zeros come in conjugate-reciprocal
-pairs, and keeps the ones inside the unit circle; it is accurate only for
-small N and serves as a cross-validation oracle.
+two-sided correlation polynomial (companion-matrix eigenvalues, ``np.roots``),
+whose zeros come in conjugate-reciprocal pairs, and keeps the ones inside the
+unit circle; it is accurate only for small N and serves as a
+cross-validation oracle.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import (as_correlation, as_signal, default_transform_length,
-                      doubled_lags)
+from .signals import (as_correlation, as_signal, correlation_spectrum,
+                      default_transform_length)
 
-__all__ = ["SfOptions", "kolmogorov_sf", "root_sf", "polynomial_roots",
-           "is_min_phase", "InvalidCorrelationError"]
+__all__ = ["SfOptions", "kolmogorov_sf", "root_sf", "is_min_phase",
+           "InvalidCorrelationError"]
 
 ROOT_SF_MAX_N = 48  # coefficient expansion loses accuracy as N approaches 64
 
@@ -48,7 +49,7 @@ def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
     if l & (l - 1) or l < 2 * n:
         raise ValueError(f"transform length l={l} must be a power of two >= 2N")
 
-    spectrum = np.real(np.fft.fft(doubled_lags(r), n=l))
+    spectrum = correlation_spectrum(r, l)
     top = spectrum.max()
     if top <= 0.0:
         raise InvalidCorrelationError("correlation spectrum is entirely <= 0")
@@ -66,57 +67,6 @@ def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
     return x[:n]
 
 
-def polynomial_roots(coeffs, tol: float = 1e-14, max_iters: int = 200) -> np.ndarray:
-    """All roots of a polynomial (descending coefficients) by simultaneous
-    Aberth-Ehrlich iteration, followed by Newton polishing.
-
-    Each returned root satisfies |p(root)| <= ~1e-8 * ||coeffs|| for
-    well-conditioned polynomials.
-    """
-    c = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=complex)), "f")
-    if c.size == 0:
-        raise ValueError("polynomial has no nonzero coefficients")
-    # strip roots at the origin contributed by trailing zeros
-    n_zero_roots = 0
-    while c.size > 1 and c[-1] == 0:
-        c = c[:-1]
-        n_zero_roots += 1
-    deg = c.size - 1
-    if deg == 0:
-        return np.zeros(n_zero_roots, dtype=complex)
-    monic = c / c[0]
-    dcoef = monic[:-1] * np.arange(deg, 0, -1)
-
-    # initial guesses: slightly perturbed circle at the Cauchy radius
-    radius = 1.0 + np.abs(monic[1:]).max()
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.35) / deg
-    roots = radius * np.exp(1j * angles)
-
-    for _ in range(max_iters):
-        p = np.polyval(monic, roots)
-        dp = np.polyval(dcoef, roots)
-        newton = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0.0)
-        diff = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulse = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * repulse
-        step = newton / np.where(denom == 0, 1, denom)
-        roots = roots - step
-        if np.all(np.abs(step) <= tol * (1.0 + np.abs(roots))):
-            break
-
-    # Newton polish, a couple of sweeps
-    for _ in range(3):
-        p = np.polyval(monic, roots)
-        dp = np.polyval(dcoef, roots)
-        mask = dp != 0
-        roots[mask] = roots[mask] - p[mask] / dp[mask]
-
-    if n_zero_roots:
-        roots = np.concatenate((roots, np.zeros(n_zero_roots, dtype=complex)))
-    return roots
-
-
 def is_min_phase(x, tol: float = 1e-6):
     """True iff every zero of the z-transform of ``x`` has modulus <= 1+tol.
 
@@ -128,7 +78,7 @@ def is_min_phase(x, tol: float = 1e-6):
         raise ValueError("x[0] must be nonzero for a well-posed zero set")
     if x.size == 1:
         return True, 0.0
-    roots = polynomial_roots(x)
+    roots = np.roots(x)
     max_mod = float(np.abs(roots).max()) if roots.size else 0.0
     return max_mod <= 1.0 + tol, max_mod
 
@@ -188,7 +138,7 @@ def root_sf(r) -> np.ndarray:
     lead_trim = np.trim_zeros(coeffs, "f")
     if lead_trim.size <= 1:
         return np.concatenate(([np.sqrt(r0)], np.zeros(n - 1, dtype=complex)))
-    roots = polynomial_roots(coeffs)
+    roots = np.roots(coeffs)
     inside = _pair_roots(roots)
     x = np.array([1.0], dtype=complex)
     for zero in inside:

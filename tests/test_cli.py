@@ -31,8 +31,37 @@ def test_measure_then_recover_round_trip(tmp_path, capsys):
     diag = json.loads(capsys.readouterr().out)
     assert diag["min_phase"]["flag"]
     assert diag["ref_error_rel"] <= 1e-10
+    assert diag["cork"]["feasibility_lift"] >= 0.0
     shat = load_signal_file(str(out))
     assert global_phase_distance(s, shat) <= 1e-10 * np.vdot(s, s).real
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_recover_gs_factors_before_deaugment(tmp_path, capsys, n):
+    # GS output is not minimum phase; de-augmenting it directly is wrong
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    out = tmp_path / "out.json"
+    write_signal(sig, seed=n, n=n)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--input", str(meas), "--output", str(out),
+                 "--solver", "gs", "--reference", str(sig)]) == 0
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["min_phase"]["flag"]
+    assert diag["ref_error_rel"] <= 1e-6
+
+
+def test_recover_uncertified_estimate_exits_3(tmp_path, capsys, monkeypatch):
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    write_signal(sig)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("phaseret.cli.is_min_phase", lambda x: (False, 2.0))
+    assert main(["recover", "--input", str(meas),
+                 "--output", str(tmp_path / "out.json")]) == 3
+    assert json.loads(capsys.readouterr().out)["min_phase"]["flag"] is False
 
 
 def test_recover_direct_mode_warns(tmp_path, capsys):

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from phaseret.cork import (AdmmOptions, admm_iterate, solve_cork,
-                           _Constants, _initial_state)
+from phaseret.cork import AdmmOptions, solve_cork
 from phaseret.signals import (MeasurementSet, autocorrelation,
-                              correlation_psd_check,
-                              default_transform_length, doubled_lags,
+                              correlation_psd_check, doubled_lags,
                               intensity_measure)
 
 
@@ -32,27 +30,70 @@ def test_scalar_instance():
 
 
 def test_single_iterate_matches_hand_computation():
-    # N = 1, M = 2, L = 64: recompute one ADMM sweep with explicit matrices.
-    b = np.array([2.0, 1.0])
-    n, m = 1, 2
-    l = default_transform_length(n)
+    # N = 3, M = 7, L = 8: recompute one ADMM sweep, its residuals and the
+    # lag-zero lift with explicit matrices.
+    rng = np.random.default_rng(11)
+    b = rng.exponential(1.0, size=7)  # a draw whose spectrum dips below 0
+    n, m, l = 3, 7, 8
     rho = m / l
-    cons = _Constants(b, n, l, rho, False)
-    state = _initial_state(cons)
-    z0, u0 = state.z.copy(), state.u.copy()
-    state = admm_iterate(state, cons)
+    r, diag = solve_cork(MeasurementSet(b, n), AdmmOptions(l=l, max_iters=1))
 
     fl = np.exp(-2j * np.pi * np.outer(np.arange(l), np.arange(n)) / l)
     fm = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(n)) / m)
     itil = np.diag(doubled_lags(np.ones(n)))
+    r0 = fm.conj().T @ b / m
+    r0[0] = r0[0].real
+    z0 = np.maximum(0.0, (fl @ (itil @ r0)).real)
+    u0 = np.zeros(l)
     r_want = (fm.conj().T @ b + rho * fl.conj().T @ (z0 - u0)) / (m + rho * l)
+    r_want[0] = r_want[0].real
     spec = (fl @ (itil @ r_want)).real
     z_want = np.maximum(0.0, spec + u0)
-    u_want = u0 + spec - z_want
+    primal = np.linalg.norm(spec - z_want)
+    dual = rho * np.linalg.norm(itil @ fl.conj().T @ (z_want - z0))
+    lift = max(0.0, -spec.min())
+    r_want[0] += lift
 
-    assert np.abs(state.r - r_want).max() <= 1e-12
-    assert np.abs(state.z - z_want).max() <= 1e-12
-    assert np.abs(state.u - u_want).max() <= 1e-12
+    assert diag.iters == 1
+    assert lift > 0.0 and diag.feasibility_lift == pytest.approx(lift, abs=1e-12)
+    assert np.abs(r - r_want).max() <= 1e-12
+    assert diag.primal == pytest.approx(primal, rel=1e-12, abs=1e-12)
+    assert diag.dual == pytest.approx(dual, rel=1e-12, abs=1e-12)
+
+
+def test_one_iteration_costs_three_ffts(monkeypatch):
+    # one spectrum and two adjoint transforms per iteration on the M >= 2N path
+    rng = np.random.default_rng(4)
+    ms = MeasurementSet(rng.exponential(1.0, size=40), 10)
+    opts = dict(l=64, tol_abs=0.0, tol_rel=0.0)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    counts = []
+    for iters in (5, 6):
+        calls.clear()
+        _, diag = solve_cork(ms, AdmmOptions(max_iters=iters, **opts))
+        assert diag.iters == iters and not diag.converged
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 3
+
+
+@pytest.mark.parametrize("m", [6, 4])
+def test_fewer_measurements_than_lags(m):
+    # M < N folds the measurement rows; the adjoint must fold back
+    rng = np.random.default_rng(10 + m)
+    b = rng.uniform(0.5, 1.5, size=m)
+    r, diag = solve_cork(MeasurementSet(b, 8))
+    assert r.shape == (8,) and np.all(np.isfinite(r))
+    assert diag.underdetermined
+    assert diag.fit <= np.dot(b, b)
 
 
 def test_least_squares_initialization_solves_noiseless():

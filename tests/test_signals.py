@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from phaseret.signals import (MeasurementSet, as_correlation, autocorrelation,
-                              correlation_psd_check, correlation_to_intensity,
+                              correlation_adjoint, correlation_psd_check,
+                              correlation_to_intensity,
                               default_transform_length, dft_partial,
-                              global_phase_distance, intensity_measure)
+                              doubled_lags, global_phase_distance,
+                              intensity_measure)
 
 
 def naive_dft(x, m):
@@ -77,6 +79,27 @@ def test_correlation_to_intensity_examples():
     # Re{2 + 2(-j)^m} per row, cross-checks intensity_measure([1,1],4)
     np.testing.assert_allclose(correlation_to_intensity([2, 1], 4),
                                [4, 2, 0, 2], atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [3, 5, 8, 11, 16, 21])
+def test_correlation_adjoint_against_explicit_matrix(m):
+    # m < N folds, N <= m < 2N and m >= 2N do not; the explicit M x N matrix
+    # aliases rows by itself, so it is the reference in all three regimes
+    n = 8
+    rng = np.random.default_rng(m)
+    r = as_correlation(np.r_[rng.exponential(), rng.normal(size=n - 1)
+                             + 1j * rng.normal(size=n - 1)])
+    y = rng.normal(size=m)
+    f = naive_dft(np.eye(n), m)
+    itil = np.diag(doubled_lags(np.ones(n)))
+    forward = (f @ itil @ r).real
+    adjoint = itil @ f.conj().T @ y
+    np.testing.assert_allclose(correlation_to_intensity(r, m), forward,
+                               atol=1e-12)
+    np.testing.assert_allclose(correlation_adjoint(y, n), adjoint, atol=1e-12)
+    lhs = np.dot(correlation_to_intensity(r, m), y)
+    rhs = np.vdot(r, correlation_adjoint(y, n)).real
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed,m_mult", [(0, 2), (1, 3), (2, 4), (3, 8)])

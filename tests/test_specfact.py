@@ -4,8 +4,7 @@ import pytest
 from phaseret.measurement import AugmentationSpec, augment_min_phase, default_delta
 from phaseret.signals import autocorrelation, global_phase_distance
 from phaseret.specfact import (InvalidCorrelationError, ROOT_SF_MAX_N,
-                               SfOptions, is_min_phase, kolmogorov_sf,
-                               polynomial_roots, root_sf)
+                               SfOptions, is_min_phase, kolmogorov_sf, root_sf)
 
 
 def rel_err(x, xhat):
@@ -26,29 +25,23 @@ def test_two_tap_example_both_methods():
     np.testing.assert_allclose(autocorrelation([1.0, 2.0]), [5, 2])
 
 
-def test_polynomial_roots_quadratics():
-    got = np.sort_complex(polynomial_roots([1.0, 0.0, -1.0]))
-    np.testing.assert_allclose(got, [-1, 1], atol=1e-12)
-    # 2z^2 + z - 0.5: quadratic-formula oracle
-    want = np.array([(-1 - np.sqrt(5)) / 4, (-1 + np.sqrt(5)) / 4])
-    got = np.sort(polynomial_roots([2.0, 1.0, -0.5]).real)
-    np.testing.assert_allclose(got, want, atol=1e-12)
+def test_root_sf_leading_zero_and_origin_root():
+    # r = [5, 2, 0]: z^2 R(z) has a zero leading coefficient and a root at
+    # the origin, whose reciprocal partner is at infinity
+    np.testing.assert_allclose(root_sf([5.0, 2.0, 0.0]), [2, 1, 0], atol=1e-12)
 
 
-def test_polynomial_roots_reconstruction():
+def test_root_sf_accepts_long_min_phase_correlations():
+    # lengths 34..48 are inside ROOT_SF_MAX_N; every min-phase correlation
+    # there must factor, certify and agree with the FFT route
     rng = np.random.default_rng(0)
-    coeffs = rng.normal(size=21) + 1j * rng.normal(size=21)
-    roots = polynomial_roots(coeffs)
-    rebuilt = np.array([coeffs[0]])
-    for z in roots:
-        rebuilt = np.convolve(rebuilt, [1.0, -z])
-    assert np.abs(rebuilt - coeffs).max() <= 1e-8 * np.abs(coeffs).max()
-
-
-def test_polynomial_roots_origin_and_leading_zeros():
-    # 0*z^3 + z^2 + 0*z + 0 has a double root at the origin
-    got = polynomial_roots([0.0, 1.0, 0.0, 0.0])
-    np.testing.assert_allclose(np.sort(np.abs(got)), [0, 0], atol=1e-14)
+    for n in np.repeat(np.arange(34, ROOT_SF_MAX_N + 1), 3):
+        core = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+        r = autocorrelation(augment_min_phase(
+            core, AugmentationSpec(delta=default_delta(core))))
+        x = root_sf(r)
+        assert is_min_phase(x)[0]
+        assert global_phase_distance(x, kolmogorov_sf(r)) <= 1e-9 * r[0].real
 
 
 def test_is_min_phase():
@@ -56,6 +49,11 @@ def test_is_min_phase():
     assert flag and rad == pytest.approx(0.5)
     flag, rad = is_min_phase([1.0, 2.0])
     assert not flag and rad == pytest.approx(2.0)
+    # trailing zeros put every zero at the origin
+    assert is_min_phase([1.0, 0.0, 0.0]) == (True, 0.0)
+    # 1 - z^-2 has its zeros on the unit circle at +-1
+    flag, rad = is_min_phase([1.0, 0.0, -1.0])
+    assert flag and rad == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         is_min_phase([0.0, 1.0])
 
