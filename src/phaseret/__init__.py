@@ -15,7 +15,7 @@ from .crb import compute_crb, intensity_jacobian
 from .measurement import (AugmentationSpec, ImpulseMarginWarning, add_noise,
                           augment_max_phase, augment_min_phase,
                           conjugate_reversal, deaugment, default_delta,
-                          measure_augmented)
+                          margin_violated, measure_augmented)
 from .sdp import (SdpOptions, lift_equivalence_check, phaselift_sf,
                   phaselift_value, psd_project, sdp_sf)
 from .signals import (MeasurementSet, autocorrelation, correlation_psd_check,

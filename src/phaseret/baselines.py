@@ -25,13 +25,14 @@ from .specfact import SfOptions, kolmogorov_sf
 
 __all__ = ["IterativeOptions", "gs_solve", "gs_sf", "fienup_solve", "fienup_sf"]
 
+GS_REFINE_ITERS = 5000   # cap on the GS refinement after Fienup
+
 
 @dataclass
 class IterativeOptions:
     max_iters: int = 1000
     tol: float = 1e-10
     seed: int = 0
-    gs_refine_iters: int = 5000   # cap on the GS refinement after Fienup
     sf_l: int | None = None       # transform length for the *_sf factorization
 
 
@@ -105,7 +106,7 @@ def fienup_solve(b: MeasurementSet, opts: IterativeOptions | None = None):
         y = _support_project(w + q, b.n)
         q = w + q - y
 
-    refine = IterativeOptions(max_iters=opts.gs_refine_iters, tol=opts.tol,
+    refine = IterativeOptions(max_iters=GS_REFINE_ITERS, tol=opts.tol,
                               seed=opts.seed)
     x, _ = gs_solve(b, refine, y0=y)
     return x

@@ -8,11 +8,15 @@ Three experiment kinds:
   the impulse-augmented minimum-phase arm; records global-phase-aligned
   errors per arm and solver.
 * ``crb``: fixed signal, sweeps over measurement count and SNR; records
-  normalized MSE against the normalized Cramer-Rao bound.
+  normalized MSE of the ``cork`` pipeline against the normalized Cramer-Rao
+  bound.
 
-Trials are deterministic: trial t uses ``SeedSequence([master_seed, t])``,
-so runs are reproducible and trivially parallel.  Persistence writes
-results.jsonl (one trial per line), summary.json, and plot-ready curves.csv.
+Gap and recovery trials run the solvers named in ``ExperimentConfig.solvers``
+from ``SOLVERS``, the one table of minimum-phase solvers that ``phaseret
+recover`` also uses.  Trials are deterministic: trial t uses
+``SeedSequence([master_seed, t])``, so runs are reproducible and trivially
+parallel.  Persistence writes results.jsonl (one trial per line),
+summary.json, and plot-ready curves.csv.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import IterativeOptions, fienup_sf, fienup_solve
+from .baselines import IterativeOptions, fienup_sf, gs_sf
 from .cork import AdmmOptions, solve_cork
 from .crb import compute_crb
 from .io import atomic_write_text
@@ -36,10 +40,60 @@ from .signals import (MeasurementSet, default_transform_length,
                       global_phase_distance, intensity_measure)
 from .specfact import SfOptions, kolmogorov_sf
 
-__all__ = ["ExperimentConfig", "run_gap_trial", "run_recovery_trial",
-           "run_crb_study", "run_experiment", "aggregate_and_persist"]
+__all__ = ["SOLVERS", "ExperimentConfig", "run_gap_trial",
+           "run_recovery_trial", "run_crb_study", "run_experiment",
+           "aggregate_and_persist"]
 
 TIMING_FIELDS = ("times",)  # stripped when comparing runs byte-for-byte
+
+
+def _fit(x, b: np.ndarray) -> float:
+    model = intensity_measure(x, b.size)
+    return float(np.linalg.norm(b - model) ** 2)
+
+
+def _options(cls, **values):
+    """``cls()`` with the given values that are not None."""
+    return cls(**{k: v for k, v in values.items() if v is not None})
+
+
+# Each solver maps (measurements, transform length l, seed, optional
+# max_iters and tol; None keeps the solver's default, and phaselift-sf
+# ignores tol) to (minimum-phase estimate, diagnostics); the diagnostics
+# always hold ``fit`` and ``converged``.  The entries call the
+# solvers through this module's globals, so a caller that rebinds them (a
+# tracer, a test) sees every call.
+
+def _cork(ms, l, seed, max_iters=None, tol=None):
+    r, diag = solve_cork(ms, _options(AdmmOptions, l=l, max_iters=max_iters,
+                                      tol_rel=tol))
+    return kolmogorov_sf(r, SfOptions(l=l)), diag.to_json()
+
+
+def _phaselift_sf(ms, l, seed, max_iters=None, tol=None):
+    x, lam, diag = phaselift_sf(ms, _options(SdpOptions, max_iters=max_iters))
+    return x, {"fit": _fit(x, ms.b), "converged": diag.converged,
+               "lambda": lam, "eig_ratio": diag.eig_ratio,
+               "solves": diag.solves}
+
+
+# The alternating-projection baselines stop on a stalled cost or their
+# iteration cap and certify nothing; the min-phase certificate checks them.
+
+def _fienup(ms, l, seed, max_iters=None, tol=None):
+    x = fienup_sf(ms, _options(IterativeOptions, seed=seed, sf_l=l,
+                               max_iters=max_iters, tol=tol))
+    return x, {"fit": _fit(x, ms.b), "converged": True}
+
+
+def _gs(ms, l, seed, max_iters=None, tol=None):
+    x = gs_sf(ms, _options(IterativeOptions, seed=seed, sf_l=l,
+                           max_iters=max_iters, tol=tol))
+    return x, {"fit": _fit(x, ms.b), "converged": True}
+
+
+SOLVERS = {"cork": _cork, "phaselift-sf": _phaselift_sf, "fienup": _fienup,
+           "gs": _gs}
 
 
 @dataclass
@@ -53,12 +107,17 @@ class ExperimentConfig:
     snr_sweep: tuple[float, float, int] = (30.0, 60.0, 7)
     m_sweep: tuple[float, float, int] = (2.0, 16.0, 8)
     crb_m_multiplier: float = 8.0          # crb: M for the SNR sweep
-    solvers: tuple[str, ...] = ("cork", "phaselift", "phaselift_sf", "fienup")
+    # gap and recovery: names from SOLVERS
+    solvers: tuple[str, ...] = ("cork", "phaselift-sf", "fienup")
     master_seed: int = 0
     output_dir: str | None = None
-    rank_tol: float = 1e-4
-    fit_slack: float = 1e-4
     thresholds: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        unknown = [name for name in self.solvers if name not in SOLVERS]
+        if unknown:
+            raise ValueError(f"unknown solvers {unknown}; "
+                             f"choose from {list(SOLVERS)}")
 
     def trial_rng(self, trial_index: int) -> np.random.Generator:
         return np.random.default_rng(
@@ -79,11 +138,6 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def _fit(x, b: np.ndarray) -> float:
-    model = intensity_measure(x, b.size)
-    return float(np.linalg.norm(b - model) ** 2)
-
-
 def run_gap_trial(config: ExperimentConfig, trial_index: int) -> dict:
     """One random least-squares instance; gaps against the SDP lower bound."""
     rng = config.trial_rng(trial_index)
@@ -93,51 +147,33 @@ def run_gap_trial(config: ExperimentConfig, trial_index: int) -> dict:
     b = rng.uniform(size=m)
     bscale = float(np.linalg.norm(b) ** 2)
     ms = MeasurementSet(b, n)
+    l = default_transform_length(n)
 
     result = {"trial": trial_index, "kind": "gap", "n": n, "m": m,
               "b_norm2": bscale, "fits": {}, "gaps": {}, "gaps_rel": {},
               "iters": {}, "times": {}, "errors": {}}
 
-    sdp_opts = SdpOptions(rank_tol=config.rank_tol, fit_slack=config.fit_slack)
     t0 = time.perf_counter()
-    _, lower_bound, _ = phaselift_value(ms, 0.0, sdp_opts)
+    _, lower_bound, _ = phaselift_value(ms, 0.0)
     result["times"]["phaselift"] = time.perf_counter() - t0
     result["fits"]["phaselift"] = lower_bound
     result["lower_bound"] = lower_bound
 
-    def record(name, fit, elapsed, iters=None):
-        result["fits"][name] = fit
-        result["gaps"][name] = fit - lower_bound
-        result["gaps_rel"][name] = (fit - lower_bound) / max(bscale, 1e-300)
-        result["times"][name] = elapsed
-        if iters is not None:
-            result["iters"][name] = iters
-
-    if "cork" in config.solvers:
+    for name in config.solvers:
         try:
             t0 = time.perf_counter()
-            r, diag = solve_cork(ms)
-            record("cork", diag.fit, time.perf_counter() - t0, diag.iters)
+            _, diag = SOLVERS[name](ms, l, trial_index)
+            elapsed = time.perf_counter() - t0
         except Exception as exc:  # noqa: BLE001 - per-solver capture
-            result["errors"]["cork"] = str(exc)
-    if "phaselift_sf" in config.solvers:
-        try:
-            t0 = time.perf_counter()
-            x, lam, diag = phaselift_sf(ms, sdp_opts)
-            record("phaselift_sf", _fit(x, b), time.perf_counter() - t0,
-                   diag.solves)
-            result["phaselift_sf_eig_ratio"] = diag.eig_ratio
-            result["phaselift_sf_lambda"] = lam
-            result["phaselift_sf_converged"] = diag.converged
-        except Exception as exc:  # noqa: BLE001
-            result["errors"]["phaselift_sf"] = str(exc)
-    if "fienup" in config.solvers:
-        try:
-            t0 = time.perf_counter()
-            x = fienup_solve(ms, IterativeOptions(seed=trial_index))
-            record("fienup", _fit(x, b), time.perf_counter() - t0)
-        except Exception as exc:  # noqa: BLE001
-            result["errors"]["fienup"] = str(exc)
+            result["errors"][name] = str(exc)
+            continue
+        gap = diag["fit"] - lower_bound
+        result["fits"][name] = diag["fit"]
+        result["gaps"][name] = gap
+        result["gaps_rel"][name] = gap / max(bscale, 1e-300)
+        result["times"][name] = elapsed
+        if "iters" in diag:
+            result["iters"][name] = diag["iters"]
     return result
 
 
@@ -151,67 +187,40 @@ def run_recovery_trial(config: ExperimentConfig, trial_index: int) -> dict:
     spec = AugmentationSpec(delta)
     smin = augment_min_phase(s, spec)
     m = int(config.m_multiplier * smin.size)
-    l = default_transform_length(smin.size)
 
     result = {"trial": trial_index, "kind": "recovery", "n": n, "m": m,
               "delta": delta, "s_energy": s_energy,
               "errors_rel": {}, "fits_rel": {}, "times": {}, "errors": {}}
 
-    # minimum-phase arm
-    b_min = MeasurementSet(intensity_measure(smin, m), smin.size,
-                           augmentation=spec)
-    bscale = float(np.linalg.norm(b_min.b) ** 2)
-    if "cork" in config.solvers:
-        try:
-            t0 = time.perf_counter()
-            r, diag = solve_cork(b_min, AdmmOptions(l=l))
-            xhat = kolmogorov_sf(r, SfOptions(l=l))
-            shat = deaugment(xhat, spec)
-            result["times"]["cork_minphase"] = time.perf_counter() - t0
-            result["errors_rel"]["cork_minphase"] = \
+    # the direct arm runs the same solvers without augmentation
+    arms = (("minphase", MeasurementSet(intensity_measure(smin, m), smin.size,
+                                        augmentation=spec)),
+            ("direct", MeasurementSet(
+                intensity_measure(s, int(config.m_multiplier * n)), n)))
+    for arm, ms in arms:
+        bscale = float(np.linalg.norm(ms.b) ** 2)
+        l = default_transform_length(ms.n)
+        for name in config.solvers:
+            key = f"{name}_{arm}"
+            try:
+                t0 = time.perf_counter()
+                shat, diag = SOLVERS[name](ms, l, trial_index)
+                if ms.augmentation is not None:
+                    shat = deaugment(shat, ms.augmentation)
+                elapsed = time.perf_counter() - t0
+            except Exception as exc:  # noqa: BLE001 - per-solver capture
+                result["errors"][key] = str(exc)
+                continue
+            result["times"][key] = elapsed
+            result["errors_rel"][key] = \
                 global_phase_distance(s, shat) / s_energy
-            result["fits_rel"]["cork_minphase"] = diag.fit / bscale
-        except Exception as exc:  # noqa: BLE001
-            result["errors"]["cork_minphase"] = str(exc)
-    if "fienup" in config.solvers:
-        try:
-            t0 = time.perf_counter()
-            xhat = fienup_sf(b_min, IterativeOptions(seed=trial_index, sf_l=l))
-            shat = deaugment(xhat, spec)
-            result["times"]["fienup_sf_minphase"] = time.perf_counter() - t0
-            result["errors_rel"]["fienup_sf_minphase"] = \
-                global_phase_distance(s, shat) / s_energy
-            result["fits_rel"]["fienup_sf_minphase"] = _fit(xhat, b_min.b) / bscale
-        except Exception as exc:  # noqa: BLE001
-            result["errors"]["fienup_sf_minphase"] = str(exc)
-
-    # direct arm: same solver stack without augmentation
-    m_direct = int(config.m_multiplier * n)
-    b_dir = MeasurementSet(intensity_measure(s, m_direct), n)
-    bscale_dir = float(np.linalg.norm(b_dir.b) ** 2)
-    if "cork" in config.solvers:
-        try:
-            t0 = time.perf_counter()
-            l_dir = default_transform_length(n)
-            r, diag = solve_cork(b_dir, AdmmOptions(l=l_dir))
-            shat = kolmogorov_sf(r, SfOptions(l=l_dir))
-            result["times"]["cork_direct"] = time.perf_counter() - t0
-            result["errors_rel"]["cork_direct"] = \
-                global_phase_distance(s, shat) / s_energy
-            result["fits_rel"]["cork_direct"] = diag.fit / bscale_dir
-        except Exception as exc:  # noqa: BLE001
-            result["errors"]["cork_direct"] = str(exc)
+            result["fits_rel"][key] = diag["fit"] / bscale
     return result
 
 
-def _recover_min_phase(b: MeasurementSet, spec: AugmentationSpec, l: int):
-    r, _ = solve_cork(b, AdmmOptions(l=l))
-    xhat = kolmogorov_sf(r, SfOptions(l=l))
-    return deaugment(xhat, spec)
-
-
 def run_crb_study(config: ExperimentConfig) -> list[dict]:
-    """Sweep M at fixed SNR and SNR at fixed M; returns per-point rows."""
+    """Sweep M at fixed SNR and SNR at fixed M with the ``cork`` solver;
+    returns per-point rows."""
     rng = config.trial_rng(2**31 - 1)  # signal draw index, outside trial range
     n = config.n
     s = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
@@ -232,7 +241,7 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
             noisy = b_clean + trial_rng.normal(scale=np.sqrt(sigma2), size=m)
             ms = MeasurementSet(noisy, smin.size, sigma2=sigma2,
                                 augmentation=spec)
-            shat = _recover_min_phase(ms, spec, l)
+            shat = deaugment(SOLVERS["cork"](ms, l, t)[0], spec)
             errors.append(float(np.linalg.norm(s - shat) ** 2))
         elapsed = time.perf_counter() - t0
         mse = float(np.mean(errors))

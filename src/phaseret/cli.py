@@ -14,13 +14,10 @@ import sys
 import numpy as np
 
 from . import io as pio
-from .bench import ExperimentConfig, aggregate_and_persist, check_thresholds, \
-    run_experiment
-from .baselines import IterativeOptions, fienup_sf, gs_sf
-from .cork import AdmmOptions, solve_cork
+from .bench import SOLVERS, ExperimentConfig, aggregate_and_persist, \
+    check_thresholds, run_experiment
 from .measurement import (AugmentationSpec, add_noise, deaugment,
-                          default_delta, measure_augmented)
-from .sdp import SdpOptions, phaselift_sf
+                          default_delta, margin_violated, measure_augmented)
 from .signals import (MeasurementSet, correlation_psd_check,
                       default_transform_length, global_phase_distance)
 from .specfact import ROOT_SF_MAX_N, InvalidCorrelationError, SfOptions, \
@@ -61,7 +58,7 @@ def cmd_measure(args) -> int:
         ms = add_noise(ms, args.noise_sigma2, args.seed)
     pio.save_measurement_file(args.output, ms)
     info = {"m": ms.m, "n": ms.n, "delta": delta,
-            "margin_violated": spec.margin_violated,
+            "margin_violated": margin_violated(s, delta),
             "snr_db": ms.snr_db() if np.isfinite(ms.snr_db()) else None}
     print(json.dumps(info))
     return EXIT_OK
@@ -91,27 +88,11 @@ def cmd_recover(args) -> int:
 
     l = default_transform_length(ms.n, args.l_factor)
     ms.real_signal = ms.real_signal or args.real
-    if args.solver == "cork":
-        r, diag = solve_cork(ms, AdmmOptions(
-            l=l, max_iters=args.max_iters, tol_rel=args.tol,
-            real_signal=ms.real_signal))
-        diagnostics["cork"] = diag.to_json()
-        xmin = kolmogorov_sf(r, SfOptions(l=l))
-        if not diag.converged:
-            diagnostics["converged"] = False
-    elif args.solver == "phaselift-sf":
-        xmin, lam, diag = phaselift_sf(ms, SdpOptions(max_iters=args.max_iters))
-        diagnostics["phaselift_sf"] = {"lambda": lam, "fit": diag.fit,
-                                       "eig_ratio": diag.eig_ratio,
-                                       "converged": diag.converged}
-        if not diag.converged:
-            diagnostics["converged"] = False
-    elif args.solver in ("fienup", "gs"):
-        opts = IterativeOptions(max_iters=args.max_iters, tol=args.tol,
-                                seed=args.seed, sf_l=l)
-        xmin = (fienup_sf if args.solver == "fienup" else gs_sf)(ms, opts)
-    else:
-        raise CliError(f"unknown solver {args.solver}", EXIT_VALIDATION)
+    xmin, diag = SOLVERS[args.solver](ms, l, args.seed,
+                                      max_iters=args.max_iters, tol=args.tol)
+    diagnostics[args.solver] = diag
+    if not diag["converged"]:
+        diagnostics["converged"] = False
 
     if ms.real_signal:
         xmin = xmin.real.astype(complex)
@@ -207,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="reconstruct a signal from measurements")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--solver", choices=["cork", "phaselift-sf", "fienup", "gs"],
-                   default="cork")
+    p.add_argument("--solver", choices=list(SOLVERS), default="cork")
     p.add_argument("--l-factor", type=int, default=32)
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--tol", type=float, default=1e-8)

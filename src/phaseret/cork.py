@@ -40,7 +40,6 @@ class AdmmOptions:
     max_iters: int = 10000
     tol_abs: float = 1e-10
     tol_rel: float = 1e-8
-    real_signal: bool = False
 
 
 @dataclass
@@ -54,6 +53,7 @@ class CorkDiagnostics:
     converged: bool
     underdetermined: bool = False
     feasibility_lift: float = 0.0
+    cg_failures: int = 0          # r-updates whose CG solve did not converge
     residual_history: list = field(default_factory=list, repr=False)
 
     def iters_to(self, tol_rel: float, tol_abs: float = 1e-10) -> int | None:
@@ -74,15 +74,17 @@ class CorkDiagnostics:
                 "fit": self.fit, "l": self.l, "rho": self.rho,
                 "converged": self.converged,
                 "underdetermined": self.underdetermined,
-                "feasibility_lift": self.feasibility_lift}
+                "feasibility_lift": self.feasibility_lift,
+                "cg_failures": self.cg_failures}
 
 
 def _r_update_cg(rhs: np.ndarray, r0: np.ndarray, m: int, l: int,
-                 rho: float) -> np.ndarray:
+                 rho: float) -> tuple[np.ndarray, int]:
     """Exact normal-equation solve for M < 2N, over the real view of r.
 
     Minimizes ||b - Re{F_M I~ r}||^2 + rho ||Re{F_L I~ r} - (z-u)||^2; the
-    normal operator is applied with FFTs inside a CG loop.
+    normal operator is applied with FFTs inside a CG loop.  Returns
+    ``(r, info)`` with CG's ``info`` (0 when it converged).
     """
     n = r0.size
 
@@ -103,11 +105,14 @@ def _r_update_cg(rhs: np.ndarray, r0: np.ndarray, m: int, l: int,
                  maxiter=10 * n)
     if info != 0 and not np.all(np.isfinite(v)):
         raise FloatingPointError("CG r-update diverged")
-    return as_complex(v)
+    return as_complex(v), info
 
 
 def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
-    """Run the ADMM iterates to convergence; returns ``(r, diagnostics)``."""
+    """Run the ADMM iterates to convergence; returns ``(r, diagnostics)``.
+
+    When ``b.real_signal`` is set, every iterate is kept real.
+    """
     opts = opts or AdmmOptions()
     n, m = b.n, b.m
     l = opts.l if opts.l is not None else default_transform_length(n)
@@ -118,7 +123,7 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
         raise ValueError("rho must be positive")
 
     def constrain(r):
-        if opts.real_signal:
+        if b.real_signal:
             r = r.real.astype(complex)
         r[0] = r[0].real
         return r
@@ -136,13 +141,15 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
     sqrt_l = np.sqrt(l)
     converged = False
     iters = 0
+    cg_failures = 0
     for iters in range(1, opts.max_iters + 1):
         rhs = adj_b + rho * correlation_adjoint(z - u, n)
         if m >= 2 * n:
             # F_M^H F_M = M I makes the normal operator (M + rho L) I~
             r = rhs / ((m + rho * l) * lag_weights)
         else:
-            r = _r_update_cg(rhs, r, m, l, rho)
+            r, info = _r_update_cg(rhs, r, m, l, rho)
+            cg_failures += info != 0
         r = constrain(r)
         if not np.all(np.isfinite(r)):
             raise FloatingPointError(
@@ -172,9 +179,10 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
         fit=float(np.linalg.norm(bvec - correlation_spectrum(r, m)) ** 2),
         l=l,
         rho=rho,
-        converged=converged,
+        converged=converged and cg_failures == 0,
         underdetermined=m < 2 * n,
         feasibility_lift=lift,
+        cg_failures=cg_failures,
         residual_history=history,
     )
     return r, diag

@@ -2,10 +2,11 @@
 
 The noiseless intensity map is b_m(x) = |f_m^H x|^2 with additive real
 Gaussian noise of variance sigma^2.  With the real parameter vector
-theta = [Re x; Im x], the Fisher information is J = (2/sigma^2) G^T G,
-where G is the Jacobian of the intensity map.  The bound for estimating
-the embedded signal (impulse excluded) is the trace of pinv(J) without
-the two impulse coordinates (indices 0 and N_tot).
+theta = [Re x; Im x], the Fisher information is J = G^T G / sigma^2 (Kay,
+*Estimation Theory*, ch. 3), where G is the Jacobian of the intensity
+map.  The bound for estimating the embedded signal (impulse excluded) is
+the trace of pinv(J) without the two impulse coordinates (indices 0 and
+N_tot).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def compute_crb(smin, m: int, sigma2: float) -> float:
     smin = as_signal(smin)
     n_tot = smin.size
     g = intensity_jacobian(smin, m)
-    fisher = (2.0 / sigma2) * (g.T @ g)
+    fisher = (g.T @ g) / sigma2
     cov = np.linalg.pinv(fisher, hermitian=True)
     keep = np.ones(2 * n_tot, dtype=bool)
     keep[0] = False

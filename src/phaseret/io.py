@@ -77,7 +77,6 @@ def dump_measurement(ms: MeasurementSet) -> dict:
             "delta_im": _f(np.imag(spec.delta)),
             "gap": int(spec.gap),
             "side": spec.side,
-            "margin_violated": bool(spec.margin_violated),
         }
     return obj
 
@@ -101,7 +100,6 @@ def load_measurement(obj: dict) -> MeasurementSet:
             gap=int(a.get("gap", 0)),
             side=a.get("side", "prefix"),
         )
-        aug.margin_violated = bool(a.get("margin_violated", False))
     return MeasurementSet(b, n, sigma2=sigma2, real_signal=real_signal,
                           augmentation=aug)
 

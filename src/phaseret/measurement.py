@@ -9,7 +9,7 @@ Fourier intensities.  Appending it instead gives the maximum-phase mirror.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "AugmentationSpec",
     "ImpulseMarginWarning",
     "default_delta",
+    "margin_violated",
     "augment_min_phase",
     "augment_max_phase",
     "conjugate_reversal",
@@ -40,8 +41,6 @@ class AugmentationSpec:
     delta: complex
     gap: int = 0
     side: str = "prefix"
-    # set by augment_*: True when |delta| < ||s||_1 at application time
-    margin_violated: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.gap < 0:
@@ -60,17 +59,19 @@ def default_delta(s, margin: float = 1e-3) -> float:
     return float(np.sum(np.abs(s)) * (1.0 + margin))
 
 
+def margin_violated(s, delta) -> bool:
+    """True when |delta| < ||s||_1, so the impulse does not certify the
+    augmented signal minimum (or maximum) phase."""
+    return abs(delta) < float(np.sum(np.abs(as_signal(s))))
+
+
 def _check_margin(s: np.ndarray, spec: AugmentationSpec) -> None:
-    l1 = float(np.sum(np.abs(s)))
-    if abs(spec.delta) < l1:
-        spec.margin_violated = True
+    if margin_violated(s, spec.delta):
         warnings.warn(
-            f"|delta|={abs(spec.delta):.6g} < ||s||_1={l1:.6g}: "
+            f"|delta|={abs(spec.delta):.6g} < ||s||_1={np.sum(np.abs(s)):.6g}: "
             "augmented signal is not certified minimum/maximum phase",
             ImpulseMarginWarning,
         )
-    else:
-        spec.margin_violated = False
 
 
 def augment_min_phase(s, spec: AugmentationSpec) -> np.ndarray:

@@ -39,6 +39,7 @@ __all__ = ["SdpOptions", "SdpDiagnostics", "psd_project", "phaselift_value",
            "correlation_traces"]
 
 SIZE_GUARD = 64
+MAX_BISECTIONS = 40
 
 
 @dataclass
@@ -47,9 +48,6 @@ class SdpOptions:
     grad_tol: float = 1e-7
     rank_tol: float = 1e-6
     fit_slack: float = 1e-6
-    lambda_bracket: tuple[float, float] | None = None
-    max_bisections: int = 40
-    size_guard: int = SIZE_GUARD
 
 
 @dataclass
@@ -187,8 +185,8 @@ def phaselift_value(b: MeasurementSet, lam: float = 0.0,
     """
     opts = opts or SdpOptions()
     n = b.n
-    if n > opts.size_guard:
-        raise ValueError(f"phaselift_value is desk-scale only (N <= {opts.size_guard})")
+    if n > SIZE_GUARD:
+        raise ValueError(f"phaselift_value is desk-scale only (N <= {SIZE_GUARD})")
     m = b.m
     bvec = np.asarray(b.b, dtype=float)
     lip = _operator_norm(
@@ -243,11 +241,8 @@ def phaselift_sf(b: MeasurementSet, opts: SdpOptions | None = None):
         lead, ratio, w = _rank_one_factor(x_lam)
         return x_lam, fit, lead, ratio, w
 
-    if opts.lambda_bracket is not None:
-        lo, hi = opts.lambda_bracket
-    else:
-        lo = 0.0
-        hi = max(1e-3 * (f0 + float(np.linalg.norm(bvec) ** 2)), 1e-12)
+    lo = 0.0
+    hi = max(1e-3 * (f0 + float(np.linalg.norm(bvec) ** 2)), 1e-12)
 
     # grow hi until the solution is rank one
     x_hi = fit_hi = lead_hi = w_hi = None
@@ -265,7 +260,7 @@ def phaselift_sf(b: MeasurementSet, opts: SdpOptions | None = None):
     nearest = (hi, fit_hi, lead_hi, ratio_hi, w_hi)
 
     if best is None:
-        for _ in range(opts.max_bisections):
+        for _ in range(MAX_BISECTIONS):
             mid = 0.5 * (lo + hi)
             _, fit, lead, ratio, w = evaluate(mid)
             if ratio <= opts.rank_tol:
@@ -294,8 +289,8 @@ def sdp_sf(r, opts: SdpOptions | None = None) -> np.ndarray:
     opts = opts or SdpOptions()
     r = as_correlation(r)
     n = r.size
-    if n > opts.size_guard:
-        raise ValueError(f"sdp_sf is desk-scale only (N <= {opts.size_guard})")
+    if n > SIZE_GUARD:
+        raise ValueError(f"sdp_sf is desk-scale only (N <= {SIZE_GUARD})")
     r0 = r[0].real
     if r0 == 0.0:
         return np.zeros(n, dtype=complex)

@@ -23,6 +23,7 @@ __all__ = ["SfOptions", "kolmogorov_sf", "root_sf", "is_min_phase",
            "InvalidCorrelationError"]
 
 ROOT_SF_MAX_N = 48  # coefficient expansion loses accuracy as N approaches 64
+FLOOR_EPS = 1e-12   # relative spectral floor before the log
 
 
 class InvalidCorrelationError(ValueError):
@@ -32,13 +33,12 @@ class InvalidCorrelationError(ValueError):
 @dataclass
 class SfOptions:
     l: int | None = None       # transform length, power of two, >= 2N
-    floor_eps: float = 1e-12   # relative spectral floor before the log
 
 
 def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
     """Minimum-phase factor of the correlation ``r`` via log-spectrum FFTs.
 
-    Spectrum samples below ``floor_eps * max`` are clamped to the floor, which
+    Spectrum samples below ``FLOOR_EPS * max`` are clamped to the floor, which
     tolerates near-unit-circle zeros.  Accuracy improves with ``l``; the
     default is the smallest power of two above 32N.
     """
@@ -53,7 +53,7 @@ def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
     top = spectrum.max()
     if top <= 0.0:
         raise InvalidCorrelationError("correlation spectrum is entirely <= 0")
-    spectrum = np.maximum(spectrum, opts.floor_eps * top)
+    spectrum = np.maximum(spectrum, FLOOR_EPS * top)
 
     gamma = 0.5 * np.log(spectrum)
     phi = np.fft.fft(gamma)

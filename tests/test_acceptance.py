@@ -139,8 +139,9 @@ def test_acceptance_4_perfect_recovery():
 
 
 def test_acceptance_5_crb_attainment():
-    """At 50 dB SNR the pipeline stays within 3 dB of the Cramer-Rao bound,
-    and the bound itself is exactly linear in the noise variance."""
+    """At 50 dB SNR the pipeline's mean MSE is within [0.8, 2.0] times the
+    Cramer-Rao bound (a bound off by a constant factor fails one side), and
+    the bound itself is exactly linear in the noise variance."""
     t0 = time.perf_counter()
     n = 64
     rng = np.random.default_rng([1005, 2**31 - 1])
@@ -167,7 +168,7 @@ def test_acceptance_5_crb_attainment():
     linearity = abs(crb7 - 7.0 * crb) / abs(crb7)
     elapsed = time.perf_counter() - t0
     report("CRB attainment",
-           ratio <= 2.0 and linearity <= 1e-12 and elapsed < 300.0,
+           0.8 <= ratio <= 2.0 and linearity <= 1e-12 and elapsed < 300.0,
            f"100 trials, mean MSE/CRB {ratio:.3f}, sigma2-linearity defect "
            f"{linearity:.1e}, {elapsed:.0f}s")
 
@@ -235,7 +236,7 @@ def test_acceptance_8_bench_determinism(tmp_path, capsys):
     cfgfile = tmp_path / "config.json"
     cfgfile.write_text(json.dumps({
         "kind": "gap", "n": 16, "trials": 5, "master_seed": 1008,
-        "solvers": ["cork", "phaselift_sf", "fienup"]}))
+        "solvers": ["cork", "phaselift-sf", "fienup"]}))
     payloads = []
     for name in ("run1", "run2"):
         outdir = tmp_path / name

@@ -31,7 +31,7 @@ def test_trial_rng_is_deterministic_and_distinct():
 
 def test_gap_trial_fits_dominate_lower_bound():
     cfg = ExperimentConfig(kind="gap", n=8, trials=1,
-                           solvers=("cork", "phaselift_sf", "fienup"))
+                           solvers=("cork", "phaselift-sf", "fienup"))
     row = run_gap_trial(cfg, 0)
     assert row["errors"] == {}
     for solver, gap in row["gaps"].items():
@@ -55,6 +55,21 @@ def test_recovery_trial_min_phase_beats_direct():
     assert row["fits_rel"]["cork_direct"] <= 1e-6
     # without augmentation the minimum-phase representative is far from s
     assert row["errors_rel"]["cork_direct"] >= 0.1
+
+
+def test_recovery_trial_runs_every_listed_solver():
+    cfg = ExperimentConfig(kind="recovery", n=8, trials=1,
+                           solvers=("phaselift-sf",))
+    row = run_recovery_trial(cfg, 0)
+    assert row["errors"] == {}
+    assert set(row["errors_rel"]) == {"phaselift-sf_minphase",
+                                      "phaselift-sf_direct"}
+    assert row["errors_rel"]["phaselift-sf_minphase"] <= 1e-3
+
+
+def test_unknown_solver_is_rejected():
+    with pytest.raises(ValueError, match="unknown solvers"):
+        ExperimentConfig(solvers=("cork", "phaselift"))
 
 
 def test_run_experiment_rejects_unknown_kind():

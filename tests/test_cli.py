@@ -52,6 +52,40 @@ def test_recover_gs_factors_before_deaugment(tmp_path, capsys, n):
     assert diag["ref_error_rel"] <= 1e-6
 
 
+@pytest.mark.parametrize("solver", ["cork", "phaselift-sf", "fienup", "gs"])
+def test_recover_each_solver(tmp_path, capsys, solver):
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    write_signal(sig)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--input", str(meas), "--output",
+                 str(tmp_path / "out.json"), "--solver", solver,
+                 "--reference", str(sig)]) == 0
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["min_phase"]["flag"]
+    assert diag[solver]["converged"]
+    # phaselift_sf accepts a lambda whose fit is within fit_slack * ||b||^2
+    # of the bound, which biases its noiseless estimate by about 1e-5 here
+    tol = 1e-4 if solver == "phaselift-sf" else 1e-6
+    assert diag["ref_error_rel"] <= tol
+
+
+def test_recover_unconverged_solver_exits_3(tmp_path, capsys):
+    from phaseret.io import save_measurement_file
+    from phaseret.signals import MeasurementSet
+    # speckle intensities fit no signal and bind the PSD constraint, so one
+    # ADMM iteration cannot converge
+    rng = np.random.default_rng(2)
+    meas = tmp_path / "meas.json"
+    save_measurement_file(str(meas),
+                          MeasurementSet(rng.exponential(size=64), 16))
+    assert main(["recover", "--input", str(meas), "--output",
+                 str(tmp_path / "out.json"), "--max-iters", "1"]) == 3
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["converged"] is False and not diag["cork"]["converged"]
+
+
 def test_recover_uncertified_estimate_exits_3(tmp_path, capsys, monkeypatch):
     sig = tmp_path / "sig.json"
     meas = tmp_path / "meas.json"
@@ -115,8 +149,8 @@ def test_factorize_rejects_invalid_correlation(tmp_path, capsys):
     assert "not a valid correlation" in capsys.readouterr().err
 
 
-def write_bench_config(path, outdir=None, thresholds=None):
-    cfg = {"kind": "gap", "n": 4, "trials": 2, "solvers": ["cork"],
+def write_bench_config(path, outdir=None, thresholds=None, solvers=("cork",)):
+    cfg = {"kind": "gap", "n": 4, "trials": 2, "solvers": list(solvers),
            "master_seed": 1}
     if outdir:
         cfg["output_dir"] = outdir
@@ -150,6 +184,15 @@ def test_bench_threshold_failure_exit_code(tmp_path, capsys):
                  "--output", str(tmp_path / "out")])
     assert code == 3
     assert "FAIL" in capsys.readouterr().err
+
+
+def test_bench_rejects_unknown_solver(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    write_bench_config(cfgfile, solvers=["nope"])
+    code = main(["bench", "--config", str(cfgfile),
+                 "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "unknown solvers" in capsys.readouterr().err
 
 
 def test_bench_requires_output_dir(tmp_path, capsys):

@@ -136,7 +136,7 @@ def test_real_mode_returns_real_correlation():
     rng = np.random.default_rng(7)
     x = rng.normal(size=9)
     ms = MeasurementSet(intensity_measure(x, 36), 9, real_signal=True)
-    r, _ = solve_cork(ms, AdmmOptions(real_signal=True))
+    r, _ = solve_cork(ms)
     assert np.abs(r.imag).max() == 0.0
     want = autocorrelation(x).real
     assert np.abs(r.real - want).max() <= 1e-6 * want[0]
@@ -149,6 +149,18 @@ def test_underdetermined_cg_path():
     r, diag = solve_cork(ms)
     assert diag.underdetermined
     assert diag.fit <= 1e-8 * np.dot(ms.b, ms.b)
+
+
+def test_cg_failure_is_not_converged(monkeypatch):
+    # a CG solve that stops short (info > 0) with a finite iterate
+    monkeypatch.setattr("phaseret.cork.cg",
+                        lambda op, rhs, x0, **kwargs: (x0, 1))
+    _, ms = make_instance(8, 12, m_mult=1)
+    _, diag = solve_cork(ms, AdmmOptions(max_iters=5))
+    assert diag.underdetermined
+    assert not diag.converged
+    assert diag.cg_failures == diag.iters
+    assert diag.to_json()["cg_failures"] == diag.iters
 
 
 def test_residual_history_and_iters_to():

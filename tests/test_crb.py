@@ -44,7 +44,7 @@ def test_crb_matches_direct_pinv():
     smin = make_min_phase(2, 6)
     sigma2 = 1e-3
     g = intensity_jacobian(smin, 48)
-    cov = np.linalg.pinv((2.0 / sigma2) * g.T @ g, hermitian=True)
+    cov = np.linalg.pinv((1.0 / sigma2) * g.T @ g, hermitian=True)
     n_tot = smin.size
     idx = [i for i in range(2 * n_tot) if i not in (0, n_tot)]
     want = cov[idx, idx].sum()

@@ -52,6 +52,16 @@ def test_measurement_round_trip_without_augmentation():
     assert back.sigma2 == 0.01 and back.real_signal and back.augmentation is None
 
 
+def test_measurement_with_margin_flag_still_loads():
+    # files written before the flag was dropped carry it; it is ignored
+    obj = {"m": 4, "n": 2, "b": [4.0, 1.0, 0.0, 1.0],
+           "augmentation": {"delta_re": 1.5, "delta_im": 0.0, "gap": 0,
+                            "side": "prefix", "margin_violated": True}}
+    ms = load_measurement(obj)
+    assert ms.augmentation.delta == 1.5
+    assert "margin_violated" not in dump_measurement(ms)["augmentation"]
+
+
 def test_seventeen_digit_floats_round_trip():
     # 0.1 + 0.2 is the canonical hard case for decimal round-trips
     x = np.array([0.1 + 0.2, np.pi, 1e-300])
