@@ -59,7 +59,7 @@ def _options(cls, **values):
 
 # Each solver maps (measurements, transform length l, seed, optional
 # max_iters and tol; None keeps the solver's default, and phaselift-sf
-# ignores tol) to (minimum-phase estimate, diagnostics); the diagnostics
+# ignores l and tol) to (minimum-phase estimate, diagnostics); the diagnostics
 # always hold ``fit`` and ``converged``.  The entries call the
 # solvers through this module's globals, so a caller that rebinds them (a
 # tracer, a test) sees every call.
@@ -71,10 +71,9 @@ def _cork(ms, l, seed, max_iters=None, tol=None):
 
 
 def _phaselift_sf(ms, l, seed, max_iters=None, tol=None):
-    x, lam, diag = phaselift_sf(ms, _options(SdpOptions, max_iters=max_iters))
-    return x, {"fit": _fit(x, ms.b), "converged": diag.converged,
-               "lambda": lam, "eig_ratio": diag.eig_ratio,
-               "solves": diag.solves}
+    x, _, diag = phaselift_sf(ms, _options(SdpOptions, max_iters=max_iters))
+    return x, {"fit": diag.fit, "converged": diag.converged,
+               "lower_bound": diag.lower_bound}
 
 
 # The alternating-projection baselines stop on a stalled cost or their
@@ -114,6 +113,11 @@ class ExperimentConfig:
     thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.kind not in ("gap", "recovery", "crb"):
+            raise ValueError(f"unknown experiment kind: {self.kind!r}")
+        if self.n < 1 or self.trials < 1:
+            raise ValueError(f"need n >= 1 and trials >= 1 (got n={self.n}, "
+                             f"trials={self.trials})")
         unknown = [name for name in self.solvers if name not in SOLVERS]
         if unknown:
             raise ValueError(f"unknown solvers {unknown}; "

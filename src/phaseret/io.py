@@ -87,19 +87,18 @@ def load_measurement(obj: dict) -> MeasurementSet:
         n = int(obj["n"])
         sigma2 = float(obj.get("sigma2", 0.0))
         real_signal = bool(obj.get("real_signal", False))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed measurement object: {exc}") from exc
-    if "m" in obj and int(obj["m"]) != b.size:
-        raise ValueError(f"measurement length mismatch: m={obj['m']}, "
-                         f"len(b)={b.size}")
-    aug = None
-    if obj.get("augmentation") is not None:
-        a = obj["augmentation"]
-        aug = AugmentationSpec(
+        a = obj.get("augmentation")
+        aug = None if a is None else AugmentationSpec(
             delta=complex(float(a["delta_re"]), float(a.get("delta_im", 0.0))),
             gap=int(a.get("gap", 0)),
             side=a.get("side", "prefix"),
         )
+        m = int(obj.get("m", b.size))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed measurement object: {exc}") from exc
+    if m != b.size:
+        raise ValueError(f"measurement length mismatch: m={m}, "
+                         f"len(b)={b.size}")
     return MeasurementSet(b, n, sigma2=sigma2, real_signal=real_signal,
                           augmentation=aug)
 

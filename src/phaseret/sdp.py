@@ -10,21 +10,22 @@ Three entry points:
 * ``phaselift_value``: least-squares fit over the PSD cone, optionally with
   a -lambda*X00 pull; the lambda=0 objective is a lower bound on the fit of
   any length-N signal.
-* ``phaselift_sf``: bisects lambda until the solution is numerically rank
-  one while its fit stays at the lambda=0 lower bound; the rank-one factor
-  is the minimum-phase least-squares signal estimate.
+* ``phaselift_sf``: the lambda=0 solution reaches the lower bound but need
+  not be rank one; its traces are a valid correlation with the same fit,
+  and their minimum-phase factor (``kolmogorov_sf``) is the least-squares
+  signal estimate.
 * ``sdp_sf``: spectral factorization by maximizing X00 subject to the
   correlation trace constraints, handled by quadratic penalty continuation.
 
-All of them run on an accelerated projected-gradient engine (FISTA with
-adaptive restart) whose proximal step is projection onto the PSD cone.
+All of them run accelerated projected gradient (FISTA with adaptive
+restart) whose proximal step is projection onto the PSD cone.
 Sizes are guarded to N <= 64; this module is a reference/bounding tool, not
 the scalable path (that is the ADMM solver).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,33 +33,30 @@ from scipy.linalg import toeplitz
 
 from .signals import (MeasurementSet, as_correlation, correlation_adjoint,
                       correlation_psd_check, correlation_spectrum,
-                      correlation_to_intensity, doubled_lags)
+                      correlation_to_intensity, doubled_lags,
+                      intensity_measure)
+from .specfact import InvalidCorrelationError, kolmogorov_sf
 
 __all__ = ["SdpOptions", "SdpDiagnostics", "psd_project", "phaselift_value",
            "phaselift_sf", "sdp_sf", "lift_equivalence_check",
            "correlation_traces"]
 
 SIZE_GUARD = 64
-MAX_BISECTIONS = 40
+GRAD_TOL = 1e-7   # projected-gradient stop, relative to the initial gradient
+RANK_TOL = 1e-6   # sdp_sf: lam2/lam1 below which X counts as rank one
 
 
 @dataclass
 class SdpOptions:
     max_iters: int = 4000
-    grad_tol: float = 1e-7
-    rank_tol: float = 1e-6
-    fit_slack: float = 1e-6
 
 
 @dataclass
 class SdpDiagnostics:
-    lambda_star: float = 0.0
     lower_bound: float = 0.0
     fit: float = 0.0
-    eig_ratio: float = 0.0
     solves: int = 0
     converged: bool = True
-    eigenvalues: np.ndarray | None = field(default=None, repr=False)
 
 
 def _hermitize(h: np.ndarray) -> np.ndarray:
@@ -116,44 +114,34 @@ def _lifted_adjoint(c: np.ndarray, n: int) -> np.ndarray:
     return _hermitian_toeplitz(lags)
 
 
-class _FistaEngine:
-    """Accelerated projected gradient over the PSD cone for a smooth cost."""
+def _fista(grad, lipschitz: float, x0: np.ndarray, max_iters: int,
+           tol: float):
+    """Accelerated projected gradient over the PSD cone for a smooth cost.
 
-    def __init__(self, n: int, grad, lipschitz: float, max_iters: int,
-                 grad_tol: float, grad_scale: float):
-        self.n = n
-        self.grad = grad
-        self.step = 1.0 / lipschitz
-        self.max_iters = max_iters
-        self.tol = grad_tol * max(grad_scale, 1.0)
-
-    def run(self, x0: np.ndarray | None = None):
-        n = self.n
-        x = np.zeros((n, n), dtype=complex) if x0 is None else x0.copy()
-        y = x.copy()
-        t = 1.0
-        converged = False
-        for _ in range(self.max_iters):
-            g = self.grad(y)
-            x_new = psd_project(y - self.step * g)
-            # adaptive restart when momentum points uphill
-            if np.real(np.vdot(y - x_new, x_new - x)) > 0:
-                y = x.copy()
-                t = 1.0
-                continue
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
-            pg_norm = np.linalg.norm(x_new - x) / self.step
-            x, t = x_new, t_new
-            if pg_norm <= self.tol:
-                # confirm stationarity with a non-accelerated step
-                g = self.grad(x)
-                x_chk = psd_project(x - self.step * g)
-                if np.linalg.norm(x_chk - x) / self.step <= self.tol:
-                    converged = True
-                    x = x_chk
-                    break
-        return x, converged
+    Returns ``(X, converged)``; converged means the projected-gradient norm
+    fell to ``tol`` and a plain step confirmed it.
+    """
+    step = 1.0 / lipschitz
+    x = y = x0
+    t = 1.0
+    for _ in range(max_iters):
+        g = grad(y)
+        x_new = psd_project(y - step * g)
+        # adaptive restart when momentum points uphill
+        if np.real(np.vdot(y - x_new, x_new - x)) > 0:
+            y = x
+            t = 1.0
+            continue
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        pg_norm = np.linalg.norm(x_new - x) / step
+        x, t = x_new, t_new
+        if pg_norm <= tol:
+            # confirm stationarity with a non-accelerated step
+            x_chk = psd_project(x - step * grad(x))
+            if np.linalg.norm(x_chk - x) / step <= tol:
+                return x_chk, True
+    return x, False
 
 
 def _intensity_op(f_mat: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
@@ -177,7 +165,7 @@ def _operator_norm(op, n: int, iters: int = 60) -> float:
 
 
 def phaselift_value(b: MeasurementSet, lam: float = 0.0,
-                    opts: SdpOptions | None = None, x0: np.ndarray | None = None):
+                    opts: SdpOptions | None = None):
     """Minimize sum_m (b_m - f_m^H X f_m)^2 - lam * X00 over PSD X.
 
     Returns ``(X, objective, converged)`` where ``objective`` is the fit
@@ -198,9 +186,9 @@ def phaselift_value(b: MeasurementSet, lam: float = 0.0,
             g[0, 0] -= lam
         return g
 
-    grad_scale = np.linalg.norm(grad(np.zeros((n, n), dtype=complex)))
-    engine = _FistaEngine(n, grad, lip, opts.max_iters, opts.grad_tol, grad_scale)
-    x_mat, converged = engine.run(x0)
+    x0 = np.zeros((n, n), dtype=complex)
+    tol = GRAD_TOL * max(np.linalg.norm(grad(x0)), 1.0)
+    x_mat, converged = _fista(grad, lip, x0, opts.max_iters, tol)
     fit = float(np.sum((_lifted_op(x_mat, m) - bvec) ** 2))
     return x_mat, fit, converged
 
@@ -211,72 +199,24 @@ def _rank_one_factor(x_mat: np.ndarray):
     if lead[0] != 0:
         lead = lead * (abs(lead[0]) / lead[0])
     ratio = float(max(w[-2], 0.0) / w[-1]) if w.size > 1 and w[-1] > 0 else 0.0
-    return lead, ratio, w
+    return lead, ratio
 
 
 def phaselift_sf(b: MeasurementSet, opts: SdpOptions | None = None):
-    """Rank-one PhaseLift recovery by bisecting the -lambda*X00 weight.
+    """Minimum-phase least-squares estimate from one lambda=0 PhaseLift solve.
 
-    Accepts a lambda iff (a) the two leading eigenvalues of the solution
-    satisfy lam2/lam1 <= rank_tol and (b) the fit is within
-    fit_slack * ||b||^2 of the lambda=0 lower bound.  Solves are
-    warm-started from the previous X.  Returns ``(x, lambda_star,
-    diagnostics)``; on bracket exhaustion the nearest miss is returned with
-    ``diagnostics.converged = False``.
+    The lifted solution X attains the lower bound but need not be rank one.
+    X is PSD, so its traces r_k = tr(T_k X) are a valid correlation with the
+    same fit, and their minimum-phase factor (``kolmogorov_sf`` at the
+    default transform length) attains it too.  Returns ``(x, X,
+    diagnostics)``: the factor, the lifted solution, and the bound, the fit
+    of x, one solve and whether it converged.
     """
-    opts = opts or SdpOptions()
-    bvec = np.asarray(b.b, dtype=float)
-    slack = opts.fit_slack * float(np.linalg.norm(bvec) ** 2)
-
-    x_mat, f0, _ = phaselift_value(b, 0.0, opts)
-    solves = 1
-    x_warm = x_mat
-    _, ratio0, w0 = _rank_one_factor(x_mat)
-
-    def evaluate(lam):
-        nonlocal solves, x_warm
-        x_lam, fit, _ = phaselift_value(b, lam, opts, x0=x_warm)
-        solves += 1
-        x_warm = x_lam
-        lead, ratio, w = _rank_one_factor(x_lam)
-        return x_lam, fit, lead, ratio, w
-
-    lo = 0.0
-    hi = max(1e-3 * (f0 + float(np.linalg.norm(bvec) ** 2)), 1e-12)
-
-    # grow hi until the solution is rank one
-    x_hi = fit_hi = lead_hi = w_hi = None
-    ratio_hi = np.inf
-    for _ in range(60):
-        x_hi, fit_hi, lead_hi, ratio_hi, w_hi = evaluate(hi)
-        if ratio_hi <= opts.rank_tol:
-            break
-        lo = hi
-        hi *= 4.0
-
-    best = None  # (lam, fit, lead, ratio, w)
-    if ratio_hi <= opts.rank_tol and fit_hi <= f0 + slack:
-        best = (hi, fit_hi, lead_hi, ratio_hi, w_hi)
-    nearest = (hi, fit_hi, lead_hi, ratio_hi, w_hi)
-
-    if best is None:
-        for _ in range(MAX_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            _, fit, lead, ratio, w = evaluate(mid)
-            if ratio <= opts.rank_tol:
-                hi = mid
-                nearest = (mid, fit, lead, ratio, w)
-                if fit <= f0 + slack:
-                    best = nearest
-                    break
-            else:
-                lo = mid
-
-    lam_star, fit, lead, ratio, w = best if best is not None else nearest
-    diag = SdpDiagnostics(lambda_star=lam_star, lower_bound=f0, fit=fit,
-                          eig_ratio=ratio, solves=solves,
-                          converged=best is not None, eigenvalues=w)
-    return lead, lam_star, diag
+    x_mat, bound, converged = phaselift_value(b, 0.0, opts)
+    x = kolmogorov_sf(correlation_traces(x_mat))
+    fit = float(np.sum((intensity_measure(x, b.m) - b.b) ** 2))
+    return x, x_mat, SdpDiagnostics(lower_bound=bound, fit=fit, solves=1,
+                                    converged=converged)
 
 
 def sdp_sf(r, opts: SdpOptions | None = None) -> np.ndarray:
@@ -296,7 +236,6 @@ def sdp_sf(r, opts: SdpOptions | None = None) -> np.ndarray:
         return np.zeros(n, dtype=complex)
     _, _, ok = correlation_psd_check(r, tol=1e-7 * max(r0, 1.0))
     if not ok:
-        from .specfact import InvalidCorrelationError
         raise InvalidCorrelationError("r fails the sampled nonnegativity check")
 
     # real-constraint multiplicity: lag 0 contributes one equation, others
@@ -316,18 +255,15 @@ def sdp_sf(r, opts: SdpOptions | None = None) -> np.ndarray:
     lip = _operator_norm(penalty_hessian, n)
     x_mat = np.outer(np.ones(n), np.ones(n)) * (r0 / n) + 0j
     lam = 1.0 / max(r0, 1e-12)
-    engine_iters = opts.max_iters
     for _ in range(8):
-        engine = _FistaEngine(n, make_grad(lam), lip, engine_iters,
-                              opts.grad_tol, grad_scale=lam)
-        x_mat, _ = engine.run(x_mat)
+        x_mat, _ = _fista(make_grad(lam), lip, x_mat, opts.max_iters,
+                          GRAD_TOL * max(lam, 1.0))
         violation = float(np.linalg.norm(correlation_traces(x_mat) - r)) / max(r0, 1e-12)
-        _, ratio, _ = _rank_one_factor(x_mat)
-        if violation <= 1e-9 and ratio <= max(opts.rank_tol, 1e-8):
+        _, ratio = _rank_one_factor(x_mat)
+        if violation <= 1e-9 and ratio <= RANK_TOL:
             break
         lam *= 0.1
-    lead, _, _ = _rank_one_factor(x_mat)
-    return lead
+    return _rank_one_factor(x_mat)[0]
 
 
 def lift_equivalence_check(r, x_mat: np.ndarray, m: int):

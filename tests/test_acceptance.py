@@ -17,7 +17,7 @@ from phaseret.cork import AdmmOptions, solve_cork
 from phaseret.crb import compute_crb
 from phaseret.measurement import (AugmentationSpec, augment_min_phase,
                                   deaugment, default_delta)
-from phaseret.sdp import SdpOptions, phaselift_sf, phaselift_value
+from phaseret.sdp import phaselift_sf, phaselift_value
 from phaseret.signals import (MeasurementSet, autocorrelation,
                               correlation_psd_check,
                               correlation_to_intensity,
@@ -90,12 +90,12 @@ def test_acceptance_2_sf_round_trip():
 
 
 def test_acceptance_3_hidden_convexity():
-    """CoRK attains the lifted lambda=0 lower bound; rank-one PhaseLift lands
-    within 1e-3*||b||^2 of it."""
+    """CoRK attains the lifted lambda=0 lower bound; the spectral factor of the
+    lambda=0 PhaseLift solution lands within 1e-5*||b||^2 of it."""
     rng = np.random.default_rng(1003)
     t0 = time.perf_counter()
     n = 32
-    worst_cork, worst_sdp, worst_ratio = -np.inf, -np.inf, 0.0
+    worst_cork, worst_sdp = -np.inf, -np.inf
     for _ in range(50):
         m = int(rng.integers(2 * n, 8 * n + 1))
         ms = MeasurementSet(rng.uniform(size=m), n)
@@ -103,17 +103,15 @@ def test_acceptance_3_hidden_convexity():
         _, diag = solve_cork(ms)
         _, bound, conv = phaselift_value(ms)
         assert conv
-        x, _, sdiag = phaselift_sf(ms, SdpOptions(rank_tol=1e-4, fit_slack=1e-3))
+        _, _, sdiag = phaselift_sf(ms)
         assert sdiag.converged
         worst_cork = max(worst_cork, (diag.fit - bound) / bscale)
         worst_sdp = max(worst_sdp, abs(sdiag.fit - bound) / bscale)
-        worst_ratio = max(worst_ratio, sdiag.eig_ratio)
     elapsed = time.perf_counter() - t0
     report("hidden convexity",
-           worst_cork <= 1e-3 and worst_sdp <= 1e-3 and worst_ratio <= 1e-4
-           and elapsed < 600.0,
+           worst_cork <= 1e-3 and worst_sdp <= 1e-5 and elapsed < 600.0,
            f"50 trials, worst cork gap {worst_cork:.2e}, worst lift gap "
-           f"{worst_sdp:.2e}, worst eig ratio {worst_ratio:.2e}, {elapsed:.0f}s")
+           f"{worst_sdp:.2e}, {elapsed:.0f}s")
 
 
 def test_acceptance_4_perfect_recovery():

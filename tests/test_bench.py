@@ -70,6 +70,9 @@ def test_recovery_trial_runs_every_listed_solver():
 def test_unknown_solver_is_rejected():
     with pytest.raises(ValueError, match="unknown solvers"):
         ExperimentConfig(solvers=("cork", "phaselift"))
+    for bad in ({"kind": "gapp"}, {"n": 0}, {"trials": 0}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
 
 
 def test_run_experiment_rejects_unknown_kind():

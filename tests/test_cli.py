@@ -65,10 +65,7 @@ def test_recover_each_solver(tmp_path, capsys, solver):
     diag = json.loads(capsys.readouterr().out)
     assert diag["min_phase"]["flag"]
     assert diag[solver]["converged"]
-    # phaselift_sf accepts a lambda whose fit is within fit_slack * ||b||^2
-    # of the bound, which biases its noiseless estimate by about 1e-5 here
-    tol = 1e-4 if solver == "phaselift-sf" else 1e-6
-    assert diag["ref_error_rel"] <= tol
+    assert diag["ref_error_rel"] <= 1e-6
 
 
 def test_recover_unconverged_solver_exits_3(tmp_path, capsys):
@@ -120,6 +117,18 @@ def test_recover_rejects_insufficient_m(tmp_path, capsys):
                  str(tmp_path / "o.json")])
     assert code == 2
     assert "M >= 2N" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("augmentation", [{"gap": 0}, "prefix"])
+def test_recover_malformed_augmentation_exits_2(tmp_path, capsys,
+                                                augmentation):
+    meas = tmp_path / "meas.json"
+    meas.write_text(json.dumps({"m": 8, "n": 3, "b": [1.0] * 8,
+                                "augmentation": augmentation}))
+    code = main(["recover", "--input", str(meas), "--output",
+                 str(tmp_path / "o.json")])
+    assert code == 2
+    assert "malformed measurement" in capsys.readouterr().err
 
 
 def test_missing_input_gives_io_exit_code(tmp_path, capsys):
@@ -193,6 +202,15 @@ def test_bench_rejects_unknown_solver(tmp_path, capsys):
                  "--output", str(tmp_path / "out")])
     assert code == 2
     assert "unknown solvers" in capsys.readouterr().err
+    # a bad kind, size or trial count is a config error too
+    for bad in ({"kind": "gapp"}, {"n": 0}, {"trials": 0}):
+        cfg = json.loads(cfgfile.read_text())
+        cfg.update(solvers=["cork"], **bad)
+        cfgfile.write_text(json.dumps(cfg))
+        code = main(["bench", "--config", str(cfgfile),
+                     "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert "bad config" in capsys.readouterr().err
 
 
 def test_bench_requires_output_dir(tmp_path, capsys):

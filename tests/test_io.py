@@ -84,6 +84,8 @@ def test_malformed_inputs_raise_with_context(tmp_path):
         load_signal({"n": 3, "real": [1.0], "imag": [0.0]})
     with pytest.raises(ValueError, match="malformed"):
         load_measurement({"n": 2})
+    with pytest.raises(ValueError, match="malformed"):
+        load_measurement({"m": [1], "n": 1, "b": [1.0]})
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
