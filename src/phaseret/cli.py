@@ -220,6 +220,9 @@ def main(argv=None) -> int:
         if args.oversampling < 2 and not args.m:
             parser.exit(EXIT_VALIDATION,
                         "oversampling must be >= 2 (identifiability needs M >= 2N)\n")
+    if getattr(args, "l_factor", 2) < 2:
+        parser.exit(EXIT_VALIDATION,
+                    "l-factor must be >= 2 (the transform length must reach 2N)\n")
     try:
         return args.func(args)
     except CliError as exc:

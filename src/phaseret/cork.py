@@ -11,12 +11,14 @@ with the three-step splitting
     z <- max(0, Re{F_L I~ r} + u)
     u <- u + Re{F_L I~ r} - z
 
-whose per-iteration cost is O(L log L): one spectrum Re{F_L I~ r}, shared
-by the z- and u-updates and the primal residual, and two adjoint
-transforms, for the r-update and the dual residual.  Both maps are the
-shared operator pair of :mod:`phaseret.signals`.  The scalar divisor relies
-on F_M^H F_M = M I, valid for M >= 2N; below that the r-update falls back
-to a conjugate-gradient solve of the exact normal equations.
+whose per-iteration cost is two real L-point FFTs: one spectrum
+Re{F_L I~ r}, shared by the z- and u-updates and the primal residual, and
+one adjoint I~ F_L^H z, shared by the next r-update and the dual residual.
+Both maps are the shared operator pair of :mod:`phaseret.signals`.  For
+L >= 2N the adjoint maps the spectrum of r back to L I~ r, so I~ F_L^H u
+follows the u-update without a transform.  The scalar divisor relies on
+F_M^H F_M = M I, valid for M >= 2N; below that the r-update falls back to
+a conjugate-gradient solve of the exact normal equations.
 """
 
 from __future__ import annotations
@@ -136,6 +138,8 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
     spec = correlation_spectrum(r, l)
     z = np.maximum(0.0, spec)
     u = np.zeros(l)
+    adj_z = correlation_adjoint(z, n)             # I~ F_L^H z
+    adj_u = np.zeros(n, dtype=complex)            # I~ F_L^H u
     primal = dual = 0.0
     history = []
     sqrt_l = np.sqrt(l)
@@ -143,7 +147,7 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
     iters = 0
     cg_failures = 0
     for iters in range(1, opts.max_iters + 1):
-        rhs = adj_b + rho * correlation_adjoint(z - u, n)
+        rhs = adj_b + rho * (adj_z - adj_u)
         if m >= 2 * n:
             # F_M^H F_M = M I makes the normal operator (M + rho L) I~
             r = rhs / ((m + rho * l) * lag_weights)
@@ -155,11 +159,14 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
             raise FloatingPointError(
                 f"ADMM diverged at iteration {iters} (NaN/Inf in iterates)")
         spec = correlation_spectrum(r, l)
-        z_prev = z
         z = np.maximum(0.0, spec + u)
         u = u + spec - z
+        adj_z_prev = adj_z
+        adj_z = correlation_adjoint(z, n)
+        # I~ F_L^H spec = L I~ r for L >= 2N (r0 is real here)
+        adj_u += l * lag_weights * r - adj_z
         primal = float(np.linalg.norm(spec - z))
-        dual = float(rho * np.linalg.norm(correlation_adjoint(z - z_prev, n)))
+        dual = float(rho * np.linalg.norm(adj_z - adj_z_prev))
         scale = max(float(np.linalg.norm(spec)), float(np.linalg.norm(z)))
         history.append((primal, dual, scale))
         eps = opts.tol_abs * sqrt_l + opts.tol_rel * scale

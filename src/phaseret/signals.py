@@ -110,8 +110,14 @@ def correlation_to_intensity(r, m: int) -> np.ndarray:
 def correlation_spectrum(r: np.ndarray, m: int) -> np.ndarray:
     """Unvalidated kernel of :func:`correlation_to_intensity` for hot loops.
 
-    ``r`` must be a 1D array and ``m >= 1``; ``Im r[0]`` is ignored.
+    ``r`` must be a 1D array and ``m >= 1``; ``Im r[0]`` is ignored.  For
+    ``m >= 2N - 1`` the lags ``1..N-1`` sit strictly below the Nyquist bin,
+    so one real inverse transform, which doubles them, gives the spectrum.
+    Shorter transforms fold the weighted lags modulo ``m`` and take the
+    real part of a complex transform.
     """
+    if m >= 2 * r.size - 1:
+        return m * np.fft.irfft(np.conj(r), m)
     w = doubled_lags(r)
     if m < w.size:
         w = np.pad(w, (0, -w.size % m)).reshape(-1, m).sum(axis=0)
@@ -122,12 +128,16 @@ def correlation_adjoint(y: np.ndarray, n: int) -> np.ndarray:
     """Adjoint of ``r -> correlation_spectrum(r, m)``: I~ F_m^H y on N lags.
 
     ``y`` is real of length m, and ``<A r, y> = Re<r, A^* y>``.  For
-    ``m < n`` the m-point transform is extended periodically, the adjoint
-    of folding modulo m.
+    ``n <= m // 2 + 1`` the N lags are bins of one real forward transform;
+    otherwise a complex inverse transform is used, and for ``m < n`` it is
+    extended periodically, the adjoint of folding modulo m.
     """
     m = y.size
-    w = np.fft.ifft(y)
-    w = m * (w[:n] if m >= n else np.resize(w, n))
+    if n <= m // 2 + 1:
+        w = np.conj(np.fft.rfft(y)[:n])
+    else:
+        w = np.fft.ifft(y)
+        w = m * (w[:n] if m >= n else np.resize(w, n))
     w[1:] *= 2.0
     return w
 

@@ -56,13 +56,11 @@ def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
     spectrum = np.maximum(spectrum, FLOOR_EPS * top)
 
     gamma = 0.5 * np.log(spectrum)
-    phi = np.fft.fft(gamma)
-    sign = np.empty(l)
-    sign[0] = 0.0
-    sign[l // 2] = 0.0
-    sign[1:l // 2] = -1.0
-    sign[l // 2 + 1:] = 1.0
-    eta = np.fft.ifft(1j * sign * phi)
+    # gamma is real, so its Hilbert transform eta is too: half spectra suffice
+    phi = np.fft.rfft(gamma)
+    sign_half = np.full(phi.size, -1.0)
+    sign_half[0] = sign_half[-1] = 0.0
+    eta = np.fft.irfft(1j * sign_half * phi, l)
     x = np.fft.ifft(np.exp(gamma - 1j * eta))
     return x[:n]
 

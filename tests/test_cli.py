@@ -225,3 +225,23 @@ def test_measure_oversampling_validation(tmp_path):
     with pytest.raises(SystemExit):
         main(["measure", "--input", str(sig), "--output",
               str(tmp_path / "m.json"), "--oversampling", "1.5"])
+
+
+@pytest.mark.parametrize("command,l_factor", [("recover", "1"), ("recover", "0"),
+                                               ("recover", "-3"),
+                                               ("factorize", "0")])
+def test_l_factor_below_two_exits_2(tmp_path, capsys, command, l_factor):
+    # a transform shorter than 2N is a usage error, not a solver traceback
+    inp = tmp_path / "in.json"
+    if command == "recover":
+        sig = tmp_path / "sig.json"
+        write_signal(sig)
+        assert main(["measure", "--input", str(sig), "--output", str(inp)]) == 0
+    else:
+        save_signal_file(str(inp), autocorrelation(write_signal(tmp_path / "s.json")))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(inp), "--output",
+              str(tmp_path / "out.json"), "--l-factor", l_factor])
+    assert exc.value.code == 2
+    assert "l-factor must be >= 2" in capsys.readouterr().err

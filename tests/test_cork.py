@@ -61,8 +61,68 @@ def test_single_iterate_matches_hand_computation():
     assert diag.dual == pytest.approx(dual, rel=1e-12, abs=1e-12)
 
 
-def test_one_iteration_costs_three_ffts(monkeypatch):
-    # one spectrum and two adjoint transforms per iteration on the M >= 2N path
+def explicit_admm(b, n, l, iters, real_signal=False):
+    """ADMM on dense real matrices over (Re r, Im r); A^*(z - u) formed densely.
+
+    Returns ``(r, primal, dual)`` after ``iters`` sweeps and the lag-zero lift.
+    """
+    m = b.size
+    rho = m / l
+
+    def real_map(k):
+        f = np.exp(-2j * np.pi * np.outer(np.arange(k), np.arange(n)) / k)
+        a = f @ np.diag(doubled_lags(np.ones(n)))
+        return np.hstack((a.real, -a.imag))     # Re{F_k I~ r} on (Re r, Im r)
+
+    def constrain(v):
+        v = v.copy()
+        v[n] = 0.0                              # Im r0
+        if real_signal:
+            v[n:] = 0.0
+        return v
+
+    am, al = real_map(m), real_map(l)
+    normal = am.T @ am + rho * al.T @ al
+    fm = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(n)) / m)
+    r0 = fm.conj().T @ b / m
+    v = constrain(np.r_[r0.real, r0.imag])
+    z = np.maximum(0.0, al @ v)
+    u = np.zeros(l)
+    for _ in range(iters):
+        rhs = am.T @ b + rho * al.T @ (z - u)
+        v = constrain(np.linalg.lstsq(normal, rhs, rcond=1e-12)[0])
+        spec = al @ v
+        z_prev = z
+        z = np.maximum(0.0, spec + u)
+        u = u + spec - z
+    primal = np.linalg.norm(spec - z)
+    dual = rho * np.linalg.norm(al.T @ (z - z_prev))
+    r = v[:n] + 1j * v[n:]
+    r[0] += max(0.0, -spec.min())
+    return r, primal, dual
+
+
+@pytest.mark.parametrize("m,real_signal", [(7, False), (7, True), (5, False)])
+def test_three_iterates_match_explicit_admm(m, real_signal):
+    # after the first sweep u != 0, so a wrong running I~ F_L^H u shows in r
+    # and in both residuals; M = 5 < 2N takes the CG r-update
+    n, l = 3, 8
+    rng = np.random.default_rng(11)
+    b = rng.exponential(1.0, size=m)
+    ms = MeasurementSet(b, n, real_signal=real_signal)
+    r, diag = solve_cork(ms, AdmmOptions(l=l, max_iters=3, tol_abs=0.0,
+                                         tol_rel=0.0))
+    r_want, primal, dual = explicit_admm(b, n, l, 3, real_signal)
+
+    assert diag.iters == 3 and diag.underdetermined == (m < 2 * n)
+    assert np.abs(r - r_want).max() <= 1e-9 * np.abs(r_want).max()
+    assert diag.primal == pytest.approx(primal, rel=1e-9, abs=1e-12)
+    assert diag.dual == pytest.approx(dual, rel=1e-9, abs=1e-12)
+
+
+def test_one_iteration_costs_two_real_ffts(monkeypatch):
+    # one spectrum (irfft) and one adjoint (rfft) per iteration; I~ F_L^H u
+    # is carried without a transform
     rng = np.random.default_rng(4)
     ms = MeasurementSet(rng.exponential(1.0, size=40), 10)
     opts = dict(l=64, tol_abs=0.0, tol_rel=0.0)
@@ -76,13 +136,14 @@ def test_one_iteration_costs_three_ffts(monkeypatch):
 
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-    counts = []
+    runs = []
     for iters in (5, 6):
         calls.clear()
         _, diag = solve_cork(ms, AdmmOptions(max_iters=iters, **opts))
         assert diag.iters == iters and not diag.converged
-        counts.append(len(calls))
-    assert counts[1] - counts[0] == 3
+        runs.append(list(calls))
+    assert len(runs[1]) - len(runs[0]) == 2
+    assert sorted(runs[1]) == sorted(runs[0] + ["irfft", "rfft"])
 
 
 @pytest.mark.parametrize("m", [6, 4])

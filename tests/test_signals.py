@@ -3,7 +3,7 @@ import pytest
 
 from phaseret.signals import (MeasurementSet, as_correlation, autocorrelation,
                               correlation_adjoint, correlation_psd_check,
-                              correlation_to_intensity,
+                              correlation_spectrum, correlation_to_intensity,
                               default_transform_length, dft_partial,
                               doubled_lags, global_phase_distance,
                               intensity_measure)
@@ -100,6 +100,22 @@ def test_correlation_adjoint_against_explicit_matrix(m):
     lhs = np.dot(correlation_to_intensity(r, m), y)
     rhs = np.vdot(r, correlation_adjoint(y, n)).real
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [12, 13, 14, 15, 16])
+def test_real_fft_paths_at_their_switch(m):
+    # at N = 8 the spectrum takes one irfft from m = 2N-1 = 15 up and the
+    # adjoint one rfft from m = 14 (n = m//2 + 1) up; Im r[0] is ignored
+    n = 8
+    rng = np.random.default_rng(m)
+    r = rng.normal(size=n) + 1j * rng.normal(size=n)
+    y = rng.normal(size=m)
+    f = naive_dft(np.eye(n), m)
+    itil = np.diag(doubled_lags(np.ones(n)))
+    np.testing.assert_allclose(correlation_spectrum(r, m),
+                               (f @ itil @ r).real, atol=1e-12)
+    np.testing.assert_allclose(correlation_adjoint(y, n),
+                               itil @ f.conj().T @ y, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed,m_mult", [(0, 2), (1, 3), (2, 4), (3, 8)])
