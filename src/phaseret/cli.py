@@ -228,9 +228,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FloatingPointError as exc:
-        print(f"solver diverged: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

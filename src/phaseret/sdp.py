@@ -17,10 +17,11 @@ Three entry points:
 * ``sdp_sf``: spectral factorization by maximizing X00 subject to the
   correlation trace constraints, handled by quadratic penalty continuation.
 
-All of them run accelerated projected gradient (FISTA with adaptive
-restart) whose proximal step is projection onto the PSD cone.
+All of them run ``fista``, accelerated projected gradient with adaptive
+restart, here with projection onto the PSD cone.
 Sizes are guarded to N <= 64; this module is a reference/bounding tool, not
-the scalable path (that is the ADMM solver).
+the scalable path (that is :func:`phaseret.cork.solve_cork`, which runs
+the same engine on the dual of its sampled program).
 """
 
 from __future__ import annotations
@@ -114,19 +115,21 @@ def _lifted_adjoint(c: np.ndarray, n: int) -> np.ndarray:
     return _hermitian_toeplitz(lags)
 
 
-def _fista(grad, lipschitz: float, x0: np.ndarray, max_iters: int,
-           tol: float):
-    """Accelerated projected gradient over the PSD cone for a smooth cost.
+def fista(grad, lipschitz: float, x0: np.ndarray, project, max_iters: int,
+          tol: float):
+    """Accelerated projected gradient (FISTA with adaptive restart).
 
-    Returns ``(X, converged)``; converged means the projected-gradient norm
-    fell to ``tol`` and a plain step confirmed it.
+    Minimizes a smooth cost with gradient ``grad`` and Lipschitz constant
+    ``lipschitz`` over the convex set whose Euclidean projection is
+    ``project``.  Returns ``(x, converged, iters)``; converged means the
+    projected-gradient norm fell to ``tol`` and a plain step confirmed it.
     """
     step = 1.0 / lipschitz
     x = y = x0
     t = 1.0
-    for _ in range(max_iters):
+    for iters in range(1, max_iters + 1):
         g = grad(y)
-        x_new = psd_project(y - step * g)
+        x_new = project(y - step * g)
         # adaptive restart when momentum points uphill
         if np.real(np.vdot(y - x_new, x_new - x)) > 0:
             y = x
@@ -138,10 +141,10 @@ def _fista(grad, lipschitz: float, x0: np.ndarray, max_iters: int,
         x, t = x_new, t_new
         if pg_norm <= tol:
             # confirm stationarity with a non-accelerated step
-            x_chk = psd_project(x - step * grad(x))
+            x_chk = project(x - step * grad(x))
             if np.linalg.norm(x_chk - x) / step <= tol:
-                return x_chk, True
-    return x, False
+                return x_chk, True, iters
+    return x, False, max_iters
 
 
 def _intensity_op(f_mat: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
@@ -188,7 +191,8 @@ def phaselift_value(b: MeasurementSet, lam: float = 0.0,
 
     x0 = np.zeros((n, n), dtype=complex)
     tol = GRAD_TOL * max(np.linalg.norm(grad(x0)), 1.0)
-    x_mat, converged = _fista(grad, lip, x0, opts.max_iters, tol)
+    x_mat, converged, _ = fista(grad, lip, x0, psd_project,
+                                 opts.max_iters, tol)
     fit = float(np.sum((_lifted_op(x_mat, m) - bvec) ** 2))
     return x_mat, fit, converged
 
@@ -256,8 +260,8 @@ def sdp_sf(r, opts: SdpOptions | None = None) -> np.ndarray:
     x_mat = np.outer(np.ones(n), np.ones(n)) * (r0 / n) + 0j
     lam = 1.0 / max(r0, 1e-12)
     for _ in range(8):
-        x_mat, _ = _fista(make_grad(lam), lip, x_mat, opts.max_iters,
-                          GRAD_TOL * max(lam, 1.0))
+        x_mat, _, _ = fista(make_grad(lam), lip, x_mat, psd_project,
+                            opts.max_iters, GRAD_TOL * max(lam, 1.0))
         violation = float(np.linalg.norm(correlation_traces(x_mat) - r)) / max(r0, 1e-12)
         _, ratio = _rank_one_factor(x_mat)
         if violation <= 1e-9 and ratio <= RANK_TOL:

@@ -90,8 +90,9 @@ def test_acceptance_2_sf_round_trip():
 
 
 def test_acceptance_3_hidden_convexity():
-    """CoRK attains the lifted lambda=0 lower bound; the spectral factor of the
-    lambda=0 PhaseLift solution lands within 1e-5*||b||^2 of it."""
+    """CoRK converges and attains the lifted lambda=0 lower bound within
+    1e-6*||b||^2; the spectral factor of the lambda=0 PhaseLift solution
+    lands within 1e-5*||b||^2 of it."""
     rng = np.random.default_rng(1003)
     t0 = time.perf_counter()
     n = 32
@@ -101,6 +102,7 @@ def test_acceptance_3_hidden_convexity():
         ms = MeasurementSet(rng.uniform(size=m), n)
         bscale = float(np.dot(ms.b, ms.b))
         _, diag = solve_cork(ms)
+        assert diag.converged
         _, bound, conv = phaselift_value(ms)
         assert conv
         _, _, sdiag = phaselift_sf(ms)
@@ -109,7 +111,7 @@ def test_acceptance_3_hidden_convexity():
         worst_sdp = max(worst_sdp, abs(sdiag.fit - bound) / bscale)
     elapsed = time.perf_counter() - t0
     report("hidden convexity",
-           worst_cork <= 1e-3 and worst_sdp <= 1e-5 and elapsed < 600.0,
+           worst_cork <= 1e-6 and worst_sdp <= 1e-5 and elapsed < 600.0,
            f"50 trials, worst cork gap {worst_cork:.2e}, worst lift gap "
            f"{worst_sdp:.2e}, {elapsed:.0f}s")
 
@@ -172,26 +174,28 @@ def test_acceptance_5_crb_attainment():
 
 
 def test_acceptance_6_admm_behavior():
-    """Median iterations to a 1e-4 combined residual stays low and the exit
-    iterate has a (numerically) nonnegative sampled spectrum."""
+    """Every solve converges in a median of at most 200 iterations at
+    tol_rel=1e-4, certifies a duality gap of at most 3e-5*||b||^2, and exits
+    with a (numerically) nonnegative sampled spectrum."""
     t0 = time.perf_counter()
-    iters, worst_feas = [], 0.0
+    iters, worst_feas, worst_gap = [], 0.0, 0.0
     for t in range(100):
         rng = np.random.default_rng([1006, t])
         n = 128
         ms = MeasurementSet(rng.uniform(size=4 * n), n)
         r, diag = solve_cork(ms, AdmmOptions(tol_rel=1e-4, max_iters=30000))
-        k = diag.iters_to(1e-4)
-        iters.append(k if k is not None else diag.iters + 1)
+        assert diag.converged
+        iters.append(diag.iters)
+        worst_gap = max(worst_gap, diag.gap / float(np.dot(ms.b, ms.b)))
         min_val, _, _ = correlation_psd_check(r, diag.l)
         worst_feas = min(worst_feas, min_val)
     median_iters = float(np.median(iters))
     elapsed = time.perf_counter() - t0
-    report("ADMM behavior",
-           median_iters <= 200 and worst_feas >= -1e-8,
-           f"100 instances N=128, median iters to 1e-4 residual "
-           f"{median_iters:.0f}, worst exit feasibility {worst_feas:.1e}, "
-           f"{elapsed:.0f}s")
+    report("solver behavior",
+           median_iters <= 200 and worst_feas >= -1e-8 and worst_gap <= 3e-5,
+           f"100 instances N=128, median iters {median_iters:.0f} (max "
+           f"{max(iters)}), worst duality gap {worst_gap:.1e} rel, worst exit "
+           f"feasibility {worst_feas:.1e}, {elapsed:.0f}s")
 
 
 def test_acceptance_7_baseline_contract():

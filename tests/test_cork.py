@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from phaseret.cork import AdmmOptions, solve_cork
 from phaseret.signals import (MeasurementSet, autocorrelation,
@@ -29,103 +30,88 @@ def test_scalar_instance():
     assert diag.fit <= 1e-18
 
 
+def explicit_maps(n, m, l):
+    """Dense F_M, F_L (first N columns) and I~ for N-lag correlations."""
+    def f(k):
+        return np.exp(-2j * np.pi * np.outer(np.arange(k), np.arange(n)) / k)
+    return f(m), f(l), np.diag(doubled_lags(np.ones(n)))
+
+
 def test_single_iterate_matches_hand_computation():
-    # N = 3, M = 7, L = 8: recompute one ADMM sweep, its residuals and the
-    # lag-zero lift with explicit matrices.
-    rng = np.random.default_rng(11)
+    # N = 3, M = 7, L = 8: recompute the first dual step from lam = 0, the
+    # primal point, the lag-zero lift and the duality gap with explicit
+    # matrices.
+    rng = np.random.default_rng(23)
     b = rng.exponential(1.0, size=7)  # a draw whose spectrum dips below 0
     n, m, l = 3, 7, 8
-    rho = m / l
     r, diag = solve_cork(MeasurementSet(b, n), AdmmOptions(l=l, max_iters=1))
 
-    fl = np.exp(-2j * np.pi * np.outer(np.arange(l), np.arange(n)) / l)
-    fm = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(n)) / m)
-    itil = np.diag(doubled_lags(np.ones(n)))
-    r0 = fm.conj().T @ b / m
-    r0[0] = r0[0].real
-    z0 = np.maximum(0.0, (fl @ (itil @ r0)).real)
-    u0 = np.zeros(l)
-    r_want = (fm.conj().T @ b + rho * fl.conj().T @ (z0 - u0)) / (m + rho * l)
-    r_want[0] = r_want[0].real
-    spec = (fl @ (itil @ r_want)).real
-    z_want = np.maximum(0.0, spec + u0)
-    primal = np.linalg.norm(spec - z_want)
-    dual = rho * np.linalg.norm(itil @ fl.conj().T @ (z_want - z0))
-    lift = max(0.0, -spec.min())
+    fm, fl, itil = explicit_maps(n, m, l)
+    w = np.diag(itil).real
+    r_ls = fm.conj().T @ b / m
+    r_ls[0] = r_ls[0].real
+    spec_ls = (fl @ itil @ r_ls).real
+    lam = np.maximum(0.0, -(2 * m / l) * spec_ls)
+    v = itil @ fl.conj().T @ lam
+    v[0] = v[0].real
+    r_want = r_ls + v / (2 * m * w)
+    lift = max(0.0, -(fl @ itil @ r_want).real.min())
     r_want[0] += lift
+    fit = np.sum((b - (fm @ itil @ r_want).real) ** 2)
+    c0 = b @ b - m * np.sum(w * np.abs(r_ls) ** 2)
+    h = np.sum(np.abs(v) ** 2 / w) / (4 * m) + lam @ spec_ls
 
-    assert diag.iters == 1
+    assert diag.iters == 1 and not diag.converged
+    assert np.count_nonzero(lam) == 2 and np.abs(v.imag).max() > 0.0
     assert lift > 0.0 and diag.feasibility_lift == pytest.approx(lift, abs=1e-12)
     assert np.abs(r - r_want).max() <= 1e-12
-    assert diag.primal == pytest.approx(primal, rel=1e-12, abs=1e-12)
-    assert diag.dual == pytest.approx(dual, rel=1e-12, abs=1e-12)
+    assert diag.fit == pytest.approx(fit, rel=1e-12)
+    assert diag.gap == pytest.approx(fit - (c0 - h), rel=1e-9, abs=1e-12)
 
 
-def explicit_admm(b, n, l, iters, real_signal=False):
-    """ADMM on dense real matrices over (Re r, Im r); A^*(z - u) formed densely.
+def dense_reference(b, n, l, real_signal):
+    """The sampled program on dense real matrices over (Re r, Im r).
 
-    Returns ``(r, primal, dual)`` after ``iters`` sweeps and the lag-zero lift.
+    Solved by SLSQP.
     """
-    m = b.size
-    rho = m / l
+    fm, fl, itil = explicit_maps(n, b.size, l)
 
-    def real_map(k):
-        f = np.exp(-2j * np.pi * np.outer(np.arange(k), np.arange(n)) / k)
-        a = f @ np.diag(doubled_lags(np.ones(n)))
-        return np.hstack((a.real, -a.imag))     # Re{F_k I~ r} on (Re r, Im r)
+    def real_map(f):
+        a = f @ itil
+        return np.hstack((a.real, -a.imag))     # Re{F I~ r} on (Re r, Im r)
 
-    def constrain(v):
-        v = v.copy()
-        v[n] = 0.0                              # Im r0
-        if real_signal:
-            v[n:] = 0.0
-        return v
-
-    am, al = real_map(m), real_map(l)
-    normal = am.T @ am + rho * al.T @ al
-    fm = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(n)) / m)
-    r0 = fm.conj().T @ b / m
-    v = constrain(np.r_[r0.real, r0.imag])
-    z = np.maximum(0.0, al @ v)
-    u = np.zeros(l)
-    for _ in range(iters):
-        rhs = am.T @ b + rho * al.T @ (z - u)
-        v = constrain(np.linalg.lstsq(normal, rhs, rcond=1e-12)[0])
-        spec = al @ v
-        z_prev = z
-        z = np.maximum(0.0, spec + u)
-        u = u + spec - z
-    primal = np.linalg.norm(spec - z)
-    dual = rho * np.linalg.norm(al.T @ (z - z_prev))
-    r = v[:n] + 1j * v[n:]
-    r[0] += max(0.0, -spec.min())
-    return r, primal, dual
+    # Im r0 is zero; a real signal has a real correlation
+    free = [i for i in range(2 * n) if i < n or (i > n and not real_signal)]
+    am, al = real_map(fm)[:, free], real_map(fl)[:, free]
+    res = minimize(lambda u: np.sum((b - am @ u) ** 2), np.zeros(len(free)),
+                   jac=lambda u: -2.0 * am.T @ (b - am @ u), method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": lambda u: al @ u,
+                                 "jac": lambda u: al}],
+                   options={"ftol": 1e-16, "maxiter": 1000})
+    v = np.zeros(2 * n)
+    v[free] = res.x
+    return v[:n] + 1j * v[n:]
 
 
-@pytest.mark.parametrize("m,real_signal", [(7, False), (7, True), (5, False)])
-def test_three_iterates_match_explicit_admm(m, real_signal):
-    # after the first sweep u != 0, so a wrong running I~ F_L^H u shows in r
-    # and in both residuals; M = 5 < 2N takes the CG r-update
-    n, l = 3, 8
-    rng = np.random.default_rng(11)
-    b = rng.exponential(1.0, size=m)
+@pytest.mark.parametrize("real_signal", [False, True])
+def test_matches_dense_reference(real_signal):
+    # a draw whose binding samples couple Re r and Im r
+    n, m, l = 3, 7, 8
+    b = np.random.default_rng(28).exponential(1.0, size=m)
     ms = MeasurementSet(b, n, real_signal=real_signal)
-    r, diag = solve_cork(ms, AdmmOptions(l=l, max_iters=3, tol_abs=0.0,
-                                         tol_rel=0.0))
-    r_want, primal, dual = explicit_admm(b, n, l, 3, real_signal)
+    r, diag = solve_cork(ms, AdmmOptions(l=l, tol_rel=1e-12))
+    r_want = dense_reference(b, n, l, real_signal)
 
-    assert diag.iters == 3 and diag.underdetermined == (m < 2 * n)
-    assert np.abs(r - r_want).max() <= 1e-9 * np.abs(r_want).max()
-    assert diag.primal == pytest.approx(primal, rel=1e-9, abs=1e-12)
-    assert diag.dual == pytest.approx(dual, rel=1e-9, abs=1e-12)
+    assert diag.converged and diag.iters > 0
+    assert np.abs(r - r_want).max() <= 1e-8
+    assert 0.0 <= diag.feasibility_lift <= 1e-10
+    assert correlation_psd_check(r, l, tol=1e-12)[2]
 
 
 def test_one_iteration_costs_two_real_ffts(monkeypatch):
-    # one spectrum (irfft) and one adjoint (rfft) per iteration; I~ F_L^H u
-    # is carried without a transform
+    # one adjoint (rfft) and one spectrum (irfft) per dual gradient
     rng = np.random.default_rng(4)
     ms = MeasurementSet(rng.exponential(1.0, size=40), 10)
-    opts = dict(l=64, tol_abs=0.0, tol_rel=0.0)
     calls = []
 
     def counted(fn):
@@ -139,30 +125,31 @@ def test_one_iteration_costs_two_real_ffts(monkeypatch):
     runs = []
     for iters in (5, 6):
         calls.clear()
-        _, diag = solve_cork(ms, AdmmOptions(max_iters=iters, **opts))
+        _, diag = solve_cork(ms, AdmmOptions(l=64, max_iters=iters,
+                                             tol_rel=0.0))
         assert diag.iters == iters and not diag.converged
         runs.append(list(calls))
     assert len(runs[1]) - len(runs[0]) == 2
     assert sorted(runs[1]) == sorted(runs[0] + ["irfft", "rfft"])
 
 
-@pytest.mark.parametrize("m", [6, 4])
-def test_fewer_measurements_than_lags(m):
-    # M < N folds the measurement rows; the adjoint must fold back
-    rng = np.random.default_rng(10 + m)
-    b = rng.uniform(0.5, 1.5, size=m)
-    r, diag = solve_cork(MeasurementSet(b, 8))
-    assert r.shape == (8,) and np.all(np.isfinite(r))
-    assert diag.underdetermined
-    assert diag.fit <= np.dot(b, b)
+@pytest.mark.parametrize("m", [4, 6, 15])
+def test_fewer_than_2n_measurements_raise(m):
+    # below M = 2N the normal operator A_M^* A_M is not diagonal
+    b = np.random.default_rng(10 + m).uniform(0.5, 1.5, size=m)
+    with pytest.raises(ValueError, match="2N"):
+        solve_cork(MeasurementSet(b, 8))
+    _, diag = solve_cork(MeasurementSet(np.resize(b, 16), 8))
+    assert diag.converged
 
 
 def test_least_squares_initialization_solves_noiseless():
-    # for M >= 2N the first iterate is already the unconstrained optimum,
-    # so a realizable b converges essentially immediately
+    # for M >= 2N the least-squares fit of a realizable b has a nonnegative
+    # spectrum, so lam = 0 is optimal and no iteration runs
     _, ms = make_instance(1, 8, m_mult=2)
     _, diag = solve_cork(ms)
-    assert diag.iters <= 3
+    assert diag.iters == 0 and diag.converged
+    assert diag.gap == 0.0 and diag.feasibility_lift == 0.0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -186,6 +173,31 @@ def test_fit_optimality_against_random_candidates():
         assert diag.fit <= np.dot(d, d) + 1e-9 * np.dot(b, b)
 
 
+def test_converges_on_generic_uniform_b():
+    # generic uniform b at the default L, where the constraint binds
+    b = np.random.default_rng(204).uniform(0, 1, 48)
+    _, diag = solve_cork(MeasurementSet(b, 12))
+    assert diag.converged and 0 < diag.iters < 10000
+    assert diag.fit == pytest.approx(1.4826865, rel=1e-7)
+
+
+@pytest.mark.parametrize("seed,real_signal", [(1, False), (4, False),
+                                              (1, True)])
+def test_duality_gap_bounds_excess(seed, real_signal):
+    # speckle draws on which the constraint binds; the gap bounds the
+    # excess of the fit over a tightly solved reference
+    b = np.random.default_rng(seed).exponential(1.0, size=130)
+    ms = MeasurementSet(b, 32, real_signal=real_signal)
+    b2 = np.dot(b, b)
+    _, diag = solve_cork(ms, AdmmOptions(tol_rel=1e-4))
+    _, ref = solve_cork(ms, AdmmOptions(tol_rel=1e-10, max_iters=100000))
+    assert diag.iters > 0 and ref.converged
+    assert diag.gap >= diag.fit - ref.fit - 1e-12 * b2
+    assert diag.gap > 1e-9 * b2
+    assert 0.0 <= ref.gap <= 1e-8 * b2
+    assert diag.to_json()["gap"] == diag.gap
+
+
 def test_scale_equivariance():
     _, ms = make_instance(6, 10)
     r1, _ = solve_cork(ms)
@@ -201,38 +213,6 @@ def test_real_mode_returns_real_correlation():
     assert np.abs(r.imag).max() == 0.0
     want = autocorrelation(x).real
     assert np.abs(r.real - want).max() <= 1e-6 * want[0]
-
-
-def test_underdetermined_cg_path():
-    # M < 2N exercises the conjugate-gradient solve for the r-update
-    x, ms = make_instance(8, 12, m_mult=1)
-    assert ms.m == 12 < 24
-    r, diag = solve_cork(ms)
-    assert diag.underdetermined
-    assert diag.fit <= 1e-8 * np.dot(ms.b, ms.b)
-
-
-def test_cg_failure_is_not_converged(monkeypatch):
-    # a CG solve that stops short (info > 0) with a finite iterate
-    monkeypatch.setattr("phaseret.cork.cg",
-                        lambda op, rhs, x0, **kwargs: (x0, 1))
-    _, ms = make_instance(8, 12, m_mult=1)
-    _, diag = solve_cork(ms, AdmmOptions(max_iters=5))
-    assert diag.underdetermined
-    assert not diag.converged
-    assert diag.cg_failures == diag.iters
-    assert diag.to_json()["cg_failures"] == diag.iters
-
-
-def test_residual_history_and_iters_to():
-    rng = np.random.default_rng(9)
-    b = rng.uniform(0.0, 1.0, size=64)
-    _, diag = solve_cork(MeasurementSet(b, 16))
-    k = diag.iters_to(1e-4)
-    assert k is not None and 1 <= k <= diag.iters
-    primal, dual, scale = diag.residual_history[k - 1]
-    thresh = 1e-10 * np.sqrt(diag.l) + 1e-4 * scale
-    assert primal <= thresh and dual <= thresh
 
 
 def test_rejects_bad_transform_length():
