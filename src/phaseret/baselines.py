@@ -38,7 +38,12 @@ class IterativeOptions:
 
 def _magnitude_project(y: np.ndarray, root_b: np.ndarray) -> np.ndarray:
     """Signal-domain projection onto {y : |F y| = sqrt(b)}."""
-    spectrum = np.fft.fft(y)
+    return _with_magnitude(np.fft.fft(y), root_b)
+
+
+def _with_magnitude(spectrum: np.ndarray, root_b: np.ndarray) -> np.ndarray:
+    """The signal whose spectrum has the phases of ``spectrum`` and the
+    magnitudes ``root_b``: the projection of ifft(spectrum)."""
     mag = np.abs(spectrum)
     phase = np.where(mag > 0, spectrum / np.where(mag == 0, 1, mag), 1.0)
     return np.fft.ifft(root_b * phase)
@@ -50,8 +55,9 @@ def _support_project(y: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _gs_cost(x_sup: np.ndarray, root_b: np.ndarray) -> float:
-    return float(np.linalg.norm(root_b - np.abs(np.fft.fft(x_sup))) ** 2)
+def _gs_cost(spectrum: np.ndarray, root_b: np.ndarray) -> float:
+    """The GS cost of the support-projected signal whose FFT is ``spectrum``."""
+    return float(np.linalg.norm(root_b - np.abs(spectrum)) ** 2)
 
 
 def _random_start(root_b: np.ndarray, seed: int) -> np.ndarray:
@@ -74,15 +80,16 @@ def gs_solve(b: MeasurementSet, opts: IterativeOptions | None = None,
     y = _random_start(root_b, opts.seed) if y0 is None else y0.copy()
     history = []
     for _ in range(opts.max_iters):
-        x_sup = _support_project(y, b.n)
-        history.append(_gs_cost(x_sup, root_b))
-        y = _magnitude_project(x_sup, root_b)
+        # one FFT of the support-projected iterate serves cost and projection
+        spectrum = np.fft.fft(_support_project(y, b.n))
+        history.append(_gs_cost(spectrum, root_b))
+        y = _with_magnitude(spectrum, root_b)
         if len(history) >= 11:
             prev, cur = history[-11], history[-1]
             if prev - cur <= opts.tol * max(prev, 1.0):
                 break
     x_sup = _support_project(y, b.n)
-    history.append(_gs_cost(x_sup, root_b))
+    history.append(_gs_cost(np.fft.fft(x_sup), root_b))
     return x_sup[: b.n], np.asarray(history)
 
 

@@ -60,7 +60,9 @@ def _options(cls, **values):
 # Each solver maps (measurements, transform length l, seed, optional
 # max_iters and tol; None keeps the solver's default, and phaselift-sf
 # ignores l and tol) to (minimum-phase estimate, diagnostics); the diagnostics
-# always hold ``fit`` and ``converged``.  The entries call the
+# always hold ``fit`` and ``converged``.  ``cork`` also takes a stacked
+# measurement set and returns one estimate and one diagnostics dict per
+# row, which is how the CRB study runs its trials.  The entries call the
 # solvers through this module's globals, so a caller that rebinds them (a
 # tracer, a test) sees every call.
 
@@ -122,6 +124,17 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown solvers {unknown}; "
                              f"choose from {list(SOLVERS)}")
+        # every M the config draws or sweeps must reach 2N, as solve_cork
+        # and compute_crb require
+        lo, hi = self.m_range
+        if not 2 <= lo <= hi:
+            raise ValueError(f"m_range must have 2 <= lo <= hi, got {self.m_range}")
+        lo, hi, _ = self.m_sweep
+        if min(lo, hi) < 2:
+            raise ValueError(f"m_sweep must stay >= 2, got {self.m_sweep}")
+        for name in ("m_multiplier", "crb_m_multiplier"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
 
     def trial_rng(self, trial_index: int) -> np.random.Generator:
         return np.random.default_rng(
@@ -224,7 +237,14 @@ def run_recovery_trial(config: ExperimentConfig, trial_index: int) -> dict:
 
 def run_crb_study(config: ExperimentConfig) -> list[dict]:
     """Sweep M at fixed SNR and SNR at fixed M with the ``cork`` solver;
-    returns per-point rows."""
+    returns per-point rows.
+
+    Each sweep point solves its trials as one stack.  Trial t's noise at
+    every point is the first M samples of one standard-normal draw from
+    ``trial_rng(t)`` scaled by sigma, the same values a draw of M samples at
+    that scale gives.  The CRB is linear in sigma^2, so it is computed once
+    per distinct M at sigma^2 = 1 and scaled.
+    """
     rng = config.trial_rng(2**31 - 1)  # signal draw index, outside trial range
     n = config.n
     s = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
@@ -233,38 +253,38 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
     smin = augment_min_phase(s, spec)
     l = default_transform_length(smin.size)
 
+    points = []
+    lo, hi, count = config.m_sweep
+    for mult in np.linspace(lo, hi, int(count)):
+        points.append((int(mult * smin.size), config.snr_db, "m_sweep",
+                       float(mult)))
+    lo, hi, count = config.snr_sweep
+    for snr in np.linspace(lo, hi, int(count)):
+        points.append((int(config.crb_m_multiplier * smin.size), float(snr),
+                       "snr_sweep", float(snr)))
+    m_max = max((p[0] for p in points), default=0)
+    unit_noise = np.array([config.trial_rng(t).normal(size=m_max)
+                           for t in range(config.trials)])
+    unit_crb = {m: compute_crb(smin, m, 1.0) for m in sorted({p[0] for p in points})}
+
     def point(m: int, snr_db: float, series: str, x_value: float) -> dict:
         b_clean = intensity_measure(smin, m)
         power = float(np.linalg.norm(b_clean) ** 2)
         sigma2 = power / (m * 10.0 ** (snr_db / 10.0))
-        crb = compute_crb(smin, m, sigma2)
-        errors = []
+        crb = unit_crb[m] * sigma2
         t0 = time.perf_counter()
-        for t in range(config.trials):
-            trial_rng = config.trial_rng(t)
-            noisy = b_clean + trial_rng.normal(scale=np.sqrt(sigma2), size=m)
-            ms = MeasurementSet(noisy, smin.size, sigma2=sigma2,
-                                augmentation=spec)
-            shat = deaugment(SOLVERS["cork"](ms, l, t)[0], spec)
-            errors.append(float(np.linalg.norm(s - shat) ** 2))
+        noisy = b_clean + np.sqrt(sigma2) * unit_noise[:, :m]
+        ms = MeasurementSet(noisy, smin.size, sigma2=sigma2, augmentation=spec)
+        shat = deaugment(SOLVERS["cork"](ms, l, None)[0], spec)
+        mse = float(np.mean([np.linalg.norm(s - row) ** 2 for row in shat]))
         elapsed = time.perf_counter() - t0
-        mse = float(np.mean(errors))
         return {"kind": "crb", "series": series, "x": x_value, "m": m,
                 "snr_db": snr_db, "sigma2": sigma2,
                 "mse_norm": mse / s_energy, "crb_norm": crb / s_energy,
                 "mse_over_crb": mse / crb, "trials": config.trials,
                 "times": {"sweep_point": elapsed}}
 
-    rows = []
-    lo, hi, count = config.m_sweep
-    for mult in np.linspace(lo, hi, int(count)):
-        rows.append(point(int(mult * smin.size), config.snr_db, "m_sweep",
-                          float(mult)))
-    lo, hi, count = config.snr_sweep
-    for snr in np.linspace(lo, hi, int(count)):
-        rows.append(point(int(config.crb_m_multiplier * smin.size),
-                          float(snr), "snr_sweep", float(snr)))
-    return rows
+    return [point(*p) for p in points]
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:

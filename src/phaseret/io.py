@@ -4,8 +4,8 @@ Signal JSON: {"n": N, "real": [...], "imag": [...]}.
 Signal CSV: two columns re,im, no header.
 Measurement JSON: {"m": M, "n": N, "b": [...], "sigma2": s, "real_signal":
 bool} plus optional augmentation metadata {"delta_re", "delta_im", "gap",
-"side"}.  Floats are serialized with 17 significant digits so every value
-round-trips exactly.
+"side"}.  Floats are written as Python's shortest round-trip repr, so every
+value round-trips exactly.
 """
 
 from __future__ import annotations
@@ -25,13 +25,8 @@ __all__ = ["atomic_write_text", "dump_signal", "load_signal",
            "save_measurement_file", "load_measurement_file"]
 
 
-def _f(x: float) -> float:
-    # round-trip through a 17-significant-digit literal (exact for doubles)
-    return float(f"{float(x):.17g}")
-
-
 def _float_list(a) -> list[float]:
-    return [_f(v) for v in np.asarray(a, dtype=float)]
+    return np.asarray(a, dtype=float).tolist()
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -61,6 +56,8 @@ def load_signal(obj: dict) -> np.ndarray:
         imag = np.asarray(obj["imag"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed signal object: {exc}") from exc
+    if real.ndim != 1 or imag.ndim != 1:
+        raise ValueError("malformed signal object: real and imag must be flat lists")
     if real.size != n or imag.size != n:
         raise ValueError(f"signal length mismatch: n={n}, "
                          f"len(real)={real.size}, len(imag)={imag.size}")
@@ -69,12 +66,12 @@ def load_signal(obj: dict) -> np.ndarray:
 
 def dump_measurement(ms: MeasurementSet) -> dict:
     obj = {"m": ms.m, "n": ms.n, "b": _float_list(ms.b),
-           "sigma2": _f(ms.sigma2), "real_signal": ms.real_signal}
+           "sigma2": float(ms.sigma2), "real_signal": ms.real_signal}
     if ms.augmentation is not None:
         spec = ms.augmentation
         obj["augmentation"] = {
-            "delta_re": _f(np.real(spec.delta)),
-            "delta_im": _f(np.imag(spec.delta)),
+            "delta_re": float(np.real(spec.delta)),
+            "delta_im": float(np.imag(spec.delta)),
             "gap": int(spec.gap),
             "side": spec.side,
         }
@@ -96,6 +93,9 @@ def load_measurement(obj: dict) -> MeasurementSet:
         m = int(obj.get("m", b.size))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement object: {exc}") from exc
+    if b.ndim != 1:
+        # a file holds one measurement; stacks exist only in memory
+        raise ValueError("malformed measurement object: b must be a flat list")
     if m != b.size:
         raise ValueError(f"measurement length mismatch: m={m}, "
                          f"len(b)={b.size}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import MeasurementSet, as_signal, intensity_measure
+from .signals import MeasurementSet, as_rows, as_signal, intensity_measure
 
 __all__ = [
     "AugmentationSpec",
@@ -93,29 +93,33 @@ def augment_max_phase(s, spec: AugmentationSpec) -> np.ndarray:
 
 
 def conjugate_reversal(x) -> np.ndarray:
-    """Conjugate and reverse; maps max phase to min phase, preserving the
-    Fourier intensity for every transform length (zeros map to conjugate
-    reciprocals)."""
-    x = as_signal(x)
-    return np.conj(x[::-1])
+    """Conjugate and reverse (each row of a 2D stack); maps max phase to min
+    phase, preserving the Fourier intensity for every transform length
+    (zeros map to conjugate reciprocals)."""
+    x = as_rows(x)
+    return np.conj(x[..., ::-1])
 
 
 def deaugment(xmin, spec: AugmentationSpec) -> np.ndarray:
-    """Undo the impulse augmentation on a reconstructed signal.
+    """Undo the impulse augmentation on a reconstructed signal (or on each
+    row of a 2D stack of them).
 
     Rotates the global phase so the impulse entry is real positive, then
     strips the impulse and gap zeros.  For a suffix spec the reconstruction
     is the minimum-phase mirror [conj(delta), 0 x gap, conj(reversed s)], so
     the stripped core is conjugate-reversed back to recover s.
     """
-    xmin = as_signal(xmin)
-    if xmin.size < spec.gap + 2:
+    xmin = as_rows(xmin)
+    if xmin.shape[-1] < spec.gap + 2:
         raise ValueError("augmented signal too short for this spec")
-    pivot = xmin[0]
-    if pivot == 0:
+    pivot = xmin[..., :1]
+    if np.any(pivot == 0):
         raise ValueError("impulse entry is exactly zero; cannot fix global phase")
-    rotated = xmin * (abs(pivot) / pivot)
-    core = rotated[1 + spec.gap:]
+    # np.hypot rounds |pivot| as abs() of one complex number does (np.abs
+    # of a complex array can differ in the last bit), so a stack of rows
+    # and a single estimate are rotated by the same factor
+    rotated = xmin * (np.hypot(pivot.real, pivot.imag) / pivot)
+    core = rotated[..., 1 + spec.gap:]
     if spec.side == "suffix":
         core = conjugate_reversal(core)
     return core

@@ -5,7 +5,8 @@ Signals are plain 1D complex numpy arrays.  The one-sided autocorrelation
 real and nonnegative.  The intensity of the M-point DFT of a signal depends
 on the signal only through ``r``: ``|F_M x|^2 = Re{F_M I~ r}``, where ``I~``
 doubles every lag except lag zero.  That identity is the backbone of every
-solver in this package.
+solver in this package.  The correlation maps, and the solvers built on
+them, also take a 2D stack of equal-length rows along the last axis.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import numpy as np
 
 __all__ = [
     "as_signal",
+    "as_rows",
     "as_correlation",
+    "as_correlation_rows",
     "dft_partial",
     "intensity_measure",
     "autocorrelation",
@@ -31,9 +34,19 @@ __all__ = [
 
 def as_signal(x) -> np.ndarray:
     """Coerce to a finite 1D complex array of length >= 1."""
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
-    if x.ndim != 1 or x.size < 1:
+    x = as_rows(x)
+    if x.ndim != 1:
         raise ValueError("signal must be a 1D sequence of length >= 1")
+    return x
+
+
+def as_rows(x) -> np.ndarray:
+    """Coerce to a finite complex array holding one signal (1D) or a stack
+    of equal-length signals as rows (2D), each of length >= 1."""
+    x = np.atleast_1d(np.asarray(x, dtype=complex))
+    if x.ndim > 2 or x.size < 1:
+        raise ValueError("signal must be a 1D sequence, or a 2D stack of "
+                         "rows, of length >= 1")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal entries must be finite")
     return x
@@ -45,11 +58,21 @@ def as_correlation(r) -> np.ndarray:
     Solvers may leave ``|Im r0|`` up to ~1e-12*r0 from roundoff; anything
     beyond that is rejected.
     """
-    r = as_signal(r)
-    if abs(r[0].imag) > 1e-12 * max(abs(r[0]), 1.0):
+    r = as_correlation_rows(r)
+    if r.ndim != 1:
+        raise ValueError("signal must be a 1D sequence of length >= 1")
+    return r
+
+
+def as_correlation_rows(r) -> np.ndarray:
+    """:func:`as_correlation` for one correlation (1D) or a stack of them as
+    rows (2D)."""
+    r = as_rows(r)
+    r0 = r[..., 0]
+    if np.any(np.abs(r0.imag) > 1e-12 * np.maximum(np.abs(r0), 1.0)):
         raise ValueError("r[0] must be real (lag-zero correlation is an energy)")
     r = r.copy()
-    r[0] = r[0].real
+    r[..., 0] = r0.real
     return r
 
 
@@ -92,7 +115,7 @@ def autocorrelation(x) -> np.ndarray:
 def doubled_lags(r) -> np.ndarray:
     """Apply the lag-doubling weights diag(1, 2, 2, ..., 2) to ``r``."""
     w = np.asarray(r, dtype=complex).copy()
-    w[1:] *= 2.0
+    w[..., 1:] *= 2.0
     return w
 
 
@@ -110,13 +133,14 @@ def correlation_to_intensity(r, m: int) -> np.ndarray:
 def correlation_spectrum(r: np.ndarray, m: int) -> np.ndarray:
     """Unvalidated kernel of :func:`correlation_to_intensity` for hot loops.
 
-    ``r`` must be a 1D array and ``m >= 1``; ``Im r[0]`` is ignored.  For
-    ``m >= 2N - 1`` the lags ``1..N-1`` sit strictly below the Nyquist bin,
-    so one real inverse transform, which doubles them, gives the spectrum.
-    Shorter transforms fold the weighted lags modulo ``m`` and take the
-    real part of a complex transform.
+    ``r`` holds N lags along its last axis and ``m >= 1``; ``Im r[0]`` is
+    ignored.  For ``m >= 2N - 1`` the lags ``1..N-1`` sit strictly below the
+    Nyquist bin, so one real inverse transform, which doubles them, gives
+    the spectrum of every row.  Shorter transforms take a 1D ``r``: they
+    fold the weighted lags modulo ``m`` and take the real part of a complex
+    transform.
     """
-    if m >= 2 * r.size - 1:
+    if m >= 2 * r.shape[-1] - 1:
         return m * np.fft.irfft(np.conj(r), m)
     w = doubled_lags(r)
     if m < w.size:
@@ -127,18 +151,19 @@ def correlation_spectrum(r: np.ndarray, m: int) -> np.ndarray:
 def correlation_adjoint(y: np.ndarray, n: int) -> np.ndarray:
     """Adjoint of ``r -> correlation_spectrum(r, m)``: I~ F_m^H y on N lags.
 
-    ``y`` is real of length m, and ``<A r, y> = Re<r, A^* y>``.  For
-    ``n <= m // 2 + 1`` the N lags are bins of one real forward transform;
-    otherwise a complex inverse transform is used, and for ``m < n`` it is
-    extended periodically, the adjoint of folding modulo m.
+    ``y`` is real with m samples along its last axis, and
+    ``<A r, y> = Re<r, A^* y>``.  For ``n <= m // 2 + 1`` the N lags are
+    bins of one real forward transform of every row; otherwise ``y`` is 1D,
+    a complex inverse transform is used, and for ``m < n`` it is extended
+    periodically, the adjoint of folding modulo m.
     """
-    m = y.size
+    m = y.shape[-1]
     if n <= m // 2 + 1:
-        w = np.conj(np.fft.rfft(y)[:n])
+        w = np.conj(np.fft.rfft(y)[..., :n])
     else:
         w = np.fft.ifft(y)
         w = m * (w[:n] if m >= n else np.resize(w, n))
-    w[1:] *= 2.0
+    w[..., 1:] *= 2.0
     return w
 
 
@@ -176,14 +201,18 @@ class MeasurementSet:
 
     Entries may be negative under noise; they are never clamped.
     ``augmentation`` carries the impulse metadata needed to undo the
-    minimum-phase construction (see :mod:`phaseret.measurement`).
+    minimum-phase construction (see :mod:`phaseret.measurement`).  A 2D
+    ``b`` stacks K measurements of signals sharing N, M, ``sigma2`` and
+    ``augmentation`` as rows; :func:`phaseret.cork.solve_cork` solves them
+    together, and the other solvers take one row.
     """
 
     def __init__(self, b, n: int, sigma2: float = 0.0,
                  real_signal: bool = False, augmentation=None):
         b = np.atleast_1d(np.asarray(b, dtype=float))
-        if b.ndim != 1 or b.size < 1:
-            raise ValueError("b must be a 1D sequence of length >= 1")
+        if b.ndim > 2 or b.size < 1:
+            raise ValueError("b must be a 1D sequence, or a 2D stack of rows, "
+                             "of length >= 1")
         if not np.all(np.isfinite(b)):
             raise ValueError("measurement entries must be finite")
         if n < 1:
@@ -196,14 +225,15 @@ class MeasurementSet:
 
     @property
     def m(self) -> int:
-        return self.b.size
+        return self.b.shape[-1]
 
     def snr_db(self) -> float:
-        """10 log10(||b||^2 / (M sigma^2)); +inf when noiseless."""
+        """10 log10(||b||^2 / (M sigma^2)), over all rows of a stack; +inf
+        when noiseless."""
         if self.sigma2 <= 0.0:
             return float("inf")
         return float(10.0 * np.log10(np.linalg.norm(self.b) ** 2
-                                     / (self.m * self.sigma2)))
+                                     / (self.b.size * self.sigma2)))
 
     def __repr__(self):
         return (f"MeasurementSet(m={self.m}, n={self.n}, sigma2={self.sigma2},"

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import (as_correlation, as_signal, correlation_spectrum,
-                      default_transform_length)
+from .signals import (as_correlation, as_correlation_rows, as_signal,
+                      correlation_spectrum, default_transform_length)
 
 __all__ = ["SfOptions", "kolmogorov_sf", "root_sf", "is_min_phase",
            "InvalidCorrelationError"]
@@ -40,29 +40,31 @@ def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
 
     Spectrum samples below ``FLOOR_EPS * max`` are clamped to the floor, which
     tolerates near-unit-circle zeros.  Accuracy improves with ``l``; the
-    default is the smallest power of two above 32N.
+    default is the smallest power of two above 32N.  A 2D ``r`` is a stack
+    of correlations as rows, factored together; each row gives what it
+    gives alone.
     """
-    r = as_correlation(r)
+    r = as_correlation_rows(r)
     opts = opts or SfOptions()
-    n = r.size
+    n = r.shape[-1]
     l = opts.l if opts.l is not None else default_transform_length(n)
     if l & (l - 1) or l < 2 * n:
         raise ValueError(f"transform length l={l} must be a power of two >= 2N")
 
     spectrum = correlation_spectrum(r, l)
-    top = spectrum.max()
-    if top <= 0.0:
+    top = spectrum.max(axis=-1, keepdims=True)
+    if np.any(top <= 0.0):
         raise InvalidCorrelationError("correlation spectrum is entirely <= 0")
     spectrum = np.maximum(spectrum, FLOOR_EPS * top)
 
     gamma = 0.5 * np.log(spectrum)
     # gamma is real, so its Hilbert transform eta is too: half spectra suffice
     phi = np.fft.rfft(gamma)
-    sign_half = np.full(phi.size, -1.0)
+    sign_half = np.full(phi.shape[-1], -1.0)
     sign_half[0] = sign_half[-1] = 0.0
     eta = np.fft.irfft(1j * sign_half * phi, l)
     x = np.fft.ifft(np.exp(gamma - 1j * eta))
-    return x[:n]
+    return x[..., :n]
 
 
 def is_min_phase(x, tol: float = 1e-6):

@@ -51,6 +51,29 @@ def test_gs_deterministic_for_fixed_seed():
     np.testing.assert_array_equal(h1, h2)
 
 
+def test_one_gs_iteration_costs_two_ffts(monkeypatch):
+    # one FFT of the support-projected iterate serves the cost and the
+    # magnitude projection; the inverse FFT makes the other
+    _, ms = make_instance(13, 12)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    runs = []
+    for iters in (5, 6):
+        calls.clear()
+        _, history = gs_solve(ms, IterativeOptions(max_iters=iters, tol=-1.0))
+        assert history.size == iters + 1
+        runs.append(list(calls))
+    assert sorted(runs[1]) == sorted(runs[0] + ["fft", "ifft"])
+
+
 def test_fienup_reaches_low_fit_on_realizable_data():
     _, ms = make_instance(12, 16)
     xhat = fienup_solve(ms, IterativeOptions(max_iters=400, seed=3))

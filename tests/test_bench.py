@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from phaseret.bench import (ExperimentConfig, aggregate_and_persist,
-                            check_thresholds, run_experiment, run_gap_trial,
-                            run_recovery_trial, summarize)
+                            check_thresholds, run_crb_study, run_experiment,
+                            run_gap_trial, run_recovery_trial, summarize)
+from phaseret.cork import AdmmOptions, solve_cork
+from phaseret.crb import compute_crb
+from phaseret.measurement import AugmentationSpec, augment_min_phase, deaugment
+from phaseret.signals import (MeasurementSet, default_transform_length,
+                              intensity_measure)
+from phaseret.specfact import SfOptions, kolmogorov_sf
 
 
 def strip_times(row):
@@ -75,6 +81,17 @@ def test_unknown_solver_is_rejected():
             ExperimentConfig(**bad)
 
 
+@pytest.mark.parametrize("bad", [
+    {"kind": "gap", "m_range": (1.0, 1.5)}, {"kind": "gap", "m_range": (4.0, 3.0)},
+    {"kind": "recovery", "m_multiplier": 1.5}, {"kind": "crb", "m_sweep": (1, 2, 2)},
+    {"kind": "crb", "m_sweep": (4, 1, 2)}, {"kind": "crb", "crb_m_multiplier": 1.5}])
+def test_config_with_m_below_2n_is_rejected(bad):
+    # solve_cork and compute_crb need M >= 2N: such a config is refused at
+    # load, not recorded as an error in every row or raised mid-study
+    with pytest.raises(ValueError, match=">= 2|2 <= lo"):
+        ExperimentConfig(n=4, trials=1, **bad)
+
+
 def test_run_experiment_rejects_unknown_kind():
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(kind="nope"))
@@ -109,6 +126,73 @@ def test_results_jsonl_identical_modulo_times(tmp_path):
                 for ln in open(d / "results.jsonl").read().splitlines()]
         out.append(json.dumps(rows, sort_keys=True))
     assert out[0] == out[1]
+
+
+CRB_CONFIG = dict(kind="crb", n=6, master_seed=9, m_sweep=(2.0, 5.0, 3),
+                  snr_sweep=(30.0, 50.0, 2), crb_m_multiplier=3.5)
+
+
+def test_crb_study_matches_per_trial_loop():
+    # the stacked sweep point against one single-row recovery per trial,
+    # each with its own noise draw at the point's scale
+    cfg = ExperimentConfig(trials=3, **CRB_CONFIG)
+    rows = run_crb_study(cfg)
+    rng = cfg.trial_rng(2**31 - 1)
+    s = (rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n)) / np.sqrt(2)
+    spec = AugmentationSpec(3.0 * cfg.n)
+    smin = augment_min_phase(s, spec)
+    l = default_transform_length(smin.size)
+    assert [row["m"] for row in rows] == [14, 24, 35, 24, 24]
+    for row in rows:
+        m, sigma2 = row["m"], row["sigma2"]
+        b_clean = intensity_measure(smin, m)
+        errors = []
+        for t in range(cfg.trials):
+            noisy = b_clean + cfg.trial_rng(t).normal(scale=np.sqrt(sigma2), size=m)
+            r, _ = solve_cork(MeasurementSet(noisy, smin.size, sigma2=sigma2),
+                              AdmmOptions(l=l))
+            shat = deaugment(kolmogorov_sf(r, SfOptions(l=l)), spec)
+            errors.append(float(np.linalg.norm(s - shat) ** 2))
+        s_energy = float(np.linalg.norm(s) ** 2)
+        assert row["mse_norm"] == float(np.mean(errors)) / s_energy
+        crb = compute_crb(smin, m, sigma2)
+        assert row["crb_norm"] == pytest.approx(crb / s_energy, rel=1e-14)
+
+
+def test_crb_results_jsonl_identical_modulo_times(tmp_path):
+    cfg = ExperimentConfig(trials=4, **CRB_CONFIG)
+    out = []
+    for name in ("a", "b"):
+        d = tmp_path / name
+        aggregate_and_persist(run_experiment(cfg), str(d))
+        rows = [strip_times(json.loads(ln))
+                for ln in open(d / "results.jsonl").read().splitlines()]
+        out.append(json.dumps(rows, sort_keys=True))
+    assert out[0] == out[1]
+
+
+def test_crb_sweep_point_ffts_do_not_grow_with_trials(monkeypatch):
+    # a sweep point solves its trials as one stack, so its transform count
+    # is that of one recovery however many trials it holds
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    counts = []
+    for trials in (2, 8):
+        calls.clear()
+        rows = run_crb_study(ExperimentConfig(
+            kind="crb", n=8, trials=trials, m_sweep=(4.0, 4.0, 1),
+            snr_sweep=(40.0, 40.0, 0)))
+        assert len(rows) == 1
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
 
 
 def test_check_thresholds():

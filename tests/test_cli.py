@@ -213,6 +213,22 @@ def test_bench_rejects_unknown_solver(tmp_path, capsys):
         assert "bad config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    {"kind": "gap", "m_range": [1.0, 1.5]}, {"kind": "recovery", "m_multiplier": 1.5},
+    {"kind": "crb", "m_sweep": [1, 2, 2]}, {"kind": "crb", "crb_m_multiplier": 1.5}])
+def test_bench_rejects_m_below_2n(tmp_path, capsys, bad):
+    cfgfile = tmp_path / "cfg.json"
+    write_bench_config(cfgfile)
+    cfg = json.loads(cfgfile.read_text())
+    cfg.update(bad)
+    cfgfile.write_text(json.dumps(cfg))
+    code = main(["bench", "--config", str(cfgfile),
+                 "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "bad config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_requires_output_dir(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     write_bench_config(cfgfile)

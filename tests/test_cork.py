@@ -220,3 +220,29 @@ def test_rejects_bad_transform_length():
         solve_cork(MeasurementSet(np.ones(8), 2), AdmmOptions(l=100))
     with pytest.raises(ValueError):
         solve_cork(MeasurementSet(np.ones(8), 2), AdmmOptions(l=2))
+
+
+@pytest.mark.parametrize("real_signal", [False, True])
+def test_stacked_rows_equal_single_row_solves(real_signal):
+    # augmented noisy rows exit at lam = 0; the speckle row (a draw that
+    # iterates in both modes) has to iterate
+    rng = np.random.default_rng(31)
+    n, m = 17, 72
+    rows = []
+    for _ in range(4):
+        s = rng.normal(size=n - 1) + (0 if real_signal else 1j) * rng.normal(size=n - 1)
+        x = np.r_[3.0 * n, s]
+        rows.append(intensity_measure(x, m) + rng.normal(scale=n, size=m))
+    rows.insert(2, np.random.default_rng(11).exponential(float(n) ** 2, size=m))
+    opts = AdmmOptions(l=256, tol_rel=1e-6)
+    r, diags = solve_cork(MeasurementSet(np.array(rows), n,
+                                         real_signal=real_signal), opts)
+    assert r.shape == (5, n) and len(diags) == 5
+    for k, b in enumerate(rows):
+        r_k, diag_k = solve_cork(MeasurementSet(b, n, real_signal=real_signal),
+                                 opts)
+        assert np.array_equal(r[k], r_k)
+        assert diags[k] == diag_k
+    assert diags[2].iters > 0 and diags.iters == diags[2].iters
+    assert diags.converged and all(d.converged for d in diags)
+    assert [d.iters for d in diags].count(0) == 4

@@ -7,6 +7,7 @@ from phaseret.io import (dump_measurement, dump_signal, load_measurement,
                          load_signal, load_measurement_file, load_signal_file,
                          save_measurement_file, save_signal_file)
 from phaseret.measurement import AugmentationSpec, measure_augmented
+from phaseret.signals import MeasurementSet
 
 
 def random_signal(seed, n):
@@ -45,7 +46,6 @@ def test_measurement_round_trip_with_augmentation(tmp_path):
 
 
 def test_measurement_round_trip_without_augmentation():
-    from phaseret.signals import MeasurementSet
     ms = MeasurementSet([1.0, 0.5, 0.25], 1, sigma2=0.01, real_signal=True)
     back = load_measurement(json.loads(json.dumps(dump_measurement(ms))))
     np.testing.assert_array_equal(back.b, ms.b)
@@ -69,6 +69,28 @@ def test_seventeen_digit_floats_round_trip():
     np.testing.assert_array_equal(load_signal(obj).real, x)
 
 
+def test_json_text_matches_seventeen_digit_literals():
+    # the shortest round-trip repr writes the same text as parsing back
+    # each value's 17-significant-digit literal
+    def seventeen(values):
+        return [float(f"{v:.17g}") for v in np.asarray(values, dtype=float)]
+
+    awkward = [0.1, -0.0, 5e-324, 1.7976931348623157e308, 2.0**53 + 1.0]
+    values = np.concatenate((awkward,
+                             np.random.default_rng(41).normal(size=64) * 1e3))
+    x = values + 1j * values[::-1]
+    assert json.dumps(dump_signal(x)) == json.dumps(
+        {"n": x.size, "real": seventeen(x.real), "imag": seventeen(x.imag)})
+
+    ms = MeasurementSet(values, 8, sigma2=0.1 + 0.2,
+                        augmentation=AugmentationSpec(delta=0.1 - 5e-324j))
+    obj = dump_measurement(ms)
+    assert json.dumps(obj["b"]) == json.dumps(seventeen(ms.b))
+    assert json.dumps([obj["sigma2"], obj["augmentation"]["delta_re"],
+                       obj["augmentation"]["delta_im"]]) == json.dumps(
+        seventeen([0.1 + 0.2, 0.1, -5e-324]))
+
+
 def test_malformed_inputs_raise_with_context(tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -86,6 +108,12 @@ def test_malformed_inputs_raise_with_context(tmp_path):
         load_measurement({"n": 2})
     with pytest.raises(ValueError, match="malformed"):
         load_measurement({"m": [1], "n": 1, "b": [1.0]})
+    # nested lists are not one signal or one measurement
+    with pytest.raises(ValueError, match="flat list"):
+        load_signal({"n": 4, "real": [[1.0, 2.0], [3.0, 4.0]],
+                     "imag": [[0.0, 0.0], [0.0, 0.0]]})
+    with pytest.raises(ValueError, match="flat list"):
+        load_measurement({"m": 8, "n": 1, "b": [[1.0] * 4] * 2})
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

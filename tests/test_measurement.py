@@ -90,6 +90,17 @@ def test_deaugment_round_trip(side):
     assert global_phase_distance(s, recovered) <= 1e-14 * np.vdot(s, s).real
 
 
+@pytest.mark.parametrize("side", ["prefix", "suffix"])
+def test_stacked_deaugment_rows_equal_single_rows(side):
+    rng = np.random.default_rng(19)
+    xmin = rng.normal(size=(6, 12)) + 1j * rng.normal(size=(6, 12))
+    spec = AugmentationSpec(delta=1.0, gap=1, side=side)
+    core = deaugment(xmin, spec)
+    assert core.shape == (6, 10)
+    for k in range(6):
+        assert np.array_equal(core[k], deaugment(xmin[k], spec))
+
+
 def test_deaugment_zero_pivot_rejected():
     with pytest.raises(ValueError):
         deaugment([0.0, 1.0, 2.0], AugmentationSpec(delta=1.0, gap=0))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from phaseret.signals import (MeasurementSet, as_correlation, autocorrelation,
+from phaseret.signals import (MeasurementSet, as_correlation,
+                              as_correlation_rows, as_rows, as_signal,
+                              autocorrelation,
                               correlation_adjoint, correlation_psd_check,
                               correlation_spectrum, correlation_to_intensity,
                               default_transform_length, dft_partial,
@@ -185,6 +187,23 @@ def test_as_correlation_zeroes_r0_imag():
     assert r[0].imag == 0.0
     with pytest.raises(ValueError):
         as_correlation([2.0 + 1.0j, 1.0])
+
+
+def test_stacks_only_where_rows_are_accepted():
+    stack = [[2.0 + 1e-14j, 1.0], [3.0, 0.5j]]
+    r = as_correlation_rows(stack)
+    assert r.shape == (2, 2) and r[0, 0].imag == 0.0
+    assert as_rows(stack).shape == (2, 2)
+    with pytest.raises(ValueError, match="r\\[0\\] must be real"):
+        as_correlation_rows([[2.0, 1.0], [3.0 + 1.0j, 0.5]])
+    for coerce in (as_signal, as_correlation):
+        with pytest.raises(ValueError, match="1D sequence"):
+            coerce(stack)
+    for bad in (np.ones((2, 2, 2)), np.ones((2, 0))):
+        with pytest.raises(ValueError):
+            as_rows(bad)
+    ms = MeasurementSet(np.ones((3, 8)), 2)
+    assert ms.m == 8
 
 
 def test_measurement_set_validation():

@@ -106,6 +106,19 @@ def test_unit_circle_double_root():
     np.testing.assert_allclose(out, [1, 1], atol=1e-6)
 
 
+def test_stacked_kolmogorov_rows_equal_single_rows():
+    rng = np.random.default_rng(17)
+    rs = []
+    for _ in range(5):
+        s = rng.normal(size=11) + 1j * rng.normal(size=11)
+        rs.append(autocorrelation(augment_min_phase(s, AugmentationSpec(default_delta(s)))))
+    rs = np.array(rs)
+    xs = kolmogorov_sf(rs, SfOptions(l=128))
+    assert xs.shape == rs.shape
+    for k in range(len(rs)):
+        assert np.array_equal(xs[k], kolmogorov_sf(rs[k], SfOptions(l=128)))
+
+
 def test_invalid_correlation_rejected():
     with pytest.raises((InvalidCorrelationError, ValueError)):
         root_sf([1.0, 0.9])  # spectrum dips negative; roots cannot pair
