@@ -74,8 +74,6 @@ def gs_solve(b: MeasurementSet, opts: IterativeOptions | None = None,
     holds the cost after every support projection (non-increasing).
     """
     opts = opts or IterativeOptions()
-    if b.m < b.n:
-        raise ValueError("gs_solve needs m >= n")
     root_b = np.sqrt(np.maximum(np.asarray(b.b, dtype=float), 0.0))
     y = _random_start(root_b, opts.seed) if y0 is None else y0.copy()
     history = []
@@ -101,8 +99,6 @@ def fienup_solve(b: MeasurementSet, opts: IterativeOptions | None = None):
     it is nonempty); the GS phase then polishes until the cost stalls.
     """
     opts = opts or IterativeOptions()
-    if b.m < b.n:
-        raise ValueError("fienup_solve needs m >= n")
     root_b = np.sqrt(np.maximum(np.asarray(b.b, dtype=float), 0.0))
     y = _random_start(root_b, opts.seed)
     p = np.zeros_like(y)

@@ -20,8 +20,8 @@ from .measurement import (AugmentationSpec, add_noise, deaugment,
                           default_delta, margin_violated, measure_augmented)
 from .signals import (MeasurementSet, correlation_psd_check,
                       default_transform_length, global_phase_distance)
-from .specfact import ROOT_SF_MAX_N, InvalidCorrelationError, SfOptions, \
-    is_min_phase, kolmogorov_sf, root_sf
+from .specfact import ROOT_SF_MAX_N, SfOptions, is_min_phase, \
+    kolmogorov_sf, root_sf
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -51,9 +51,12 @@ def cmd_measure(args) -> int:
         delta = 3.0 * args.sigma * n
     else:
         delta = default_delta(s)
-    spec = AugmentationSpec(delta, gap=args.gap, side="prefix")
     m = args.m if args.m else int(np.ceil(args.oversampling * (n + args.gap + 1)))
-    ms = measure_augmented(s, spec, m, real_signal=args.real)
+    try:
+        spec = AugmentationSpec(delta, gap=args.gap, side="prefix")
+        ms = measure_augmented(s, spec, m, real_signal=args.real)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION) from exc
     if args.noise_sigma2 > 0:
         ms = add_noise(ms, args.noise_sigma2, args.seed)
     pio.save_measurement_file(args.output, ms)
@@ -75,10 +78,6 @@ def _load_measurement(path: str) -> MeasurementSet:
 
 def cmd_recover(args) -> int:
     ms = _load_measurement(args.input)
-    if ms.m < 2 * ms.n:
-        raise CliError(
-            f"recover needs M >= 2N for identifiability (got M={ms.m}, N={ms.n})",
-            EXIT_VALIDATION)
     diagnostics: dict = {"solver": args.solver, "m": ms.m, "n": ms.n}
     direct_mode = ms.augmentation is None
     if direct_mode:
@@ -88,8 +87,11 @@ def cmd_recover(args) -> int:
 
     l = default_transform_length(ms.n, args.l_factor)
     ms.real_signal = ms.real_signal or args.real
-    xmin, diag = SOLVERS[args.solver](ms, l, args.seed,
-                                      max_iters=args.max_iters, tol=args.tol)
+    try:
+        xmin, diag = SOLVERS[args.solver](ms, l, args.seed,
+                                          max_iters=args.max_iters, tol=args.tol)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION) from exc
     diagnostics[args.solver] = diag
     if not diag["converged"]:
         diagnostics["converged"] = False
@@ -131,7 +133,7 @@ def cmd_factorize(args) -> int:
         else:
             l = default_transform_length(r.size, args.l_factor)
             x = kolmogorov_sf(r, SfOptions(l=l))
-    except InvalidCorrelationError as exc:
+    except ValueError as exc:  # InvalidCorrelationError, or N out of range
         raise CliError(str(exc), EXIT_VALIDATION) from exc
     pio.save_signal_file(args.output, x)
     return EXIT_OK

@@ -6,9 +6,10 @@ Solves the sampled convex program
     subject to   A_L r >= 0   (L samples of the correlation spectrum)
 
 where A_K r = Re{F_K I~ r} is the shared operator pair of
-:mod:`phaseret.signals`.  For M >= 2N, A_M^* A_M = M W with
-W = I~ = diag(1, 2, ..., 2), so the fit is M ||r - r_ls||_W^2 + c0 with
-r_ls = W^-1 A_M^* b / M, and the dual minimizes over lam >= 0
+:mod:`phaseret.signals`.  Every ``MeasurementSet`` has M >= 2N, so
+A_M^* A_M = M W with W = I~ = diag(1, 2, ..., 2): the fit is
+M ||r - r_ls||_W^2 + c0 with r_ls = W^-1 A_M^* b / M, and the dual
+minimizes over lam >= 0
 
     h(lam) = ||A_L^* lam||_{W^-1}^2 / (4M) + lam^T A_L r_ls
 
@@ -17,9 +18,8 @@ A_L r(lam) and Lipschitz constant L / (2M).  :func:`phaseret.sdp.fista`
 runs it with the projection lam -> max(lam, 0); each iteration costs two
 real L-point FFTs, one adjoint (``rfft``) and one spectrum (``irfft``).
 When A_L r_ls >= 0, lam = 0 already meets every KKT condition and r_ls is
-returned after that one transform.  M < 2N has no diagonal W and is
-rejected.  A stack of measurements (rows of a 2D ``b``) shares that start
-and test, one transform pair for all rows.
+returned after that one transform.  A stack of measurements (rows of a
+2D ``b``) shares that start and test, one transform pair for all rows.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sdp import fista
-from .signals import (MeasurementSet, correlation_adjoint,
-                      correlation_spectrum, default_transform_length,
-                      doubled_lags)
+from .signals import (MeasurementSet, check_transform_length,
+                      correlation_adjoint, correlation_spectrum, doubled_lags)
 
 __all__ = ["AdmmOptions", "CorkDiagnostics", "StackDiagnostics", "solve_cork"]
 
@@ -97,11 +96,7 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
     """
     opts = opts or AdmmOptions()
     n, m = b.n, b.m
-    l = opts.l if opts.l is not None else default_transform_length(n)
-    if l & (l - 1) or l < 2 * n:
-        raise ValueError(f"transform length l={l} must be a power of two >= 2N")
-    if m < 2 * n:
-        raise ValueError(f"m={m} must be >= 2N={2 * n}")
+    l = check_transform_length(n, opts.l)
 
     def constrain(r):
         if b.real_signal:

@@ -137,7 +137,7 @@ def add_noise(ms: MeasurementSet, sigma2: float, seed: int) -> MeasurementSet:
         noisy = ms.b.copy()
     else:
         rng = np.random.default_rng(seed)
-        noisy = ms.b + rng.normal(scale=np.sqrt(sigma2), size=ms.m)
+        noisy = ms.b + rng.normal(scale=np.sqrt(sigma2), size=ms.b.shape)
     return MeasurementSet(noisy, ms.n, sigma2=sigma2,
                           real_signal=ms.real_signal, augmentation=ms.augmentation)
 

@@ -18,7 +18,8 @@ Three entry points:
   correlation trace constraints, handled by quadratic penalty continuation.
 
 All of them run ``fista``, accelerated projected gradient with adaptive
-restart, here with projection onto the PSD cone.
+restart, here with projection onto the PSD cone and closed-form Lipschitz
+constants (exact because a ``MeasurementSet`` has M >= 2N).
 Sizes are guarded to N <= 64; this module is a reference/bounding tool, not
 the scalable path (that is :func:`phaseret.cork.solve_cork`, which runs
 the same engine on the dual of its sampled program).
@@ -152,21 +153,6 @@ def _intensity_op(f_mat: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("mn,mn->m", f_mat @ x_mat, f_mat.conj()))
 
 
-def _operator_norm(op, n: int, iters: int = 60) -> float:
-    """Power-iteration estimate of a PSD operator on Hermitian matrices."""
-    rng = np.random.default_rng(12345)
-    x = _hermitize(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    x /= np.linalg.norm(x)
-    lam = 1.0
-    for _ in range(iters):
-        y = op(x)
-        lam = np.linalg.norm(y)
-        if lam == 0:
-            return 1.0
-        x = y / lam
-    return float(lam) * 1.05  # safety margin over the power estimate
-
-
 def phaselift_value(b: MeasurementSet, lam: float = 0.0,
                     opts: SdpOptions | None = None):
     """Minimize sum_m (b_m - f_m^H X f_m)^2 - lam * X00 over PSD X.
@@ -180,8 +166,6 @@ def phaselift_value(b: MeasurementSet, lam: float = 0.0,
         raise ValueError(f"phaselift_value is desk-scale only (N <= {SIZE_GUARD})")
     m = b.m
     bvec = np.asarray(b.b, dtype=float)
-    lip = _operator_norm(
-        lambda x_mat: 2.0 * _lifted_adjoint(_lifted_op(x_mat, m), n), n)
 
     def grad(x_mat):
         g = 2.0 * _lifted_adjoint(_lifted_op(x_mat, m) - bvec, n)
@@ -191,7 +175,8 @@ def phaselift_value(b: MeasurementSet, lam: float = 0.0,
 
     x0 = np.zeros((n, n), dtype=complex)
     tol = GRAD_TOL * max(np.linalg.norm(grad(x0)), 1.0)
-    x_mat, converged, _ = fista(grad, lip, x0, psd_project,
+    # ||A(X)||^2 = M ||traces(X)||_W^2 <= M N ||X||_F^2, equal at X = I
+    x_mat, converged, _ = fista(grad, 2.0 * m * n, x0, psd_project,
                                  opts.max_iters, tol)
     fit = float(np.sum((_lifted_op(x_mat, m) - bvec) ** 2))
     return x_mat, fit, converged
@@ -245,6 +230,8 @@ def sdp_sf(r, opts: SdpOptions | None = None) -> np.ndarray:
     # real-constraint multiplicity: lag 0 contributes one equation, others
     # two, so subdiagonal k carries I~ d_k and superdiagonal the conjugate
     scale = r0 ** 2
+    # the penalty Hessian T(I~ traces(X)) / scale peaks at I or T_1 + T_1^H
+    lip = max(n, 2 * n - 2) / scale
 
     def make_grad(lam):
         def grad(x_mat):
@@ -253,10 +240,6 @@ def sdp_sf(r, opts: SdpOptions | None = None) -> np.ndarray:
             return g
         return grad
 
-    def penalty_hessian(x_mat):
-        return _hermitian_toeplitz(doubled_lags(correlation_traces(x_mat))) / scale
-
-    lip = _operator_norm(penalty_hessian, n)
     x_mat = np.outer(np.ones(n), np.ones(n)) * (r0 / n) + 0j
     lam = 1.0 / max(r0, 1e-12)
     for _ in range(8):

@@ -5,8 +5,9 @@ Signals are plain 1D complex numpy arrays.  The one-sided autocorrelation
 real and nonnegative.  The intensity of the M-point DFT of a signal depends
 on the signal only through ``r``: ``|F_M x|^2 = Re{F_M I~ r}``, where ``I~``
 doubles every lag except lag zero.  That identity is the backbone of every
-solver in this package.  The correlation maps, and the solvers built on
-them, also take a 2D stack of equal-length rows along the last axis.
+solver in this package; it is alias free for M >= 2N - 1, where one real
+FFT applies the map or its adjoint.  The correlation maps, and the solvers
+built on them, also take a 2D stack of equal-length rows along the last axis.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "correlation_psd_check",
     "global_phase_distance",
     "default_transform_length",
+    "check_transform_length",
     "MeasurementSet",
 ]
 
@@ -84,6 +86,14 @@ def default_transform_length(n: int, factor: int = 32) -> int:
     return l
 
 
+def check_transform_length(n: int, l: int | None) -> int:
+    """``l``, default ``default_transform_length(n)``: a power of two >= 2N."""
+    l = default_transform_length(n) if l is None else l
+    if l & (l - 1) or l < 2 * n:
+        raise ValueError(f"transform length l={l} must be a power of two >= 2N")
+    return l
+
+
 def dft_partial(x, m: int) -> np.ndarray:
     """First-N-columns M-point DFT: F_M @ x, computed by zero-padded FFT.
 
@@ -120,63 +130,45 @@ def doubled_lags(r) -> np.ndarray:
 
 
 def correlation_to_intensity(r, m: int) -> np.ndarray:
-    """Intensity implied by a correlation: Re{F_m I~ r}, linear in ``r``.
-
-    ``m`` may be smaller than N; DFT rows then alias, which we honor by
-    folding the weighted sequence modulo ``m`` before the transform.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return correlation_spectrum(as_correlation(r), m)
+    """Intensity Re{F_m I~ r} implied by a correlation, for ``m >= 2N - 1``."""
+    r = as_correlation(r)
+    if m < 2 * r.size - 1:
+        raise ValueError(f"m={m} must be >= 2N-1={2 * r.size - 1}")
+    return correlation_spectrum(r, m)
 
 
 def correlation_spectrum(r: np.ndarray, m: int) -> np.ndarray:
     """Unvalidated kernel of :func:`correlation_to_intensity` for hot loops.
 
-    ``r`` holds N lags along its last axis and ``m >= 1``; ``Im r[0]`` is
-    ignored.  For ``m >= 2N - 1`` the lags ``1..N-1`` sit strictly below the
-    Nyquist bin, so one real inverse transform, which doubles them, gives
-    the spectrum of every row.  Shorter transforms take a 1D ``r``: they
-    fold the weighted lags modulo ``m`` and take the real part of a complex
-    transform.
+    ``r`` holds N lags along its last axis and ``m >= 2N - 1``; ``Im r[0]``
+    is ignored.  The lags sit below the Nyquist bin, so one real inverse
+    transform, which doubles lags 1..N-1, gives the spectrum of every row.
     """
-    if m >= 2 * r.shape[-1] - 1:
-        return m * np.fft.irfft(np.conj(r), m)
-    w = doubled_lags(r)
-    if m < w.size:
-        w = np.pad(w, (0, -w.size % m)).reshape(-1, m).sum(axis=0)
-    return np.real(np.fft.fft(w, n=m))
+    return m * np.fft.irfft(np.conj(r), m)
 
 
 def correlation_adjoint(y: np.ndarray, n: int) -> np.ndarray:
     """Adjoint of ``r -> correlation_spectrum(r, m)``: I~ F_m^H y on N lags.
 
-    ``y`` is real with m samples along its last axis, and
-    ``<A r, y> = Re<r, A^* y>``.  For ``n <= m // 2 + 1`` the N lags are
-    bins of one real forward transform of every row; otherwise ``y`` is 1D,
-    a complex inverse transform is used, and for ``m < n`` it is extended
-    periodically, the adjoint of folding modulo m.
+    ``y`` is real with ``m >= 2N - 1`` samples along its last axis, and
+    ``<A r, y> = Re<r, A^* y>``.  The N lags are bins of one real forward
+    transform of every row.
     """
-    m = y.shape[-1]
-    if n <= m // 2 + 1:
-        w = np.conj(np.fft.rfft(y)[..., :n])
-    else:
-        w = np.fft.ifft(y)
-        w = m * (w[:n] if m >= n else np.resize(w, n))
-    w[..., 1:] *= 2.0
-    return w
+    return doubled_lags(np.conj(np.fft.rfft(y)[..., :n]))
 
 
 def correlation_psd_check(r, l: int | None = None, tol: float | None = None):
     """Sampled nonnegativity check of the correlation spectrum.
 
     Returns ``(min_value, argmin_index, ok)`` where ``min_value`` is the
-    smallest sample of Re{F_L I~ r} and ``ok`` is True iff it is above
-    ``-tol`` (default tol = 1e-9 * max(r0, 1)).
+    smallest of ``l >= 2N - 1`` samples of Re{F_L I~ r} and ``ok`` is True
+    iff it is above ``-tol`` (default tol = 1e-9 * max(r0, 1)).
     """
     r = as_correlation(r)
     if l is None:
         l = default_transform_length(r.size)
+    if l < 2 * r.size - 1:
+        raise ValueError(f"l={l} must be >= 2N-1={2 * r.size - 1}")
     spectrum = correlation_spectrum(r, l)
     idx = int(np.argmin(spectrum))
     min_value = float(spectrum[idx])
@@ -197,8 +189,9 @@ def global_phase_distance(s, shat) -> float:
 
 
 class MeasurementSet:
-    """Intensity samples ``b`` of length M for a length-N signal.
+    """Intensity samples ``b`` of length M >= 2N for a length-N signal.
 
+    M >= 2N, checked here once for every solver, makes A_M^* A_M = M I~.
     Entries may be negative under noise; they are never clamped.
     ``augmentation`` carries the impulse metadata needed to undo the
     minimum-phase construction (see :mod:`phaseret.measurement`).  A 2D
@@ -217,6 +210,8 @@ class MeasurementSet:
             raise ValueError("measurement entries must be finite")
         if n < 1:
             raise ValueError("n must be >= 1")
+        if b.shape[-1] < 2 * n:
+            raise ValueError(f"b needs M >= 2N (got M={b.shape[-1]}, N={n})")
         self.b = b
         self.n = int(n)
         self.sigma2 = float(sigma2)

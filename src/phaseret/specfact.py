@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import (as_correlation, as_correlation_rows, as_signal,
-                      correlation_spectrum, default_transform_length)
+                      check_transform_length, correlation_spectrum)
 
 __all__ = ["SfOptions", "kolmogorov_sf", "root_sf", "is_min_phase",
            "InvalidCorrelationError"]
@@ -47,9 +47,7 @@ def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
     r = as_correlation_rows(r)
     opts = opts or SfOptions()
     n = r.shape[-1]
-    l = opts.l if opts.l is not None else default_transform_length(n)
-    if l & (l - 1) or l < 2 * n:
-        raise ValueError(f"transform length l={l} must be a power of two >= 2N")
+    l = check_transform_length(n, opts.l)
 
     spectrum = correlation_spectrum(r, l)
     top = spectrum.max(axis=-1, keepdims=True)

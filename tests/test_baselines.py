@@ -95,5 +95,6 @@ def test_fienup_sf_same_fit_and_min_phase(seed):
 
 
 def test_gs_rejects_m_below_n():
-    with pytest.raises(ValueError):
+    # the measurement set refuses M < 2N before any solver sees it
+    with pytest.raises(ValueError, match="M >= 2N"):
         gs_solve(MeasurementSet(np.ones(3), 5))

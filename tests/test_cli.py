@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -109,10 +110,9 @@ def test_recover_direct_mode_warns(tmp_path, capsys):
 
 
 def test_recover_rejects_insufficient_m(tmp_path, capsys):
-    from phaseret.io import save_measurement_file
-    from phaseret.signals import MeasurementSet
+    # no MeasurementSet holds M < 2N, so the file is written by hand
     meas = tmp_path / "meas.json"
-    save_measurement_file(str(meas), MeasurementSet(np.ones(8), 6))
+    meas.write_text(json.dumps({"m": 8, "n": 6, "b": [1.0] * 8}))
     code = main(["recover", "--input", str(meas), "--output",
                  str(tmp_path / "o.json")])
     assert code == 2
@@ -156,6 +156,44 @@ def test_factorize_rejects_invalid_correlation(tmp_path, capsys):
                  "--output", str(tmp_path / "x.json")])
     assert code == 2
     assert "not a valid correlation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--m", "5"], "must be >= signal length 9"),
+    (["--m", "12"], r"needs M >= 2N \(got M=12, N=9\)"),
+    (["--gap", "-1"], "gap must be >= 0")])
+def test_measure_out_of_range_exits_2(tmp_path, capsys, extra, message):
+    # N = 8 augments to 9: M = 5 cannot be measured and M = 12 < 2N could
+    # not be recovered, so neither writes a file
+    sig = tmp_path / "sig.json"
+    write_signal(sig)
+    out = tmp_path / "m.json"
+    assert main(["measure", "--input", str(sig), "--output", str(out)]
+                + extra) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_factorize_exact_too_long_exits_2(tmp_path, capsys):
+    rfile = tmp_path / "r.json"
+    save_signal_file(str(rfile), autocorrelation(write_signal(
+        tmp_path / "s.json", n=60)))
+    code = main(["factorize", "--input", str(rfile), "--output",
+                 str(tmp_path / "x.json"), "--exact"])
+    assert code == 2
+    assert "root_sf supports N <= 48" in capsys.readouterr().err
+
+
+def test_recover_phaselift_beyond_desk_scale_exits_2(tmp_path, capsys):
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    write_signal(sig, n=79)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    capsys.readouterr()
+    code = main(["recover", "--input", str(meas), "--output",
+                 str(tmp_path / "o.json"), "--solver", "phaselift-sf"])
+    assert code == 2
+    assert "desk-scale only" in capsys.readouterr().err
 
 
 def write_bench_config(path, outdir=None, thresholds=None, solvers=("cork",)):

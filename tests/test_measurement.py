@@ -6,7 +6,8 @@ from phaseret.measurement import (AugmentationSpec, ImpulseMarginWarning,
                                   augment_min_phase, conjugate_reversal,
                                   deaugment, default_delta, margin_violated,
                                   measure_augmented)
-from phaseret.signals import global_phase_distance, intensity_measure
+from phaseret.signals import (MeasurementSet, global_phase_distance,
+                              intensity_measure)
 
 
 def test_augment_prefix_layout():
@@ -122,6 +123,16 @@ def test_add_noise_statistics():
     # different seed, different draw
     other = add_noise(ms, sigma2=0.04, seed=100)
     assert np.abs(other.b - noisy.b).max() > 0
+
+
+def test_add_noise_draws_every_row_of_a_stack():
+    ms = measure_augmented(np.ones(4), AugmentationSpec(delta=5.0), 16)
+    noisy = add_noise(ms, sigma2=0.04, seed=99)
+    want = ms.b + np.random.default_rng(99).normal(scale=0.2, size=16)
+    np.testing.assert_array_equal(noisy.b, want)  # one row: same draw as ever
+    stack = add_noise(MeasurementSet(np.zeros((3, 8)), 4), sigma2=1.0, seed=5)
+    assert stack.b.shape == (3, 8)
+    assert np.all(np.abs(np.diff(stack.b, axis=0)) > 0)
 
 
 def test_measure_augmented_records_metadata():

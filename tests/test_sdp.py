@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from phaseret.cork import solve_cork
 from phaseret.measurement import (AugmentationSpec, add_noise, default_delta,
                                   measure_augmented)
 from phaseret.sdp import (correlation_traces, lift_equivalence_check,
                           phaselift_sf, phaselift_value, psd_project, sdp_sf)
-from phaseret.signals import (MeasurementSet, autocorrelation,
+from phaseret.signals import (MeasurementSet, autocorrelation, doubled_lags,
                               global_phase_distance, intensity_measure)
 from phaseret.specfact import root_sf
 
@@ -38,6 +39,40 @@ def test_correlation_traces_match_autocorrelation():
     got = correlation_traces(big_x)
     want = autocorrelation(x)
     assert np.abs(got - want).max() <= 1e-12 * want[0].real
+
+
+def top_eigenvalue(op, n, iters=300):
+    """Power iteration for a PSD operator on n x n Hermitian matrices."""
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x = x + x.conj().T
+    for _ in range(iters):
+        x = op(x)
+        x /= np.linalg.norm(x)
+    return np.vdot(x, op(x)).real
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (8, 16), (8, 33), (16, 40)])
+def test_phaselift_lipschitz_constant_is_2mn(n, m):
+    # the Hessian of sum_m (b_m - f_m X f_m^H)^2 is 2 A^* A, applied densely
+    f = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(n)) / m)
+
+    def hessian(x_mat):
+        a = np.einsum("mi,ij,mj->m", f, x_mat, f.conj()).real
+        return 2.0 * (f.conj().T * a) @ f
+
+    assert top_eigenvalue(hessian, n) == pytest.approx(2.0 * m * n, rel=1e-2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 20])
+def test_sdp_sf_lipschitz_constant(n):
+    # the penalty Hessian X -> T(I~ traces(X)) / r0^2, at r0 = 3
+    def hessian(x_mat):
+        lags = doubled_lags(correlation_traces(x_mat))
+        return toeplitz(lags, lags.conj()) / 9.0
+
+    assert top_eigenvalue(hessian, n) == pytest.approx(
+        max(n, 2 * n - 2) / 9.0, rel=1e-2)
 
 
 def test_phaselift_value_scalar_closed_form():

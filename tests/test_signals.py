@@ -85,12 +85,16 @@ def test_correlation_to_intensity_examples():
 
 @pytest.mark.parametrize("m", [3, 5, 8, 11, 16, 21])
 def test_correlation_adjoint_against_explicit_matrix(m):
-    # m < N folds, N <= m < 2N and m >= 2N do not; the explicit M x N matrix
-    # aliases rows by itself, so it is the reference in all three regimes
+    # below m = 2N - 1 the DFT rows alias and the map is refused; from there
+    # up the explicit M x N matrix is the reference
     n = 8
     rng = np.random.default_rng(m)
     r = as_correlation(np.r_[rng.exponential(), rng.normal(size=n - 1)
                              + 1j * rng.normal(size=n - 1)])
+    if m < 2 * n - 1:
+        with pytest.raises(ValueError, match="2N-1"):
+            correlation_to_intensity(r, m)
+        return
     y = rng.normal(size=m)
     f = naive_dft(np.eye(n), m)
     itil = np.diag(doubled_lags(np.ones(n)))
@@ -106,11 +110,19 @@ def test_correlation_adjoint_against_explicit_matrix(m):
 
 @pytest.mark.parametrize("m", [12, 13, 14, 15, 16])
 def test_real_fft_paths_at_their_switch(m):
-    # at N = 8 the spectrum takes one irfft from m = 2N-1 = 15 up and the
-    # adjoint one rfft from m = 14 (n = m//2 + 1) up; Im r[0] is ignored
+    # at N = 8 both validated wrappers refuse transforms shorter than
+    # 2N - 1 = 15; from there up one irfft and one rfft are exact, and
+    # Im r[0] is ignored
     n = 8
     rng = np.random.default_rng(m)
     r = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if m < 2 * n - 1:
+        r[0] = abs(r[0])
+        with pytest.raises(ValueError, match="m=.*2N-1=15"):
+            correlation_to_intensity(r, m)
+        with pytest.raises(ValueError, match="l=.*2N-1=15"):
+            correlation_psd_check(r, m)
+        return
     y = rng.normal(size=m)
     f = naive_dft(np.eye(n), m)
     itil = np.diag(doubled_lags(np.ones(n)))
@@ -212,3 +224,11 @@ def test_measurement_set_validation():
     assert np.isfinite(ms.snr_db())
     with pytest.raises(ValueError):
         MeasurementSet([np.nan], 1)
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 7)])
+def test_measurement_set_needs_2n_samples(shape):
+    # one check at construction serves every solver, for one row or a stack
+    with pytest.raises(ValueError, match=r"needs M >= 2N \(got M=7, N=4\)"):
+        MeasurementSet(np.ones(shape), 4)
+    assert MeasurementSet(np.ones(shape[:-1] + (8,)), 4).m == 8
