@@ -1,8 +1,8 @@
 """Command-line pipeline: measure, recover, factorize, bench.
 
 Exit codes: 0 success, 2 validation error, 3 solver non-convergence (or, on
-augmented data, an estimate that fails the min-phase certificate), 4 I/O
-error.
+augmented data, an estimate that fails the min-phase certificate, checked
+at every N), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -98,13 +98,8 @@ def cmd_recover(args) -> int:
 
     if ms.real_signal:
         xmin = xmin.real.astype(complex)
-    if ms.n <= ROOT_SF_MAX_N:
-        try:
-            flag, max_mod = is_min_phase(xmin)
-            diagnostics["min_phase"] = {"flag": bool(flag),
-                                        "max_root_modulus": max_mod}
-        except ValueError:
-            pass
+    flag, margin = is_min_phase(xmin)
+    diagnostics["min_phase"] = {"flag": flag, "margin": margin}
     estimate = xmin if direct_mode else deaugment(xmin, ms.augmentation)
     if args.reference:
         ref = _load_signal(args.reference)
@@ -116,24 +111,23 @@ def cmd_recover(args) -> int:
     if diagnostics.get("converged") is False:
         return EXIT_NO_CONVERGENCE
     # deaugment is exact only for a minimum-phase estimate
-    if not direct_mode and diagnostics.get("min_phase", {}).get("flag") is False:
+    if not direct_mode and not flag:
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 
 def cmd_factorize(args) -> int:
     r = _load_signal(args.input)
-    _, _, ok = correlation_psd_check(r)
-    if not ok:
-        raise CliError("input is not a valid correlation (sampled spectrum "
-                       "has negative entries)", EXIT_VALIDATION)
     try:
+        if not correlation_psd_check(r)[2]:
+            raise CliError("input is not a valid correlation (sampled "
+                           "spectrum has negative entries)", EXIT_VALIDATION)
         if args.exact:
             x = root_sf(r)
         else:
             l = default_transform_length(r.size, args.l_factor)
             x = kolmogorov_sf(r, SfOptions(l=l))
-    except ValueError as exc:  # InvalidCorrelationError, or N out of range
+    except ValueError as exc:  # r0 not real or below 0, or N out of range
         raise CliError(str(exc), EXIT_VALIDATION) from exc
     pio.save_signal_file(args.output, x)
     return EXIT_OK
@@ -192,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--solver", choices=list(SOLVERS), default="cork")
     p.add_argument("--l-factor", type=int, default=32)
-    p.add_argument("--max-iters", type=int, default=10000)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--max-iters", type=int, help="default: the solver's own")
+    p.add_argument("--tol", type=float, help="default: the solver's own")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--real", action="store_true")
     p.add_argument("--reference", default=None,

@@ -3,11 +3,12 @@
 Two routes are provided.  The FFT route (``kolmogorov_sf``) takes half the
 log of the sampled correlation spectrum, obtains the phase as its Hilbert
 transform (log-magnitude and phase of a minimum-phase transfer function are
-a Hilbert pair), and inverts.  The algebraic route (``root_sf``) factors the
-two-sided correlation polynomial (companion-matrix eigenvalues, ``np.roots``),
-whose zeros come in conjugate-reciprocal pairs, and keeps the ones inside the
-unit circle; it is accurate only for small N and serves as a
-cross-validation oracle.
+a Hilbert pair), and inverts.  The algebraic route (``root_sf``) finds the
+zeros of the two-sided correlation polynomial (companion-matrix eigenvalues,
+``np.roots``), which come in conjugate-reciprocal pairs, and keeps the N-1
+innermost; it is accurate only for small N and serves as a
+cross-validation oracle.  ``is_min_phase`` certifies a signal minimum phase
+at any N by the argument principle.
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import (as_correlation, as_correlation_rows, as_signal,
-                      check_transform_length, correlation_spectrum)
+                      check_transform_length, correlation_psd_check,
+                      correlation_spectrum)
 
 __all__ = ["SfOptions", "kolmogorov_sf", "root_sf", "is_min_phase",
            "InvalidCorrelationError"]
 
 ROOT_SF_MAX_N = 48  # coefficient expansion loses accuracy as N approaches 64
 FLOOR_EPS = 1e-12   # relative spectral floor before the log
+MIN_PHASE_TOL = 1e-6       # zeros up to modulus 1 + tol count as inside
+MIN_PHASE_MAX_L = 2 ** 22  # longest transform is_min_phase tries
 
 
 class InvalidCorrelationError(ValueError):
@@ -65,84 +69,66 @@ def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
     return x[..., :n]
 
 
-def is_min_phase(x, tol: float = 1e-6):
-    """True iff every zero of the z-transform of ``x`` has modulus <= 1+tol.
+def is_min_phase(x):
+    """Certify that every zero of X(z) = sum x_n z^-n has |z| <= 1 + tol.
 
-    Returns ``(flag, max_root_modulus)``.  Requires x[0] != 0 so the zero
-    set is well posed.
+    Counts the zeros of P(w) = sum x_n w^n in |w| < 1/(1+tol) as the
+    winding number about 0 of L samples fft(x_rho, L) on that circle.  L
+    doubles from the power of two >= 4N until every chord between adjacent
+    samples is farther from 0 than (pi/L)^2 (N-1)^2 ||x_rho||_1 / 2, the
+    linear-interpolation error under Bernstein's |P''| <= (N-1)^2 max|P|;
+    then P has no zero between samples and the winding is exact.  Past
+    ``MIN_PHASE_MAX_L`` x is not certified.  Returns ``(flag, margin)``,
+    margin = min |P| over the samples / ||x_rho||_1; x[0] == 0 (a zero at
+    the origin) gives ``(False, 0.0)``.
     """
     x = as_signal(x)
     if x[0] == 0:
-        raise ValueError("x[0] must be nonzero for a well-posed zero set")
-    if x.size == 1:
-        return True, 0.0
-    roots = np.roots(x)
-    max_mod = float(np.abs(roots).max()) if roots.size else 0.0
-    return max_mod <= 1.0 + tol, max_mod
-
-
-def _pair_roots(roots: np.ndarray) -> list[complex]:
-    """Select one root per conjugate-reciprocal pair, preferring |z| <= 1."""
-    remaining = list(range(len(roots)))
-    chosen: list[complex] = []
-    while remaining:
-        i = remaining.pop(0)
-        zi = roots[i]
-        if zi == 0:
-            # reciprocal partner is at infinity (trimmed leading coefficient)
-            chosen.append(zi)
-            continue
-        if abs(abs(zi) - 1.0) <= 1e-8 and not remaining:
-            chosen.append(zi)
-            continue
-        best_j, best_err = None, np.inf
-        for j in remaining:
-            err = abs(zi * np.conj(roots[j]) - 1.0)
-            if err < best_err:
-                best_j, best_err = j, err
-        pair_tol = 1e-6 * (1.0 + abs(zi) ** 2)
-        if best_j is None or best_err > pair_tol:
-            if abs(abs(zi) - 1.0) <= 1e-6:
-                # near-circle double root: keep one copy
-                chosen.append(zi / abs(zi))
-                continue
-            raise InvalidCorrelationError(
-                f"unpaired spectral zero at {zi} (pairing error {best_err:.3g})")
-        zj = roots[best_j]
-        remaining.remove(best_j)
-        chosen.append(zi if abs(zi) <= abs(zj) else zj)
-    return chosen
+        return False, 0.0
+    n = x.size
+    x_rho = x * (1.0 + MIN_PHASE_TOL) ** -np.arange(n)
+    norm1 = float(np.abs(x_rho).sum())
+    l = 1 << (4 * n - 1).bit_length()
+    while True:
+        p = np.fft.fft(x_rho, l)
+        p_next = np.roll(p, -1)
+        step = p_next - p
+        # the point of each chord p + t * step nearest to 0
+        t = np.clip(-(np.conj(p) * step).real
+                    / np.maximum(np.abs(step) ** 2, 1e-300), 0.0, 1.0)
+        margin = float(np.abs(p).min()) / norm1
+        if np.abs(p + t * step).min() > 0.5 * (np.pi * (n - 1) / l) ** 2 * norm1:
+            winding = np.angle(p_next * np.conj(p)).sum() / (2 * np.pi)
+            return bool(round(winding) == 0), margin
+        if 2 * l > MIN_PHASE_MAX_L:
+            return False, margin
+        l *= 2
 
 
 def root_sf(r) -> np.ndarray:
     """Algebraic spectral factorization through the zeros of R(z).
 
-    Only for N <= 48; the coefficient expansion is too ill-conditioned
-    beyond that (use ``kolmogorov_sf``).  The output is scaled to energy
-    r0 with a real positive leading entry.
+    The zeros of z^{N-1} R(z) pair as (z, 1/conj(z)), a zero at the origin
+    with one at infinity, so the N-1 innermost are those of the
+    minimum-phase factor.  ``r`` must pass ``correlation_psd_check``.  Only
+    for N <= 48; the coefficient expansion is too ill-conditioned beyond
+    that (use ``kolmogorov_sf``).  The output has energy r0 and a real
+    positive leading entry.
     """
     r = as_correlation(r)
     n = r.size
     if n > ROOT_SF_MAX_N:
         raise ValueError(
             f"root_sf supports N <= {ROOT_SF_MAX_N}; use kolmogorov_sf for N={n}")
-    r0 = r[0].real
-    if r0 < 0:
+    # correlation_psd_check tolerates r0 slightly below 0; sqrt does not
+    if r[0].real < 0:
         raise InvalidCorrelationError("r0 must be nonnegative")
-    if n == 1:
-        return np.array([np.sqrt(r0)], dtype=complex)
+    if not correlation_psd_check(r)[2]:
+        raise InvalidCorrelationError(
+            "sampled correlation spectrum has negative entries")
     # z^{N-1} R(z) has descending coefficients [r*_{N-1} .. r*_1, r0, r1 .. r_{N-1}]
-    coeffs = np.concatenate((np.conj(r[1:][::-1]), [r[0]], r[1:]))
-    lead_trim = np.trim_zeros(coeffs, "f")
-    if lead_trim.size <= 1:
-        return np.concatenate(([np.sqrt(r0)], np.zeros(n - 1, dtype=complex)))
-    roots = np.roots(coeffs)
-    inside = _pair_roots(roots)
-    x = np.array([1.0], dtype=complex)
-    for zero in inside:
-        x = np.convolve(x, [1.0, -zero])
-    x = np.concatenate((x, np.zeros(n - x.size, dtype=complex)))[:n]
-    x *= np.sqrt(r0) / np.linalg.norm(x)
-    if x[0] != 0:
-        x *= abs(x[0]) / x[0]
-    return x
+    zeros = np.roots(np.concatenate((np.conj(r[:0:-1]), r)))
+    inside = zeros[np.argsort(np.abs(zeros))[:n - 1]]
+    x = np.zeros(n, dtype=complex)
+    x[:inside.size + 1] = np.poly(inside)
+    return x * (np.sqrt(r[0].real) / np.linalg.norm(x))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,11 +109,11 @@ def test_summarize_and_persist(tmp_path):
     assert not any(k.startswith("times") for k in summary["metrics"])
 
     paths = aggregate_and_persist(results, str(tmp_path))
-    lines = open(paths["results"]).read().splitlines()
+    lines = Path(paths["results"]).read_text().splitlines()
     assert len(lines) == 2
     assert [json.loads(ln)["trial"] for ln in lines] == [0, 1]
-    assert json.load(open(paths["summary"]))["trials"] == 2
-    header = open(paths["curves"]).readline().strip()
+    assert json.loads(Path(paths["summary"]).read_text())["trials"] == 2
+    header = Path(paths["curves"]).read_text().splitlines()[0].strip()
     assert header == "x,y,series"
 
 
@@ -123,7 +124,7 @@ def test_results_jsonl_identical_modulo_times(tmp_path):
         d = tmp_path / name
         aggregate_and_persist(run_experiment(cfg), str(d))
         rows = [strip_times(json.loads(ln))
-                for ln in open(d / "results.jsonl").read().splitlines()]
+                for ln in (d / "results.jsonl").read_text().splitlines()]
         out.append(json.dumps(rows, sort_keys=True))
     assert out[0] == out[1]
 
@@ -166,7 +167,7 @@ def test_crb_results_jsonl_identical_modulo_times(tmp_path):
         d = tmp_path / name
         aggregate_and_persist(run_experiment(cfg), str(d))
         rows = [strip_times(json.loads(ln))
-                for ln in open(d / "results.jsonl").read().splitlines()]
+                for ln in (d / "results.jsonl").read_text().splitlines()]
         out.append(json.dumps(rows, sort_keys=True))
     assert out[0] == out[1]
 

@@ -47,10 +47,36 @@ def test_recover_gs_factors_before_deaugment(tmp_path, capsys, n):
     assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
     capsys.readouterr()
     assert main(["recover", "--input", str(meas), "--output", str(out),
-                 "--solver", "gs", "--reference", str(sig)]) == 0
+                 "--solver", "gs", "--reference", str(sig),
+                 "--max-iters", "10000", "--tol", "1e-8"]) == 0
     diag = json.loads(capsys.readouterr().out)
     assert diag["min_phase"]["flag"]
     assert diag["ref_error_rel"] <= 1e-6
+
+
+def test_recover_keeps_the_solver_default_budget(tmp_path, capsys,
+                                                 monkeypatch):
+    # without --max-iters and --tol, fienup runs with its own defaults,
+    # not with cork's
+    from phaseret import baselines
+    seen = []
+    solve = baselines.fienup_solve
+
+    def spy(b, opts=None):
+        seen.append(opts)
+        return solve(b, opts)
+
+    monkeypatch.setattr(baselines, "fienup_solve", spy)
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    write_signal(sig)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    assert main(["recover", "--input", str(meas), "--output",
+                 str(tmp_path / "out.json"), "--solver", "fienup"]) == 0
+    capsys.readouterr()
+    defaults = baselines.IterativeOptions()
+    assert [(o.max_iters, o.tol) for o in seen] == [(defaults.max_iters,
+                                                     defaults.tol)]
 
 
 @pytest.mark.parametrize("solver", ["cork", "phaselift-sf", "fienup", "gs"])
@@ -85,15 +111,29 @@ def test_recover_unconverged_solver_exits_3(tmp_path, capsys):
 
 
 def test_recover_uncertified_estimate_exits_3(tmp_path, capsys, monkeypatch):
+    # the certificate runs at every N, also beyond root_sf's range
+    monkeypatch.setattr("phaseret.cli.is_min_phase", lambda x: (False, 2.0))
+    for n in (8, 64):
+        sig = tmp_path / "sig.json"
+        meas = tmp_path / "meas.json"
+        write_signal(sig, n=n)
+        assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+        capsys.readouterr()
+        assert main(["recover", "--input", str(meas),
+                     "--output", str(tmp_path / "out.json")]) == 3, n
+        assert json.loads(capsys.readouterr().out)["min_phase"]["flag"] is False
+
+
+def test_recover_certifies_min_phase_at_n_64(tmp_path, capsys):
     sig = tmp_path / "sig.json"
     meas = tmp_path / "meas.json"
-    write_signal(sig)
+    write_signal(sig, n=64)
     assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr("phaseret.cli.is_min_phase", lambda x: (False, 2.0))
     assert main(["recover", "--input", str(meas),
-                 "--output", str(tmp_path / "out.json")]) == 3
-    assert json.loads(capsys.readouterr().out)["min_phase"]["flag"] is False
+                 "--output", str(tmp_path / "out.json")]) == 0
+    certificate = json.loads(capsys.readouterr().out)["min_phase"]
+    assert certificate["flag"] and certificate["margin"] > 0.0
 
 
 def test_recover_direct_mode_warns(tmp_path, capsys):
@@ -156,6 +196,17 @@ def test_factorize_rejects_invalid_correlation(tmp_path, capsys):
                  "--output", str(tmp_path / "x.json")])
     assert code == 2
     assert "not a valid correlation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+def test_factorize_complex_r0_exits_2(tmp_path, capsys, exact):
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps({"n": 2, "real": [1.0, 0.1],
+                                 "imag": [0.5, 0.0]}))
+    code = main(["factorize", "--input", str(rfile),
+                 "--output", str(tmp_path / "x.json")] + exact)
+    assert code == 2
+    assert "r[0] must be real" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra,message", [

@@ -3,8 +3,9 @@ import pytest
 
 from phaseret.measurement import AugmentationSpec, augment_min_phase, default_delta
 from phaseret.signals import autocorrelation, global_phase_distance
-from phaseret.specfact import (InvalidCorrelationError, ROOT_SF_MAX_N,
-                               SfOptions, is_min_phase, kolmogorov_sf, root_sf)
+from phaseret.specfact import (MIN_PHASE_TOL, ROOT_SF_MAX_N,
+                               InvalidCorrelationError, SfOptions,
+                               is_min_phase, kolmogorov_sf, root_sf)
 
 
 def rel_err(x, xhat):
@@ -45,17 +46,59 @@ def test_root_sf_accepts_long_min_phase_correlations():
 
 
 def test_is_min_phase():
-    flag, rad = is_min_phase([2.0, 1.0])
-    assert flag and rad == pytest.approx(0.5)
-    flag, rad = is_min_phase([1.0, 2.0])
-    assert not flag and rad == pytest.approx(2.0)
+    # margin = min |P| on the circle of radius 1/(1+tol) over ||x_rho||_1
+    flag, margin = is_min_phase([2.0, 1.0])
+    assert flag and margin == pytest.approx(1 / 3, rel=1e-5)
+    flag, margin = is_min_phase([1.0, 2.0])
+    assert not flag and margin == pytest.approx(1 / 3, rel=1e-5)
     # trailing zeros put every zero at the origin
-    assert is_min_phase([1.0, 0.0, 0.0]) == (True, 0.0)
+    assert is_min_phase([1.0, 0.0, 0.0]) == (True, 1.0)
     # 1 - z^-2 has its zeros on the unit circle at +-1
-    flag, rad = is_min_phase([1.0, 0.0, -1.0])
-    assert flag and rad == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        is_min_phase([0.0, 1.0])
+    flag, margin = is_min_phase([1.0, 0.0, -1.0])
+    assert flag and 0.0 < margin <= 2e-6
+    # x[0] == 0 is a zero at the origin of P
+    assert is_min_phase([0.0, 1.0]) == (False, 0.0)
+
+
+def _roots_min_phase(x):
+    zeros = np.roots(x)
+    return zeros.size == 0 or np.abs(zeros).max() <= 1.0 + MIN_PHASE_TOL
+
+
+def test_is_min_phase_matches_roots_oracle():
+    # augmented signals at impulse margins 1e-3, 1e-6 and 0, impulses below
+    # the margin, and raw Gaussian signals
+    rng = np.random.default_rng(3)
+    for k in range(500):
+        n = 1 + k % 48
+        s = rng.normal(size=n) + 1j * rng.normal(size=n)
+        kind = k % 5
+        if kind < 3:
+            delta = default_delta(s, margin=(1e-3, 1e-6, 0.0)[kind])
+            x = np.r_[delta, s]
+        elif kind == 3:
+            x = np.r_[0.5 * default_delta(s, margin=0.0), s]
+        else:
+            x = s
+        assert is_min_phase(x)[0] == _roots_min_phase(x), (k, x)
+
+
+def test_is_min_phase_transform_stays_short_on_augmented_input(monkeypatch):
+    # an augmented signal keeps |P| far from 0, so the winding count needs
+    # no transform much longer than the signal
+    lengths = []
+    fft = np.fft.fft
+
+    def spy(a, n=None, *args, **kwargs):
+        lengths.append(np.shape(a)[-1] if n is None else n)
+        return fft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", spy)
+    s = np.random.default_rng(11).normal(size=1024) + 0j
+    x = augment_min_phase(s, AugmentationSpec(delta=default_delta(s)))
+    flag, margin = is_min_phase(x)
+    assert flag and margin > 0.0
+    assert lengths and max(lengths) <= 16 * x.size
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -119,9 +162,37 @@ def test_stacked_kolmogorov_rows_equal_single_rows():
         assert np.array_equal(xs[k], kolmogorov_sf(rs[k], SfOptions(l=128)))
 
 
+def test_root_sf_gaussian_correlations():
+    # the N-1 innermost zeros of z^{N-1} R(z) reproduce r of signals with
+    # zeros on both sides of the circle
+    rng = np.random.default_rng(0)
+    for k in range(100):
+        n = 2 + k % 47
+        r = autocorrelation(rng.normal(size=n) + 1j * rng.normal(size=n))
+        err = np.abs(autocorrelation(root_sf(r)) - r).max()
+        assert err <= 1e-9 * r[0].real, (n, err)
+
+
+def test_root_sf_near_circle_augmented():
+    # an impulse margin of 1e-6 puts zeros of x within about 1e-6 of the
+    # circle, where a pairing tolerance would mistake one for a double zero
+    rng = np.random.default_rng(7)
+    for n in range(2, ROOT_SF_MAX_N + 1):
+        s = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+        x = augment_min_phase(s, AugmentationSpec(delta=default_delta(s, 1e-6)))
+        r = autocorrelation(x)
+        assert global_phase_distance(x, root_sf(r)) <= 1e-12 * r[0].real, n
+
+
+@pytest.mark.parametrize("r", [[-1e-12], [-1e-12, 0.0], [-1.0, 0.0]])
+def test_root_sf_rejects_negative_r0(r):
+    with pytest.raises(InvalidCorrelationError):
+        root_sf(r)
+
+
 def test_invalid_correlation_rejected():
     with pytest.raises((InvalidCorrelationError, ValueError)):
-        root_sf([1.0, 0.9])  # spectrum dips negative; roots cannot pair
+        root_sf([1.0, 0.9])  # spectrum dips negative
 
 
 def test_root_sf_size_guard():
