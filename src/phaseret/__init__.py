@@ -8,8 +8,7 @@ scale, classical alternating-projection baselines, and a Monte-Carlo
 benchmark harness.
 """
 
-from .baselines import (IterativeOptions, fienup_sf, fienup_solve, gs_sf,
-                        gs_solve)
+from .baselines import IterativeOptions, fienup_sf, fienup_solve, gs_solve
 from .cork import AdmmOptions, CorkDiagnostics, solve_cork
 from .crb import compute_crb, intensity_jacobian
 from .measurement import (AugmentationSpec, ImpulseMarginWarning, add_noise,

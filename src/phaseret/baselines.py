@@ -8,10 +8,11 @@ decreases the cost
     cost(x) = min over unit-modulus psi of || diag(sqrt(b)) psi - F_M x ||^2
             = || sqrt(b) - |F_M x| ||^2.
 
-Dykstra's correction with unit step gives Fienup's algorithm.  Fienup-SF and
-GS-SF re-express the iterative output through its autocorrelation and factor
-it, yielding a minimum-phase estimate with the identical fit (the intensity
-model depends on the signal only through its autocorrelation).
+Dykstra's correction with unit step gives Fienup's algorithm.  Fienup-SF
+re-expresses the Fienup output through its autocorrelation and factors it at
+the default transform length, yielding a minimum-phase estimate with the
+identical fit (the intensity model depends on the signal only through its
+autocorrelation).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import MeasurementSet, autocorrelation
-from .specfact import SfOptions, kolmogorov_sf
+from .specfact import kolmogorov_sf
 
-__all__ = ["IterativeOptions", "gs_solve", "gs_sf", "fienup_solve", "fienup_sf"]
+__all__ = ["IterativeOptions", "gs_solve", "fienup_solve", "fienup_sf"]
 
 GS_REFINE_ITERS = 5000   # cap on the GS refinement after Fienup
 
@@ -33,7 +34,6 @@ class IterativeOptions:
     max_iters: int = 1000
     tol: float = 1e-10
     seed: int = 0
-    sf_l: int | None = None       # transform length for the *_sf factorization
 
 
 def _magnitude_project(y: np.ndarray, root_b: np.ndarray) -> np.ndarray:
@@ -115,23 +115,10 @@ def fienup_solve(b: MeasurementSet, opts: IterativeOptions | None = None):
     return x
 
 
-def _min_phase_equivalent(x: np.ndarray, opts: IterativeOptions) -> np.ndarray:
-    """The minimum-phase signal with the autocorrelation (and fit) of ``x``."""
-    return kolmogorov_sf(autocorrelation(x), SfOptions(l=opts.sf_l))
-
-
 def fienup_sf(b: MeasurementSet, opts: IterativeOptions | None = None):
     """Fienup followed by autocorrelation + spectral factorization.
 
     The output is minimum phase and produces the same intensity model (and
     hence the same fit) as the raw Fienup estimate.
     """
-    opts = opts or IterativeOptions()
-    return _min_phase_equivalent(fienup_solve(b, opts), opts)
-
-
-def gs_sf(b: MeasurementSet, opts: IterativeOptions | None = None):
-    """Gerchberg-Saxton followed by the same factorization as ``fienup_sf``."""
-    opts = opts or IterativeOptions()
-    x, _ = gs_solve(b, opts)
-    return _min_phase_equivalent(x, opts)
+    return kolmogorov_sf(autocorrelation(fienup_solve(b, opts)))

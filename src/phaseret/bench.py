@@ -13,7 +13,8 @@ Three experiment kinds:
 
 Gap and recovery trials run the solvers named in ``ExperimentConfig.solvers``
 from ``SOLVERS``, the one table of minimum-phase solvers that ``phaseret
-recover`` also uses.  Trials are deterministic: trial t uses
+recover`` also uses; every solver samples at the default transform length.
+Trials are deterministic: trial t uses
 ``SeedSequence([master_seed, t])``, so runs are reproducible and trivially
 parallel.  Persistence writes results.jsonl (one trial per line),
 summary.json, and plot-ready curves.csv.
@@ -30,15 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import IterativeOptions, fienup_sf, gs_sf
+from .baselines import IterativeOptions, fienup_sf, gs_solve
 from .cork import AdmmOptions, solve_cork
 from .crb import compute_crb
 from .io import atomic_write_text
 from .measurement import AugmentationSpec, augment_min_phase, deaugment
 from .sdp import SdpOptions, phaselift_sf, phaselift_value
-from .signals import (MeasurementSet, default_transform_length,
-                      global_phase_distance, intensity_measure)
-from .specfact import SfOptions, kolmogorov_sf
+from .signals import (MeasurementSet, autocorrelation, global_phase_distance,
+                      intensity_measure)
+from .specfact import kolmogorov_sf
 
 __all__ = ["SOLVERS", "ExperimentConfig", "run_gap_trial",
            "run_recovery_trial", "run_crb_study", "run_experiment",
@@ -57,40 +58,43 @@ def _options(cls, **values):
     return cls(**{k: v for k, v in values.items() if v is not None})
 
 
-# Each solver maps (measurements, transform length l, seed, optional
-# max_iters and tol; None keeps the solver's default, and phaselift-sf
-# ignores l and tol) to (minimum-phase estimate, diagnostics); the diagnostics
+# Each solver maps (measurements, seed, optional max_iters and tol; None
+# keeps the solver's default, and phaselift-sf ignores tol) to (minimum-phase
+# estimate, diagnostics) at the default transform length; the diagnostics
 # always hold ``fit`` and ``converged``.  ``cork`` also takes a stacked
 # measurement set and returns one estimate and one diagnostics dict per
 # row, which is how the CRB study runs its trials.  The entries call the
 # solvers through this module's globals, so a caller that rebinds them (a
 # tracer, a test) sees every call.
 
-def _cork(ms, l, seed, max_iters=None, tol=None):
-    r, diag = solve_cork(ms, _options(AdmmOptions, l=l, max_iters=max_iters,
+def _cork(ms, seed, max_iters=None, tol=None):
+    r, diag = solve_cork(ms, _options(AdmmOptions, max_iters=max_iters,
                                       tol_rel=tol))
-    return kolmogorov_sf(r, SfOptions(l=l)), diag.to_json()
+    return kolmogorov_sf(r), diag.to_json()
 
 
-def _phaselift_sf(ms, l, seed, max_iters=None, tol=None):
+def _phaselift_sf(ms, seed, max_iters=None, tol=None):
     x, _, diag = phaselift_sf(ms, _options(SdpOptions, max_iters=max_iters))
     return x, {"fit": diag.fit, "converged": diag.converged,
                "lower_bound": diag.lower_bound}
 
 
-# The alternating-projection baselines stop on a stalled cost or their
-# iteration cap and certify nothing; the min-phase certificate checks them.
+# The alternating-projection baselines certify nothing about accuracy; the
+# min-phase certificate checks them.  GS has converged when its stalled-cost
+# test fired before the cap (one cost per iteration, plus the last); Fienup's
+# Dykstra phase has no stopping test.
 
-def _fienup(ms, l, seed, max_iters=None, tol=None):
-    x = fienup_sf(ms, _options(IterativeOptions, seed=seed, sf_l=l,
+def _fienup(ms, seed, max_iters=None, tol=None):
+    x = fienup_sf(ms, _options(IterativeOptions, seed=seed,
                                max_iters=max_iters, tol=tol))
     return x, {"fit": _fit(x, ms.b), "converged": True}
 
 
-def _gs(ms, l, seed, max_iters=None, tol=None):
-    x = gs_sf(ms, _options(IterativeOptions, seed=seed, sf_l=l,
-                           max_iters=max_iters, tol=tol))
-    return x, {"fit": _fit(x, ms.b), "converged": True}
+def _gs(ms, seed, max_iters=None, tol=None):
+    opts = _options(IterativeOptions, seed=seed, max_iters=max_iters, tol=tol)
+    x, history = gs_solve(ms, opts)
+    x = kolmogorov_sf(autocorrelation(x))
+    return x, {"fit": _fit(x, ms.b), "converged": history.size <= opts.max_iters}
 
 
 SOLVERS = {"cork": _cork, "phaselift-sf": _phaselift_sf, "fienup": _fienup,
@@ -164,7 +168,6 @@ def run_gap_trial(config: ExperimentConfig, trial_index: int) -> dict:
     b = rng.uniform(size=m)
     bscale = float(np.linalg.norm(b) ** 2)
     ms = MeasurementSet(b, n)
-    l = default_transform_length(n)
 
     result = {"trial": trial_index, "kind": "gap", "n": n, "m": m,
               "b_norm2": bscale, "fits": {}, "gaps": {}, "gaps_rel": {},
@@ -179,7 +182,7 @@ def run_gap_trial(config: ExperimentConfig, trial_index: int) -> dict:
     for name in config.solvers:
         try:
             t0 = time.perf_counter()
-            _, diag = SOLVERS[name](ms, l, trial_index)
+            _, diag = SOLVERS[name](ms, trial_index)
             elapsed = time.perf_counter() - t0
         except Exception as exc:  # noqa: BLE001 - per-solver capture
             result["errors"][name] = str(exc)
@@ -216,12 +219,11 @@ def run_recovery_trial(config: ExperimentConfig, trial_index: int) -> dict:
                 intensity_measure(s, int(config.m_multiplier * n)), n)))
     for arm, ms in arms:
         bscale = float(np.linalg.norm(ms.b) ** 2)
-        l = default_transform_length(ms.n)
         for name in config.solvers:
             key = f"{name}_{arm}"
             try:
                 t0 = time.perf_counter()
-                shat, diag = SOLVERS[name](ms, l, trial_index)
+                shat, diag = SOLVERS[name](ms, trial_index)
                 if ms.augmentation is not None:
                     shat = deaugment(shat, ms.augmentation)
                 elapsed = time.perf_counter() - t0
@@ -251,7 +253,6 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
     s_energy = float(np.linalg.norm(s) ** 2)
     spec = AugmentationSpec(3.0 * n)
     smin = augment_min_phase(s, spec)
-    l = default_transform_length(smin.size)
 
     points = []
     lo, hi, count = config.m_sweep
@@ -275,7 +276,7 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
         t0 = time.perf_counter()
         noisy = b_clean + np.sqrt(sigma2) * unit_noise[:, :m]
         ms = MeasurementSet(noisy, smin.size, sigma2=sigma2, augmentation=spec)
-        shat = deaugment(SOLVERS["cork"](ms, l, None)[0], spec)
+        shat = deaugment(SOLVERS["cork"](ms, None)[0], spec)
         mse = float(np.mean([np.linalg.norm(s - row) ** 2 for row in shat]))
         elapsed = time.perf_counter() - t0
         return {"kind": "crb", "series": series, "x": x_value, "m": m,

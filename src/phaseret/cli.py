@@ -1,5 +1,9 @@
 """Command-line pipeline: measure, recover, factorize, bench.
 
+``recover`` and ``factorize`` sample the correlation spectrum at the default
+transform length (the smallest power of two above 32N); ``recover`` takes
+signal realness from the measurement file, which ``measure --real`` sets.
+
 Exit codes: 0 success, 2 validation error, 3 solver non-convergence (or, on
 augmented data, an estimate that fails the min-phase certificate, checked
 at every N), 4 I/O error.
@@ -19,9 +23,8 @@ from .bench import SOLVERS, ExperimentConfig, aggregate_and_persist, \
 from .measurement import (AugmentationSpec, add_noise, deaugment,
                           default_delta, margin_violated, measure_augmented)
 from .signals import (MeasurementSet, correlation_psd_check,
-                      default_transform_length, global_phase_distance)
-from .specfact import ROOT_SF_MAX_N, SfOptions, is_min_phase, \
-    kolmogorov_sf, root_sf
+                      global_phase_distance)
+from .specfact import ROOT_SF_MAX_N, is_min_phase, kolmogorov_sf, root_sf
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -85,10 +88,8 @@ def cmd_recover(args) -> int:
             "no augmentation metadata: direct mode; the minimum-phase "
             "estimate is one of many signals with these intensities")
 
-    l = default_transform_length(ms.n, args.l_factor)
-    ms.real_signal = ms.real_signal or args.real
     try:
-        xmin, diag = SOLVERS[args.solver](ms, l, args.seed,
+        xmin, diag = SOLVERS[args.solver](ms, args.seed,
                                           max_iters=args.max_iters, tol=args.tol)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
@@ -122,11 +123,7 @@ def cmd_factorize(args) -> int:
         if not correlation_psd_check(r)[2]:
             raise CliError("input is not a valid correlation (sampled "
                            "spectrum has negative entries)", EXIT_VALIDATION)
-        if args.exact:
-            x = root_sf(r)
-        else:
-            l = default_transform_length(r.size, args.l_factor)
-            x = kolmogorov_sf(r, SfOptions(l=l))
+        x = root_sf(r) if args.exact else kolmogorov_sf(r)
     except ValueError as exc:  # r0 not real or below 0, or N out of range
         raise CliError(str(exc), EXIT_VALIDATION) from exc
     pio.save_signal_file(args.output, x)
@@ -185,11 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--solver", choices=list(SOLVERS), default="cork")
-    p.add_argument("--l-factor", type=int, default=32)
     p.add_argument("--max-iters", type=int, help="default: the solver's own")
     p.add_argument("--tol", type=float, help="default: the solver's own")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--real", action="store_true")
     p.add_argument("--reference", default=None,
                    help="optional true signal for error reporting")
     p.set_defaults(func=cmd_recover)
@@ -197,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factorize", help="minimum-phase factor of a correlation")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--l-factor", type=int, default=32)
     p.add_argument("--exact", action="store_true",
                    help=f"use the root method (N <= {ROOT_SF_MAX_N})")
     p.set_defaults(func=cmd_factorize)
@@ -216,9 +210,6 @@ def main(argv=None) -> int:
         if args.oversampling < 2 and not args.m:
             parser.exit(EXIT_VALIDATION,
                         "oversampling must be >= 2 (identifiability needs M >= 2N)\n")
-    if getattr(args, "l_factor", 2) < 2:
-        parser.exit(EXIT_VALIDATION,
-                    "l-factor must be >= 2 (the transform length must reach 2N)\n")
     try:
         return args.func(args)
     except CliError as exc:

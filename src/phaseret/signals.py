@@ -78,10 +78,10 @@ def as_correlation_rows(r) -> np.ndarray:
     return r
 
 
-def default_transform_length(n: int, factor: int = 32) -> int:
-    """Smallest power of two strictly greater than ``factor * n``."""
+def default_transform_length(n: int) -> int:
+    """Smallest power of two strictly greater than 32N."""
     l = 1
-    while l <= factor * n:
+    while l <= 32 * n:
         l *= 2
     return l
 

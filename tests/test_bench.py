@@ -4,14 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaseret.bench import (ExperimentConfig, aggregate_and_persist,
+from phaseret.baselines import IterativeOptions, fienup_sf, gs_solve
+from phaseret.bench import (SOLVERS, ExperimentConfig, aggregate_and_persist,
                             check_thresholds, run_crb_study, run_experiment,
                             run_gap_trial, run_recovery_trial, summarize)
 from phaseret.cork import AdmmOptions, solve_cork
 from phaseret.crb import compute_crb
-from phaseret.measurement import AugmentationSpec, augment_min_phase, deaugment
-from phaseret.signals import (MeasurementSet, default_transform_length,
-                              intensity_measure)
+from phaseret.measurement import (AugmentationSpec, augment_min_phase,
+                                  deaugment, measure_augmented)
+from phaseret.sdp import phaselift_sf
+from phaseret.signals import (MeasurementSet, autocorrelation,
+                              default_transform_length, intensity_measure)
 from phaseret.specfact import SfOptions, kolmogorov_sf
 
 
@@ -72,6 +75,27 @@ def test_recovery_trial_runs_every_listed_solver():
     assert set(row["errors_rel"]) == {"phaselift-sf_minphase",
                                       "phaselift-sf_direct"}
     assert row["errors_rel"]["phaselift-sf_minphase"] <= 1e-3
+
+
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_solver_entries_are_their_library_compositions(name):
+    # an entry takes no transform length: it factors at the default one
+    rng = np.random.default_rng(11)
+    s = rng.normal(size=8) + 1j * rng.normal(size=8)
+    ms = measure_augmented(s, AugmentationSpec(delta=3.0 * 8), 36)
+    seed = 3
+    sf = SfOptions(l=default_transform_length(ms.n))
+    want = {
+        "cork": lambda: kolmogorov_sf(
+            solve_cork(ms, AdmmOptions(l=sf.l))[0], sf),
+        "phaselift-sf": lambda: phaselift_sf(ms)[0],
+        "fienup": lambda: fienup_sf(ms, IterativeOptions(seed=seed)),
+        "gs": lambda: kolmogorov_sf(autocorrelation(
+            gs_solve(ms, IterativeOptions(seed=seed))[0]), sf),
+    }[name]()
+    x, diag = SOLVERS[name](ms, seed)
+    assert np.array_equal(x, want)
+    assert {"fit", "converged"} <= set(diag)
 
 
 def test_unknown_solver_is_rejected():

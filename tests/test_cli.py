@@ -95,6 +95,39 @@ def test_recover_each_solver(tmp_path, capsys, solver):
     assert diag["ref_error_rel"] <= 1e-6
 
 
+@pytest.mark.parametrize("n,extra", [(8, ["--max-iters", "1"]), (16, [])])
+def test_recover_gs_at_its_cap_exits_3(tmp_path, capsys, n, extra):
+    # GS has converged only when its stalled-cost test fires before the cap;
+    # N = 16 at GS's own budget (1000 iterations, tol 1e-10) reaches it
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    write_signal(sig, seed=0 if n == 8 else n, n=n)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--input", str(meas), "--output",
+                 str(tmp_path / "out.json"), "--solver", "gs"] + extra) == 3
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["converged"] is False and diag["gs"]["converged"] is False
+
+
+def test_recover_real_signal_from_the_measurement_file(tmp_path, capsys):
+    # realness comes from the file that measure --real writes
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    out = tmp_path / "out.json"
+    s = np.random.default_rng(5).normal(size=8)
+    save_signal_file(str(sig), s)
+    assert main(["measure", "--input", str(sig), "--output", str(meas),
+                 "--real"]) == 0
+    assert json.loads(meas.read_text())["real_signal"] is True
+    assert main(["recover", "--input", str(meas), "--output", str(out),
+                 "--reference", str(sig)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])[
+        "ref_error_rel"] <= 1e-10
+    shat = load_signal_file(str(out))
+    assert np.all(shat.imag == 0.0)
+
+
 def test_recover_unconverged_solver_exits_3(tmp_path, capsys):
     from phaseret.io import save_measurement_file
     from phaseret.signals import MeasurementSet
@@ -330,23 +363,3 @@ def test_measure_oversampling_validation(tmp_path):
     with pytest.raises(SystemExit):
         main(["measure", "--input", str(sig), "--output",
               str(tmp_path / "m.json"), "--oversampling", "1.5"])
-
-
-@pytest.mark.parametrize("command,l_factor", [("recover", "1"), ("recover", "0"),
-                                               ("recover", "-3"),
-                                               ("factorize", "0")])
-def test_l_factor_below_two_exits_2(tmp_path, capsys, command, l_factor):
-    # a transform shorter than 2N is a usage error, not a solver traceback
-    inp = tmp_path / "in.json"
-    if command == "recover":
-        sig = tmp_path / "sig.json"
-        write_signal(sig)
-        assert main(["measure", "--input", str(sig), "--output", str(inp)]) == 0
-    else:
-        save_signal_file(str(inp), autocorrelation(write_signal(tmp_path / "s.json")))
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--input", str(inp), "--output",
-              str(tmp_path / "out.json"), "--l-factor", l_factor])
-    assert exc.value.code == 2
-    assert "l-factor must be >= 2" in capsys.readouterr().err
