@@ -96,7 +96,9 @@ def fienup_solve(b: MeasurementSet, opts: IterativeOptions | None = None):
 
     The Dykstra phase runs for ``opts.max_iters`` iterations (the increments
     make the iterates converge toward the intersection of the two sets when
-    it is nonempty); the GS phase then polishes until the cost stalls.
+    it is nonempty); the GS phase then polishes until the cost stalls, for
+    at most ``GS_REFINE_ITERS`` iterations.  Returns ``(x, cost_history)``
+    with the refinement's history, as :func:`gs_solve` gives it.
     """
     opts = opts or IterativeOptions()
     root_b = np.sqrt(np.maximum(np.asarray(b.b, dtype=float), 0.0))
@@ -111,8 +113,7 @@ def fienup_solve(b: MeasurementSet, opts: IterativeOptions | None = None):
 
     refine = IterativeOptions(max_iters=GS_REFINE_ITERS, tol=opts.tol,
                               seed=opts.seed)
-    x, _ = gs_solve(b, refine, y0=y)
-    return x
+    return gs_solve(b, refine, y0=y)
 
 
 def fienup_sf(b: MeasurementSet, opts: IterativeOptions | None = None):
@@ -121,4 +122,4 @@ def fienup_sf(b: MeasurementSet, opts: IterativeOptions | None = None):
     The output is minimum phase and produces the same intensity model (and
     hence the same fit) as the raw Fienup estimate.
     """
-    return kolmogorov_sf(autocorrelation(fienup_solve(b, opts)))
+    return kolmogorov_sf(autocorrelation(fienup_solve(b, opts)[0]))

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import IterativeOptions, fienup_sf, gs_solve
+from .baselines import (GS_REFINE_ITERS, IterativeOptions, fienup_solve,
+                        gs_solve)
 from .cork import AdmmOptions, solve_cork
 from .crb import compute_crb
 from .io import atomic_write_text
@@ -81,13 +82,15 @@ def _phaselift_sf(ms, seed, max_iters=None, tol=None):
 
 # The alternating-projection baselines certify nothing about accuracy; the
 # min-phase certificate checks them.  GS has converged when its stalled-cost
-# test fired before the cap (one cost per iteration, plus the last); Fienup's
-# Dykstra phase has no stopping test.
+# test fired before the cap (one cost per iteration, plus the last).
+# Fienup's Dykstra phase has no stopping test, so its GS refinement decides.
 
 def _fienup(ms, seed, max_iters=None, tol=None):
-    x = fienup_sf(ms, _options(IterativeOptions, seed=seed,
-                               max_iters=max_iters, tol=tol))
-    return x, {"fit": _fit(x, ms.b), "converged": True}
+    x, history = fienup_solve(ms, _options(IterativeOptions, seed=seed,
+                                           max_iters=max_iters, tol=tol))
+    x = kolmogorov_sf(autocorrelation(x))
+    return x, {"fit": _fit(x, ms.b),
+               "converged": history.size <= GS_REFINE_ITERS}
 
 
 def _gs(ms, seed, max_iters=None, tol=None):

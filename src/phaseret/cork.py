@@ -1,4 +1,4 @@
-"""Autocorrelation retrieval by accelerated projected gradient on the dual.
+"""Autocorrelation retrieval by the exchange method on the dual.
 
 Solves the sampled convex program
 
@@ -13,10 +13,25 @@ minimizes over lam >= 0
 
     h(lam) = ||A_L^* lam||_{W^-1}^2 / (4M) + lam^T A_L r_ls
 
-with primal point r(lam) = r_ls + W^-1 A_L^* lam / (2M), gradient
-A_L r(lam) and Lipschitz constant L / (2M).  :func:`phaseret.sdp.fista`
-runs it with the projection lam -> max(lam, 0); each iteration costs two
-real L-point FFTs, one adjoint (``rfft``) and one spectrum (``irfft``).
+with primal point r(lam) = r_ls + W^-1 A_L^* lam / (2M) and gradient
+A_L r(lam), the spectrum of r(lam).  At the optimum only a handful of the
+L multipliers are positive, so the exchange method of semi-infinite
+programming (Hettich & Kortanek 1993, SIAM Review 35:380) solves for them
+on a working set S of grid frequencies w_j = 2 pi j / L.  On S, h is a
+nonnegative QP with Hessian K_S / (2M), where K is the Dirichlet kernel
+
+    K_ij = D(w_i - w_j),   D(d) = sin((2N - 1) d / 2) / sin(d / 2),
+
+or (D(w_i - w_j) + D(w_i + w_j)) / 2 for a real signal, whose spectrum is
+even, so S then stays in 0..L/2.  Lawson and Hanson's active-set method
+(1974, ch. 23) solves the QP from the previous step's multipliers.  Each
+exchange step then costs two real L-point FFTs, r(lam) by one ``rfft``
+and its spectrum by one ``irfft``; every local minimum of the spectrum
+below a roundoff threshold joins S, and zero multipliers leave it.  When
+nothing joins, lam is dual feasible, complementary on S and stationary by
+construction, which is the KKT point of the sampled program; h falls at
+every step, so no working set repeats.
+
 When A_L r_ls >= 0, lam = 0 already meets every KKT condition and r_ls is
 returned after that one transform.  A stack of measurements (rows of a
 2D ``b``) shares that start and test, one transform pair for all rows.
@@ -27,22 +42,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr_delete
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .sdp import fista
 from .signals import (MeasurementSet, check_transform_length,
                       correlation_adjoint, correlation_spectrum, doubled_lags)
 
 __all__ = ["AdmmOptions", "CorkDiagnostics", "StackDiagnostics", "solve_cork"]
 
-TOL_ABS = 1e-10   # absolute stop, scaled by sqrt(L)
+VIOLATION_TOL = 1e-12   # relative to max |A_L r_ls|: spectrum roundoff
 
 
 @dataclass
 class AdmmOptions:
-    """Options of :func:`solve_cork`."""
+    """Options of :func:`solve_cork`.
+
+    ``tol_rel`` has no reader; it is kept for the callers that pass it.
+    The exchange stops at roundoff within a few steps.  On speckle at
+    N = 128 the steps before the last leave samples 1.6e-4 r0 or more below
+    zero, so a looser stop would only come back as a lag-zero lift.
+    """
 
     l: int | None = None          # transform length, power of two, >= 2N
-    max_iters: int = 10000
+    max_iters: int = 10000        # exchange steps
     tol_rel: float = 1e-8
 
 
@@ -54,11 +76,13 @@ class CorkDiagnostics:
     converged: bool
     feasibility_lift: float = 0.0
     gap: float = 0.0              # duality gap: fit minus a lower bound
+    active: int = 0               # working-set size at exit
 
     def to_json(self) -> dict:
         return {"iters": self.iters, "fit": self.fit, "l": self.l,
                 "converged": self.converged,
-                "feasibility_lift": self.feasibility_lift, "gap": self.gap}
+                "feasibility_lift": self.feasibility_lift, "gap": self.gap,
+                "active": self.active}
 
 
 class StackDiagnostics(list):
@@ -78,6 +102,79 @@ class StackDiagnostics(list):
 
     def to_json(self) -> list:
         return [d.to_json() for d in self]
+
+
+def _dirichlet(d, n: int, l: int) -> np.ndarray:
+    """D(2 pi d / L) = sum over |k| < N of exp(2 pi i k d / L), integer d."""
+    d = np.asarray(d) % l
+    x = np.pi * np.where(d == 0, 1, d) / l
+    return np.where(d == 0, 2.0 * n - 1, np.sin((2 * n - 1) * x) / np.sin(x))
+
+
+def _working_set_kernel(s: np.ndarray, n: int, l: int,
+                        real_signal: bool) -> np.ndarray:
+    """K_S, the block of A_L W^-1 A_L^* on the grid indices ``s``."""
+    k = _dirichlet(s[:, None] - s[None, :], n, l)
+    if real_signal:
+        k = 0.5 * (k + _dirichlet(s[:, None] + s[None, :], n, l))
+    return k
+
+
+def _nonnegative_qp(k: np.ndarray, c: np.ndarray, mu: np.ndarray,
+                    tol: float) -> np.ndarray:
+    """argmin over mu >= 0 of mu^T k mu / 2 + c^T mu, Lawson-Hanson style.
+
+    Starts from a ``mu`` that is optimal on its own support and returns one
+    whose gradient k mu + c is >= -tol wherever it is zero.  The upper
+    Cholesky factor u of the free block (u^T u = k_FF) gains a column per
+    freed index and loses one per drop, each in O(|S|^2).
+    """
+    def solve(rhs, trans=0):
+        # u x = rhs, or u^T x = rhs; LAPACK rejects an empty system
+        return dtrtrs(u, rhs, trans=trans)[0] if rhs.size else rhs
+
+    free = np.flatnonzero(mu > 0)
+    u = dpotrf(k[np.ix_(free, free)])[0]
+    for _ in range(3 * mu.size + 1):
+        grad = k @ mu + c
+        grad[free] = np.inf
+        j = np.argmin(grad)
+        if grad[j] >= -tol:
+            break
+        col = solve(k[free, j], trans=1)
+        pivot = k[j, j] - col @ col
+        if pivot <= 0.0:        # k is numerically singular on free + j
+            break
+        grown = np.zeros((free.size + 1, free.size + 1), order="F")
+        grown[:-1, :-1], grown[:-1, -1], grown[-1, -1] = u, col, np.sqrt(pivot)
+        u, free = grown, np.r_[free, j]
+        while True:
+            z = np.zeros_like(mu)
+            z[free] = solve(solve(-c[free], trans=1))
+            if np.all(z[free] > 0):
+                mu = z
+                break
+            # step toward z until the first multiplier reaches zero
+            blocked = free[z[free] <= 0]
+            step = mu[blocked] / (mu[blocked] - z[blocked])
+            mu = mu + step.min() * (z - mu)
+            mu[blocked[np.argmin(step)]] = 0.0
+            for i in np.flatnonzero(mu[free] <= 0)[::-1]:
+                # delete column i from the QR factorization u = I u; the
+                # new R is the upper factor of k_FF without index i
+                u = np.asfortranarray(qr_delete(
+                    np.eye(free.size), u, i, which="col", overwrite_qr=True,
+                    check_finite=False)[1][:-1])
+                free = np.delete(free, i)
+    return mu
+
+
+def _violations(spec: np.ndarray, tol: float, real_signal: bool) -> np.ndarray:
+    """Grid indices of the circular local minima of ``spec`` below -tol."""
+    low = (spec < -tol) & (spec <= np.roll(spec, 1)) & (spec <= np.roll(spec, -1))
+    if real_signal:
+        low[spec.size // 2 + 1:] = False
+    return np.flatnonzero(low)
 
 
 def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
@@ -109,44 +206,51 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
     r_ls = constrain(correlation_adjoint(rows, n) / (m * w))
     spec_ls = correlation_spectrum(r_ls, l)
 
-    def primal(lam, start):
-        v = constrain(correlation_adjoint(lam, n))
-        return v, start + v / (2 * m * w)
-
     # lam = 0 is dual feasible, complementary and stationary wherever the
     # least-squares spectrum is nonnegative; the other rows iterate.
     # Adding d to r0 raises every spectrum sample by exactly d, so any
     # residual infeasibility is removed by a (tiny) lag-zero lift.
     k_rows = len(rows)
-    lam, v = np.zeros((k_rows, l)), np.zeros((k_rows, n), dtype=complex)
     r = r_ls.copy()
-    iters, converged, lift = [0] * k_rows, [True] * k_rows, [0.0] * k_rows
+    iters, converged = [0] * k_rows, [True] * k_rows
+    lift, gap, active = [0.0] * k_rows, [0.0] * k_rows, [0] * k_rows
     for k in np.flatnonzero(spec_ls.min(axis=-1) < 0.0):
-        start = r_ls[k]
-        tol = TOL_ABS * np.sqrt(l) + opts.tol_rel * np.linalg.norm(spec_ls[k])
-        lam[k], converged[k], iters[k] = fista(
-            lambda y: correlation_spectrum(primal(y, start)[1], l), l / (2 * m),
-            np.zeros(l), lambda y: np.maximum(y, 0.0), opts.max_iters, tol)
-        v[k], r[k] = primal(lam[k], start)
-        lift[k] = max(0.0, -float(correlation_spectrum(r[k], l).min()))
+        tol = VIOLATION_TOL * np.abs(spec_ls[k]).max()
+        spec, s, mu = spec_ls[k], np.zeros(0, dtype=int), np.zeros(0)
+        lam = np.zeros(l)
+        while True:
+            new = np.setdiff1d(_violations(spec, tol, b.real_signal), s)
+            converged[k] = new.size == 0
+            if converged[k] or iters[k] == opts.max_iters:
+                break
+            # mu = lam / (2M) on S, so the QP's gradient is the spectrum.
+            # Samples below -tol must move the optimum of a QP run to
+            # tol / 2; when none of them joins, its solve has failed.
+            s, mu = np.r_[s, new], np.r_[mu, np.zeros(new.size)]
+            mu = _nonnegative_qp(_working_set_kernel(s, n, l, b.real_signal),
+                                 spec_ls[k, s], mu, tol / 2)
+            s, mu = s[mu > 0], mu[mu > 0]
+            if not np.isin(new, s).any():
+                break
+            lam[:] = 0.0
+            lam[s] = 2 * m * mu
+            r[k] = r_ls[k] + constrain(correlation_adjoint(lam, n)) / (2 * m * w)
+            spec = correlation_spectrum(r[k], l)
+            iters[k] += 1
+        lift[k] = max(0.0, -float(spec.min()))
+        active[k] = s.size
+        # with r = r(lam) + d e0, fit - c0 + h(lam) reduces exactly to
+        # lam^T A_L r + M d^2, a sum of nonnegative terms
+        gap[k] = float(lam @ (spec + lift[k]) + m * lift[k] ** 2)
 
     r[:, 0] += lift
     residual = rows - correlation_spectrum(r, m)
-    diags = []
-    for k in range(k_rows):
-        # fit - c0 = M ||r - r_ls||_W^2 exactly, so the gap is formed
-        # without cancelling against ||b||^2
-        gap = (m * np.dot(w, np.abs(r[k] - r_ls[k]) ** 2)
-               + np.dot(np.abs(v[k]) ** 2, 1.0 / w) / (4 * m)
-               + np.dot(lam[k], spec_ls[k]))
-        diags.append(CorkDiagnostics(
-            iters=iters[k],
-            fit=float(np.linalg.norm(residual[k]) ** 2),
-            l=l,
-            converged=converged[k],
-            feasibility_lift=lift[k],
-            gap=float(gap),
-        ))
+    diags = [CorkDiagnostics(iters=iters[k],
+                             fit=float(np.linalg.norm(residual[k]) ** 2),
+                             l=l, converged=converged[k],
+                             feasibility_lift=lift[k], gap=gap[k],
+                             active=active[k])
+             for k in range(k_rows)]
     if b.b.ndim == 1:
         return r[0], diags[0]
     return r, StackDiagnostics(diags)

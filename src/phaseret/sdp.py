@@ -17,12 +17,12 @@ Three entry points:
 * ``sdp_sf``: spectral factorization by maximizing X00 subject to the
   correlation trace constraints, handled by quadratic penalty continuation.
 
-All of them run ``fista``, accelerated projected gradient with adaptive
-restart, here with projection onto the PSD cone and closed-form Lipschitz
+All of them run ``_fista``, accelerated projected gradient with adaptive
+restart, with projection onto the PSD cone and closed-form Lipschitz
 constants (exact because a ``MeasurementSet`` has M >= 2N).
 Sizes are guarded to N <= 64; this module is a reference/bounding tool, not
-the scalable path (that is :func:`phaseret.cork.solve_cork`, which runs
-the same engine on the dual of its sampled program).
+the scalable path (that is :func:`phaseret.cork.solve_cork`, an exchange
+method on the dual of the sampled correlation program).
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _lifted_adjoint(c: np.ndarray, n: int) -> np.ndarray:
     return _hermitian_toeplitz(lags)
 
 
-def fista(grad, lipschitz: float, x0: np.ndarray, project, max_iters: int,
+def _fista(grad, lipschitz: float, x0: np.ndarray, project, max_iters: int,
           tol: float):
     """Accelerated projected gradient (FISTA with adaptive restart).
 
@@ -176,8 +176,8 @@ def phaselift_value(b: MeasurementSet, lam: float = 0.0,
     x0 = np.zeros((n, n), dtype=complex)
     tol = GRAD_TOL * max(np.linalg.norm(grad(x0)), 1.0)
     # ||A(X)||^2 = M ||traces(X)||_W^2 <= M N ||X||_F^2, equal at X = I
-    x_mat, converged, _ = fista(grad, 2.0 * m * n, x0, psd_project,
-                                 opts.max_iters, tol)
+    x_mat, converged, _ = _fista(grad, 2.0 * m * n, x0, psd_project,
+                                  opts.max_iters, tol)
     fit = float(np.sum((_lifted_op(x_mat, m) - bvec) ** 2))
     return x_mat, fit, converged
 
@@ -243,8 +243,8 @@ def sdp_sf(r, opts: SdpOptions | None = None) -> np.ndarray:
     x_mat = np.outer(np.ones(n), np.ones(n)) * (r0 / n) + 0j
     lam = 1.0 / max(r0, 1e-12)
     for _ in range(8):
-        x_mat, _, _ = fista(make_grad(lam), lip, x_mat, psd_project,
-                            opts.max_iters, GRAD_TOL * max(lam, 1.0))
+        x_mat, _, _ = _fista(make_grad(lam), lip, x_mat, psd_project,
+                             opts.max_iters, GRAD_TOL * max(lam, 1.0))
         violation = float(np.linalg.norm(correlation_traces(x_mat) - r)) / max(r0, 1e-12)
         _, ratio = _rank_one_factor(x_mat)
         if violation <= 1e-9 and ratio <= RANK_TOL:

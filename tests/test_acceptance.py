@@ -215,7 +215,7 @@ def test_acceptance_7_baseline_contract():
         worst_increase = max(worst_increase, float(np.diff(history).max()))
 
         opts = IterativeOptions(seed=seed)
-        xf = fienup_solve(ms, opts)
+        xf, _ = fienup_solve(ms, opts)
         xm = fienup_sf(ms, opts)
 
         def fit(v):

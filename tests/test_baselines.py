@@ -76,14 +76,14 @@ def test_one_gs_iteration_costs_two_ffts(monkeypatch):
 
 def test_fienup_reaches_low_fit_on_realizable_data():
     _, ms = make_instance(12, 16)
-    xhat = fienup_solve(ms, IterativeOptions(max_iters=400, seed=3))
+    xhat, _ = fienup_solve(ms, IterativeOptions(max_iters=400, seed=3))
     assert fit(xhat, ms) <= 1e-6 * np.dot(ms.b, ms.b)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_fienup_sf_same_fit_and_min_phase(seed):
     _, ms = make_instance(100 + seed, 12)
-    xf = fienup_solve(ms, IterativeOptions(seed=seed))
+    xf, _ = fienup_solve(ms, IterativeOptions(seed=seed))
     xm = fienup_sf(ms, IterativeOptions(seed=seed))
     f_plain, f_min = fit(xf, ms), fit(xm, ms)
     assert abs(f_plain - f_min) <= 1e-8 * np.dot(ms.b, ms.b)

@@ -58,7 +58,7 @@ def test_recover_keeps_the_solver_default_budget(tmp_path, capsys,
                                                  monkeypatch):
     # without --max-iters and --tol, fienup runs with its own defaults,
     # not with cork's
-    from phaseret import baselines
+    from phaseret import baselines, bench
     seen = []
     solve = baselines.fienup_solve
 
@@ -66,7 +66,7 @@ def test_recover_keeps_the_solver_default_budget(tmp_path, capsys,
         seen.append(opts)
         return solve(b, opts)
 
-    monkeypatch.setattr(baselines, "fienup_solve", spy)
+    monkeypatch.setattr(bench, "fienup_solve", spy)
     sig = tmp_path / "sig.json"
     meas = tmp_path / "meas.json"
     write_signal(sig)
@@ -110,6 +110,23 @@ def test_recover_gs_at_its_cap_exits_3(tmp_path, capsys, n, extra):
     assert diag["converged"] is False and diag["gs"]["converged"] is False
 
 
+@pytest.mark.parametrize("n,extra", [(8, ["--tol", "-1"]), (32, [])])
+def test_recover_fienup_at_its_refinement_cap_exits_3(tmp_path, capsys, n,
+                                                      extra):
+    # Fienup has converged only when its GS refinement stalls before
+    # GS_REFINE_ITERS; a negative tol never stalls, and N = 32 at Fienup's
+    # own budget reaches the cap
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    write_signal(sig, seed=0 if n == 8 else n, n=n)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--input", str(meas), "--output",
+                 str(tmp_path / "out.json"), "--solver", "fienup"] + extra) == 3
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["converged"] is False and diag["fienup"]["converged"] is False
+
+
 def test_recover_real_signal_from_the_measurement_file(tmp_path, capsys):
     # realness comes from the file that measure --real writes
     sig = tmp_path / "sig.json"
@@ -131,14 +148,14 @@ def test_recover_real_signal_from_the_measurement_file(tmp_path, capsys):
 def test_recover_unconverged_solver_exits_3(tmp_path, capsys):
     from phaseret.io import save_measurement_file
     from phaseret.signals import MeasurementSet
-    # speckle intensities fit no signal and bind the PSD constraint, so one
-    # ADMM iteration cannot converge
+    # speckle intensities fit no signal and bind the PSD constraint, so a
+    # solve allowed no exchange step cannot converge
     rng = np.random.default_rng(2)
     meas = tmp_path / "meas.json"
     save_measurement_file(str(meas),
                           MeasurementSet(rng.exponential(size=64), 16))
     assert main(["recover", "--input", str(meas), "--output",
-                 str(tmp_path / "out.json"), "--max-iters", "1"]) == 3
+                 str(tmp_path / "out.json"), "--max-iters", "0"]) == 3
     diag = json.loads(capsys.readouterr().out)
     assert diag["converged"] is False and not diag["cork"]["converged"]
 
