@@ -60,8 +60,9 @@ def _options(cls, **values):
 
 
 # Each solver maps (measurements, seed, optional max_iters and tol; None
-# keeps the solver's default, and phaselift-sf ignores tol) to (minimum-phase
-# estimate, diagnostics) at the default transform length; the diagnostics
+# keeps the solver's default, phaselift-sf ignores tol, and cork, which
+# stops at the KKT point, rejects one) to (minimum-phase estimate,
+# diagnostics) at the default transform length; the diagnostics
 # always hold ``fit`` and ``converged``.  ``cork`` also takes a stacked
 # measurement set and returns one estimate and one diagnostics dict per
 # row, which is how the CRB study runs its trials.  The entries call the
@@ -69,8 +70,9 @@ def _options(cls, **values):
 # tracer, a test) sees every call.
 
 def _cork(ms, seed, max_iters=None, tol=None):
-    r, diag = solve_cork(ms, _options(AdmmOptions, max_iters=max_iters,
-                                      tol_rel=tol))
+    if tol is not None:
+        raise ValueError("cork takes no tolerance: it stops at the KKT point")
+    r, diag = solve_cork(ms, _options(AdmmOptions, max_iters=max_iters))
     return kolmogorov_sf(r), diag.to_json()
 
 

@@ -183,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--solver", choices=list(SOLVERS), default="cork")
     p.add_argument("--max-iters", type=int, help="default: the solver's own")
-    p.add_argument("--tol", type=float, help="default: the solver's own")
+    p.add_argument("--tol", type=float, help="default: the solver's own; "
+                   "cork has none and rejects it, phaselift-sf ignores it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reference", default=None,
                    help="optional true signal for error reporting")

@@ -24,9 +24,10 @@ nonnegative QP with Hessian K_S / (2M), where K is the Dirichlet kernel
 
 or (D(w_i - w_j) + D(w_i + w_j)) / 2 for a real signal, whose spectrum is
 even, so S then stays in 0..L/2.  Lawson and Hanson's active-set method
-(1974, ch. 23) solves the QP from the previous step's multipliers.  Each
-exchange step then costs two real L-point FFTs, r(lam) by one ``rfft``
-and its spectrum by one ``irfft``; every local minimum of the spectrum
+(1974, ch. 23) solves the QP from the previous step's multipliers, with
+one dense solve of the free block per change to it.  Each exchange step
+then costs two real L-point FFTs, r(lam) by one ``rfft`` and its
+spectrum by one ``irfft``; every local minimum of the spectrum
 below a roundoff threshold joins S, and zero multipliers leave it.  When
 nothing joins, lam is dual feasible, complementary on S and stationary by
 construction, which is the KKT point of the sampled program; h falls at
@@ -42,8 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr_delete
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .signals import (MeasurementSet, check_transform_length,
                       correlation_adjoint, correlation_spectrum, doubled_lags)
@@ -121,51 +120,36 @@ def _working_set_kernel(s: np.ndarray, n: int, l: int,
 
 
 def _nonnegative_qp(k: np.ndarray, c: np.ndarray, mu: np.ndarray,
-                    tol: float) -> np.ndarray:
+                    tol: float) -> np.ndarray | None:
     """argmin over mu >= 0 of mu^T k mu / 2 + c^T mu, Lawson-Hanson style.
 
     Starts from a ``mu`` that is optimal on its own support and returns one
-    whose gradient k mu + c is >= -tol wherever it is zero.  The upper
-    Cholesky factor u of the free block (u^T u = k_FF) gains a column per
-    freed index and loses one per drop, each in O(|S|^2).
+    whose gradient k mu + c is >= -tol wherever it is zero, or None when k
+    is singular on the free set.  Each inner step solves the free block.
     """
-    def solve(rhs, trans=0):
-        # u x = rhs, or u^T x = rhs; LAPACK rejects an empty system
-        return dtrtrs(u, rhs, trans=trans)[0] if rhs.size else rhs
-
-    free = np.flatnonzero(mu > 0)
-    u = dpotrf(k[np.ix_(free, free)])[0]
+    free = mu > 0
     for _ in range(3 * mu.size + 1):
         grad = k @ mu + c
         grad[free] = np.inf
         j = np.argmin(grad)
         if grad[j] >= -tol:
             break
-        col = solve(k[free, j], trans=1)
-        pivot = k[j, j] - col @ col
-        if pivot <= 0.0:        # k is numerically singular on free + j
-            break
-        grown = np.zeros((free.size + 1, free.size + 1), order="F")
-        grown[:-1, :-1], grown[:-1, -1], grown[-1, -1] = u, col, np.sqrt(pivot)
-        u, free = grown, np.r_[free, j]
+        free[j] = True
         while True:
             z = np.zeros_like(mu)
-            z[free] = solve(solve(-c[free], trans=1))
+            try:
+                z[free] = np.linalg.solve(k[np.ix_(free, free)], -c[free])
+            except np.linalg.LinAlgError:
+                return None
             if np.all(z[free] > 0):
                 mu = z
                 break
             # step toward z until the first multiplier reaches zero
-            blocked = free[z[free] <= 0]
+            blocked = np.flatnonzero(free & (z <= 0))
             step = mu[blocked] / (mu[blocked] - z[blocked])
             mu = mu + step.min() * (z - mu)
             mu[blocked[np.argmin(step)]] = 0.0
-            for i in np.flatnonzero(mu[free] <= 0)[::-1]:
-                # delete column i from the QR factorization u = I u; the
-                # new R is the upper factor of k_FF without index i
-                u = np.asfortranarray(qr_delete(
-                    np.eye(free.size), u, i, which="col", overwrite_qr=True,
-                    check_finite=False)[1][:-1])
-                free = np.delete(free, i)
+            free &= mu > 0
     return mu
 
 
@@ -225,13 +209,15 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
                 break
             # mu = lam / (2M) on S, so the QP's gradient is the spectrum.
             # Samples below -tol must move the optimum of a QP run to
-            # tol / 2; when none of them joins, its solve has failed.
-            s, mu = np.r_[s, new], np.r_[mu, np.zeros(new.size)]
-            mu = _nonnegative_qp(_working_set_kernel(s, n, l, b.real_signal),
-                                 spec_ls[k, s], mu, tol / 2)
-            s, mu = s[mu > 0], mu[mu > 0]
-            if not np.isin(new, s).any():
+            # tol / 2; when none of them joins, or K_S is singular, the
+            # step fails and the solve ends with the previous step's lam.
+            grown = np.r_[s, new]
+            step = _nonnegative_qp(
+                _working_set_kernel(grown, n, l, b.real_signal),
+                spec_ls[k, grown], np.r_[mu, np.zeros(new.size)], tol / 2)
+            if step is None or not (step[s.size:] > 0).any():
                 break
+            s, mu = grown[step > 0], step[step > 0]
             lam[:] = 0.0
             lam[s] = 2 * m * mu
             r[k] = r_ls[k] + constrain(correlation_adjoint(lam, n)) / (2 * m * w)

@@ -160,6 +160,19 @@ def test_recover_unconverged_solver_exits_3(tmp_path, capsys):
     assert diag["converged"] is False and not diag["cork"]["converged"]
 
 
+def test_recover_cork_rejects_a_tolerance(tmp_path, capsys):
+    # the exchange solver stops at the KKT point and reads no tolerance
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    write_signal(sig)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--input", str(meas), "--output",
+                 str(tmp_path / "out.json"), "--tol", "1e-4"]) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_recover_uncertified_estimate_exits_3(tmp_path, capsys, monkeypatch):
     # the certificate runs at every N, also beyond root_sf's range
     monkeypatch.setattr("phaseret.cli.is_min_phase", lambda x: (False, 2.0))

@@ -323,6 +323,29 @@ def test_binding_speckle_needs_no_lag_zero_lift():
                             + 1e-8 * np.dot(ms.b, ms.b))
 
 
+@pytest.mark.parametrize("failing_step", [0, 1])
+def test_failed_qp_step_keeps_the_previous_steps_multipliers(monkeypatch,
+                                                            failing_step):
+    # a QP that reports a singular kernel ends the solve unconverged, with
+    # r, the lift, the gap and the working set all from the last good step
+    from phaseret import cork
+    ms = MeasurementSet(np.random.default_rng(1).exponential(1.0, 130), 32)
+    r_cap, cap = solve_cork(ms, AdmmOptions(max_iters=failing_step))
+    solve, calls = cork._nonnegative_qp, []
+
+    def failing(*args):
+        calls.append(None)
+        return None if len(calls) > failing_step else solve(*args)
+
+    monkeypatch.setattr(cork, "_nonnegative_qp", failing)
+    r, diag = solve_cork(ms)
+    assert len(calls) == failing_step + 1
+    assert not diag.converged and not cap.converged
+    assert np.array_equal(r, r_cap)
+    assert diag.to_json() == cap.to_json()
+    assert (diag.active == 0) == (failing_step == 0)
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize alone adds about a third to the resident size of a
     # bare import of the package
