@@ -35,13 +35,11 @@ from scipy.linalg import toeplitz
 
 from .signals import (MeasurementSet, as_correlation, correlation_adjoint,
                       correlation_psd_check, correlation_spectrum,
-                      correlation_to_intensity, doubled_lags,
-                      intensity_measure)
+                      doubled_lags, intensity_measure)
 from .specfact import InvalidCorrelationError, kolmogorov_sf
 
 __all__ = ["SdpOptions", "SdpDiagnostics", "psd_project", "phaselift_value",
-           "phaselift_sf", "sdp_sf", "lift_equivalence_check",
-           "correlation_traces"]
+           "phaselift_sf", "sdp_sf", "correlation_traces"]
 
 SIZE_GUARD = 64
 GRAD_TOL = 1e-7   # projected-gradient stop, relative to the initial gradient
@@ -71,11 +69,6 @@ def psd_project(h: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     w = np.maximum(w, 0.0)
     return _hermitize((v * w) @ v.conj().T)
-
-
-def partial_dft_matrix(n: int, m: int) -> np.ndarray:
-    """First N columns of the M-point DFT matrix, dense."""
-    return np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(n)) / m)
 
 
 @lru_cache(maxsize=None)
@@ -146,11 +139,6 @@ def _fista(grad, lipschitz: float, x0: np.ndarray, project, max_iters: int,
             if np.linalg.norm(x_chk - x) / step <= tol:
                 return x_chk, True, iters
     return x, False, max_iters
-
-
-def _intensity_op(f_mat: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
-    """Dense reference for A(X): row sums of (F X) * conj(F)."""
-    return np.real(np.einsum("mn,mn->m", f_mat @ x_mat, f_mat.conj()))
 
 
 def phaselift_value(b: MeasurementSet, lam: float = 0.0,
@@ -252,16 +240,3 @@ def sdp_sf(r, opts: SdpOptions | None = None) -> np.ndarray:
         lam *= 0.1
     return _rank_one_factor(x_mat)[0]
 
-
-def lift_equivalence_check(r, x_mat: np.ndarray, m: int):
-    """Max over rows of |Re{f_m^H I~ r} - f_m^H X f_m|.
-
-    Returns ``(max_abs_diff, trace_violation)`` where the second entry
-    diagnoses how well r_k = tr(T_k X) holds (reported, not enforced).
-    """
-    r = as_correlation(r)
-    f_mat = partial_dft_matrix(r.size, m)
-    lhs = correlation_to_intensity(r, m)
-    rhs = _intensity_op(f_mat, _hermitize(np.asarray(x_mat, dtype=complex)))
-    trace_violation = float(np.abs(correlation_traces(x_mat) - r).max())
-    return float(np.abs(lhs - rhs).max()), trace_violation

@@ -5,9 +5,10 @@ from scipy.linalg import toeplitz
 from phaseret.cork import solve_cork
 from phaseret.measurement import (AugmentationSpec, add_noise, default_delta,
                                   measure_augmented)
-from phaseret.sdp import (correlation_traces, lift_equivalence_check,
-                          phaselift_sf, phaselift_value, psd_project, sdp_sf)
-from phaseret.signals import (MeasurementSet, autocorrelation, doubled_lags,
+from phaseret.sdp import (correlation_traces, phaselift_sf, phaselift_value,
+                          psd_project, sdp_sf)
+from phaseret.signals import (MeasurementSet, as_correlation, autocorrelation,
+                              correlation_to_intensity, doubled_lags,
                               global_phase_distance, intensity_measure)
 from phaseret.specfact import root_sf
 
@@ -169,6 +170,31 @@ def test_sdp_sf_two_tap():
 def test_sdp_sf_rejects_invalid_correlation():
     with pytest.raises(ValueError):
         sdp_sf([1.0, 0.9])
+
+
+def partial_dft_matrix(n, m):
+    """First N columns of the M-point DFT matrix, dense."""
+    return np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(n)) / m)
+
+
+def _intensity_op(f_mat, x_mat):
+    """Dense reference for the lifted map A(X): row sums of (F X) * conj(F)."""
+    return np.real(np.einsum("mn,mn->m", f_mat @ x_mat, f_mat.conj()))
+
+
+def lift_equivalence_check(r, x_mat, m):
+    """Max over rows of |Re{f_m^H I~ r} - f_m^H X f_m|.
+
+    Returns ``(max_abs_diff, trace_violation)`` where the second entry
+    diagnoses how well r_k = tr(T_k X) holds (reported, not enforced).
+    """
+    r = as_correlation(r)
+    x_mat = np.asarray(x_mat, dtype=complex)
+    lhs = correlation_to_intensity(r, m)
+    rhs = _intensity_op(partial_dft_matrix(r.size, m),
+                        0.5 * (x_mat + x_mat.conj().T))
+    trace_violation = float(np.abs(correlation_traces(x_mat) - r).max())
+    return float(np.abs(lhs - rhs).max()), trace_violation
 
 
 def test_lift_equivalence_check():
