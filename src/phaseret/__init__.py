@@ -15,8 +15,7 @@ from .measurement import (AugmentationSpec, ImpulseMarginWarning, add_noise,
                           augment_max_phase, augment_min_phase,
                           conjugate_reversal, deaugment, default_delta,
                           margin_violated, measure_augmented)
-from .sdp import (SdpOptions, phaselift_sf, phaselift_value, psd_project,
-                  sdp_sf)
+from .sdp import SdpOptions, phaselift_sf, phaselift_value, psd_project
 from .signals import (MeasurementSet, autocorrelation, correlation_psd_check,
                       correlation_to_intensity, default_transform_length,
                       dft_partial, global_phase_distance, intensity_measure)

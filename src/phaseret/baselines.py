@@ -17,6 +17,7 @@ autocorrelation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,10 @@ def _with_magnitude(spectrum: np.ndarray, root_b: np.ndarray) -> np.ndarray:
     """The signal whose spectrum has the phases of ``spectrum`` and the
     magnitudes ``root_b``: the projection of ifft(spectrum)."""
     mag = np.abs(spectrum)
-    phase = np.where(mag > 0, spectrum / np.where(mag == 0, 1, mag), 1.0)
+    if mag.all():
+        phase = spectrum / mag
+    else:
+        phase = np.where(mag > 0, spectrum / np.where(mag == 0, 1, mag), 1.0)
     return np.fft.ifft(root_b * phase)
 
 
@@ -57,7 +61,8 @@ def _support_project(y: np.ndarray, n: int) -> np.ndarray:
 
 def _gs_cost(spectrum: np.ndarray, root_b: np.ndarray) -> float:
     """The GS cost of the support-projected signal whose FFT is ``spectrum``."""
-    return float(np.linalg.norm(root_b - np.abs(spectrum)) ** 2)
+    d = root_b - np.abs(spectrum)
+    return math.sqrt(d.dot(d)) ** 2   # as np.linalg.norm(d) ** 2 rounds it
 
 
 def _random_start(root_b: np.ndarray, seed: int) -> np.ndarray:
@@ -75,20 +80,21 @@ def gs_solve(b: MeasurementSet, opts: IterativeOptions | None = None,
     """
     opts = opts or IterativeOptions()
     root_b = np.sqrt(np.maximum(np.asarray(b.b, dtype=float), 0.0))
-    y = _random_start(root_b, opts.seed) if y0 is None else y0.copy()
+    y = _random_start(root_b, opts.seed) if y0 is None else y0
+    # the iterate is the support-projected signal, kept at length N: the
+    # M-point FFT zero-pads it, and that one FFT serves cost and projection
+    x = y[: b.n].copy()
     history = []
     for _ in range(opts.max_iters):
-        # one FFT of the support-projected iterate serves cost and projection
-        spectrum = np.fft.fft(_support_project(y, b.n))
+        spectrum = np.fft.fft(x, b.m)
         history.append(_gs_cost(spectrum, root_b))
-        y = _with_magnitude(spectrum, root_b)
+        x = _with_magnitude(spectrum, root_b)[: b.n]
         if len(history) >= 11:
             prev, cur = history[-11], history[-1]
             if prev - cur <= opts.tol * max(prev, 1.0):
                 break
-    x_sup = _support_project(y, b.n)
-    history.append(_gs_cost(np.fft.fft(x_sup), root_b))
-    return x_sup[: b.n], np.asarray(history)
+    history.append(_gs_cost(np.fft.fft(x, b.m), root_b))
+    return x, np.asarray(history)
 
 
 def fienup_solve(b: MeasurementSet, opts: IterativeOptions | None = None):
@@ -106,10 +112,12 @@ def fienup_solve(b: MeasurementSet, opts: IterativeOptions | None = None):
     p = np.zeros_like(y)
     q = np.zeros_like(y)
     for _ in range(opts.max_iters):
-        w = _magnitude_project(y + p, root_b)
-        p = y + p - w
-        y = _support_project(w + q, b.n)
-        q = w + q - y
+        t = y + p
+        w = _magnitude_project(t, root_b)
+        p = t - w
+        q = w + q
+        y = _support_project(q, b.n)
+        q[: b.n] = 0.0   # w + q - y: zero on the support, w + q off it
 
     refine = IterativeOptions(max_iters=GS_REFINE_ITERS, tol=opts.tol,
                               seed=opts.seed)

@@ -5,7 +5,7 @@ intensities become linear traces b_m ~ f_m^H X f_m.  Those depend on X only
 through its subdiagonal sums r_k = tr(T_k X), so the lifted map is applied
 as A(X) = Re{F_M I~ r} with the correlation operator pair of
 :mod:`phaseret.signals`, and its adjoint is a Hermitian Toeplitz matrix.
-Three entry points:
+Two entry points:
 
 * ``phaselift_value``: least-squares fit over the PSD cone, optionally with
   a -lambda*X00 pull; the lambda=0 objective is a lower bound on the fit of
@@ -14,12 +14,10 @@ Three entry points:
   not be rank one; its traces are a valid correlation with the same fit,
   and their minimum-phase factor (``kolmogorov_sf``) is the least-squares
   signal estimate.
-* ``sdp_sf``: spectral factorization by maximizing X00 subject to the
-  correlation trace constraints, handled by quadratic penalty continuation.
 
-All of them run ``_fista``, accelerated projected gradient with adaptive
-restart, with projection onto the PSD cone and closed-form Lipschitz
-constants (exact because a ``MeasurementSet`` has M >= 2N).
+The solve is ``_fista``, accelerated projected gradient with adaptive
+restart, with projection onto the PSD cone and the closed-form Lipschitz
+constant 2MN (exact because a ``MeasurementSet`` has M >= 2N).
 Sizes are guarded to N <= 64; this module is a reference/bounding tool, not
 the scalable path (that is :func:`phaseret.cork.solve_cork`, an exchange
 method on the dual of the sampled correlation program).
@@ -31,19 +29,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
 
-from .signals import (MeasurementSet, as_correlation, correlation_adjoint,
-                      correlation_psd_check, correlation_spectrum,
-                      doubled_lags, intensity_measure)
-from .specfact import InvalidCorrelationError, kolmogorov_sf
+from .signals import (MeasurementSet, correlation_adjoint,
+                      correlation_spectrum, intensity_measure)
+from .specfact import kolmogorov_sf
 
 __all__ = ["SdpOptions", "SdpDiagnostics", "psd_project", "phaselift_value",
-           "phaselift_sf", "sdp_sf", "correlation_traces"]
+           "phaselift_sf", "correlation_traces"]
 
 SIZE_GUARD = 64
 GRAD_TOL = 1e-7   # projected-gradient stop, relative to the initial gradient
-RANK_TOL = 1e-6   # sdp_sf: lam2/lam1 below which X counts as rank one
 
 
 @dataclass
@@ -87,12 +82,21 @@ def correlation_traces(x_mat: np.ndarray) -> np.ndarray:
     return np.bincount(lag, v.real, n) + 1j * np.bincount(lag, v.imag, n)
 
 
+@lru_cache(maxsize=None)
+def _toeplitz_index(n: int) -> np.ndarray:
+    """Entry (i, j) is i - j + n - 1, the position of lag i - j in the
+    stacked lags ``conj(lags[:0:-1]), lags``."""
+    i = np.arange(n)
+    return i[:, None] - i[None, :] + (n - 1)
+
+
 def _hermitian_toeplitz(lags: np.ndarray) -> np.ndarray:
     """Hermitian Toeplitz matrix with ``lags[k]`` on the k-th subdiagonal.
 
     ``Im lags[0]`` is dropped.
     """
-    h = toeplitz(lags, np.conj(lags))
+    stacked = np.concatenate((np.conj(lags[:0:-1]), lags))
+    h = stacked[_toeplitz_index(lags.size)]
     np.fill_diagonal(h, lags[0].real)
     return h
 
@@ -170,15 +174,6 @@ def phaselift_value(b: MeasurementSet, lam: float = 0.0,
     return x_mat, fit, converged
 
 
-def _rank_one_factor(x_mat: np.ndarray):
-    w, v = np.linalg.eigh(x_mat)
-    lead = np.sqrt(max(w[-1], 0.0)) * v[:, -1]
-    if lead[0] != 0:
-        lead = lead * (abs(lead[0]) / lead[0])
-    ratio = float(max(w[-2], 0.0) / w[-1]) if w.size > 1 and w[-1] > 0 else 0.0
-    return lead, ratio
-
-
 def phaselift_sf(b: MeasurementSet, opts: SdpOptions | None = None):
     """Minimum-phase least-squares estimate from one lambda=0 PhaseLift solve.
 
@@ -194,49 +189,4 @@ def phaselift_sf(b: MeasurementSet, opts: SdpOptions | None = None):
     fit = float(np.sum((intensity_measure(x, b.m) - b.b) ** 2))
     return x, x_mat, SdpDiagnostics(lower_bound=bound, fit=fit, solves=1,
                                     converged=converged)
-
-
-def sdp_sf(r, opts: SdpOptions | None = None) -> np.ndarray:
-    """Spectral factorization as trace-constrained X00 maximization.
-
-    The trace constraints r_k = tr(T_k X) are enforced by a quadratic
-    penalty whose pull term -lam * X00 is driven to zero by continuation;
-    the optimum is rank one and its factor is the minimum-phase signal.
-    """
-    opts = opts or SdpOptions()
-    r = as_correlation(r)
-    n = r.size
-    if n > SIZE_GUARD:
-        raise ValueError(f"sdp_sf is desk-scale only (N <= {SIZE_GUARD})")
-    r0 = r[0].real
-    if r0 == 0.0:
-        return np.zeros(n, dtype=complex)
-    _, _, ok = correlation_psd_check(r, tol=1e-7 * max(r0, 1.0))
-    if not ok:
-        raise InvalidCorrelationError("r fails the sampled nonnegativity check")
-
-    # real-constraint multiplicity: lag 0 contributes one equation, others
-    # two, so subdiagonal k carries I~ d_k and superdiagonal the conjugate
-    scale = r0 ** 2
-    # the penalty Hessian T(I~ traces(X)) / scale peaks at I or T_1 + T_1^H
-    lip = max(n, 2 * n - 2) / scale
-
-    def make_grad(lam):
-        def grad(x_mat):
-            g = _hermitian_toeplitz(doubled_lags(correlation_traces(x_mat) - r)) / scale
-            g[0, 0] -= lam
-            return g
-        return grad
-
-    x_mat = np.outer(np.ones(n), np.ones(n)) * (r0 / n) + 0j
-    lam = 1.0 / max(r0, 1e-12)
-    for _ in range(8):
-        x_mat, _, _ = _fista(make_grad(lam), lip, x_mat, psd_project,
-                             opts.max_iters, GRAD_TOL * max(lam, 1.0))
-        violation = float(np.linalg.norm(correlation_traces(x_mat) - r)) / max(r0, 1e-12)
-        _, ratio = _rank_one_factor(x_mat)
-        if violation <= 1e-9 and ratio <= RANK_TOL:
-            break
-        lam *= 0.1
-    return _rank_one_factor(x_mat)[0]
 

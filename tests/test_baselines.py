@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from phaseret.baselines import IterativeOptions, fienup_sf, fienup_solve, gs_solve
+from phaseret.baselines import (GS_REFINE_ITERS, IterativeOptions, fienup_sf,
+                                fienup_solve, gs_solve)
 from phaseret.signals import MeasurementSet, autocorrelation, intensity_measure
 from phaseret.specfact import is_min_phase
 
@@ -98,3 +99,91 @@ def test_gs_rejects_m_below_n():
     # the measurement set refuses M < 2N before any solver sees it
     with pytest.raises(ValueError, match="M >= 2N"):
         gs_solve(MeasurementSet(np.ones(3), 5))
+
+
+# Test-local copies of the GS and Dykstra loops as first written, with
+# M-length iterates; the solvers must reproduce them bit for bit.
+
+def reference_support(v, n):
+    out = v.copy()
+    out[n:] = 0.0
+    return out
+
+
+def reference_with_magnitude(spectrum, root_b):
+    mag = np.abs(spectrum)
+    phase = np.where(mag > 0, spectrum / np.where(mag == 0, 1, mag), 1.0)
+    return np.fft.ifft(root_b * phase)
+
+
+def reference_start(root_b, seed):
+    rng = np.random.default_rng(seed)
+    return np.fft.ifft(root_b * np.exp(2j * np.pi * rng.uniform(size=root_b.size)))
+
+
+def reference_gs(b, opts, y0=None):
+    """The GS loop as first written: M-length iterates, an explicit support
+    projection before each FFT, and the cost from ``np.linalg.norm``."""
+    root_b = np.sqrt(np.maximum(np.asarray(b.b, dtype=float), 0.0))
+    y = reference_start(root_b, opts.seed) if y0 is None else y0.copy()
+
+    def cost(spectrum):
+        return float(np.linalg.norm(root_b - np.abs(spectrum)) ** 2)
+
+    history = []
+    for _ in range(opts.max_iters):
+        spectrum = np.fft.fft(reference_support(y, b.n))
+        history.append(cost(spectrum))
+        y = reference_with_magnitude(spectrum, root_b)
+        if len(history) >= 11:
+            prev, cur = history[-11], history[-1]
+            if prev - cur <= opts.tol * max(prev, 1.0):
+                break
+    x_sup = reference_support(y, b.n)
+    history.append(cost(np.fft.fft(x_sup)))
+    return x_sup[:b.n], np.asarray(history)
+
+
+def reference_fienup(b, opts):
+    """The Dykstra loop as first written, then :func:`reference_gs`."""
+    root_b = np.sqrt(np.maximum(np.asarray(b.b, dtype=float), 0.0))
+    y = reference_start(root_b, opts.seed)
+    p = np.zeros_like(y)
+    q = np.zeros_like(y)
+    for _ in range(opts.max_iters):
+        w = reference_with_magnitude(np.fft.fft(y + p), root_b)
+        p = y + p - w
+        y = reference_support(w + q, b.n)
+        q = w + q - y
+    refine = IterativeOptions(max_iters=GS_REFINE_ITERS, tol=opts.tol,
+                              seed=opts.seed)
+    return reference_gs(b, refine, y0=y)
+
+def draw_b(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    m = 4 * n + 4
+    b = rng.uniform(0.0, 1.0, m) if kind == "uniform" else rng.exponential(1.0, m)
+    return MeasurementSet(b, n)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "exponential"])
+@pytest.mark.parametrize("n", [1, 8, 33, 64])
+def test_gs_and_fienup_bit_identical_to_reference_loops(kind, n):
+    ms = draw_b(kind, n, 1000 + n)
+    opts = IterativeOptions(max_iters=60, seed=n)
+    for got, want in ((gs_solve(ms, opts), reference_gs(ms, opts)),
+                      (fienup_solve(ms, opts), reference_fienup(ms, opts))):
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("n", [1, 8, 33])
+def test_gs_from_zero_start_takes_the_zero_magnitude_guard(n):
+    # a zero spectrum has no phase; both loops use phase 1 there
+    ms = draw_b("exponential", n, 2000 + n)
+    opts = IterativeOptions(max_iters=30)
+    y0 = np.zeros(ms.m, dtype=complex)
+    got = gs_solve(ms, opts, y0=y0)
+    want = reference_gs(ms, opts, y0=y0)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])

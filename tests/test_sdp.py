@@ -5,12 +5,11 @@ from scipy.linalg import toeplitz
 from phaseret.cork import solve_cork
 from phaseret.measurement import (AugmentationSpec, add_noise, default_delta,
                                   measure_augmented)
-from phaseret.sdp import (correlation_traces, phaselift_sf, phaselift_value,
-                          psd_project, sdp_sf)
+from phaseret.sdp import (_hermitian_toeplitz, correlation_traces,
+                          phaselift_sf, phaselift_value, psd_project)
 from phaseret.signals import (MeasurementSet, as_correlation, autocorrelation,
-                              correlation_to_intensity, doubled_lags,
-                              global_phase_distance, intensity_measure)
-from phaseret.specfact import root_sf
+                              correlation_to_intensity, global_phase_distance,
+                              intensity_measure)
 
 
 def rel_err(x, xhat):
@@ -42,6 +41,15 @@ def test_correlation_traces_match_autocorrelation():
     assert np.abs(got - want).max() <= 1e-12 * want[0].real
 
 
+@pytest.mark.parametrize("n", [1, 2, 33, 64])
+def test_hermitian_toeplitz_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    lags = rng.normal(size=n) + 1j * rng.normal(size=n)
+    want = toeplitz(lags, np.conj(lags))
+    np.fill_diagonal(want, lags[0].real)
+    assert np.array_equal(_hermitian_toeplitz(lags), want)
+
+
 def top_eigenvalue(op, n, iters=300):
     """Power iteration for a PSD operator on n x n Hermitian matrices."""
     rng = np.random.default_rng(n)
@@ -63,17 +71,6 @@ def test_phaselift_lipschitz_constant_is_2mn(n, m):
         return 2.0 * (f.conj().T * a) @ f
 
     assert top_eigenvalue(hessian, n) == pytest.approx(2.0 * m * n, rel=1e-2)
-
-
-@pytest.mark.parametrize("n", [1, 2, 20])
-def test_sdp_sf_lipschitz_constant(n):
-    # the penalty Hessian X -> T(I~ traces(X)) / r0^2, at r0 = 3
-    def hessian(x_mat):
-        lags = doubled_lags(correlation_traces(x_mat))
-        return toeplitz(lags, lags.conj()) / 9.0
-
-    assert top_eigenvalue(hessian, n) == pytest.approx(
-        max(n, 2 * n - 2) / 9.0, rel=1e-2)
 
 
 def test_phaselift_value_scalar_closed_form():
@@ -155,21 +152,6 @@ def test_phaselift_sf_bound_without_rank_one_lift(seed):
     assert diag.converged
     assert w[-2] >= 0.1 * w[-1]
     assert abs(diag.fit - diag.lower_bound) <= 1e-9 * np.dot(ms.b, ms.b)
-
-
-def test_sdp_sf_matches_root_method():
-    r = autocorrelation(min_phase_signal(5, 6))
-    np.testing.assert_allclose(sdp_sf(r), root_sf(r),
-                               atol=1e-5 * np.sqrt(r[0].real))
-
-
-def test_sdp_sf_two_tap():
-    np.testing.assert_allclose(sdp_sf([5.0, 2.0]), [2, 1], atol=1e-5)
-
-
-def test_sdp_sf_rejects_invalid_correlation():
-    with pytest.raises(ValueError):
-        sdp_sf([1.0, 0.9])
 
 
 def partial_dft_matrix(n, m):
