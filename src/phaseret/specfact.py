@@ -1,14 +1,15 @@
 """Spectral factorization: extract the minimum-phase signal of a correlation.
 
-Two routes are provided.  The FFT route (``kolmogorov_sf``) takes half the
-log of the sampled correlation spectrum, obtains the phase as its Hilbert
-transform (log-magnitude and phase of a minimum-phase transfer function are
-a Hilbert pair), and inverts.  The algebraic route (``root_sf``) finds the
-zeros of the two-sided correlation polynomial (companion-matrix eigenvalues,
-``np.roots``), which come in conjugate-reciprocal pairs, and keeps the N-1
-innermost; it is accurate only for small N and serves as a
-cross-validation oracle.  ``is_min_phase`` certifies a signal minimum phase
-at any N by the argument principle.
+Two routes are provided.  The cepstral route (``kolmogorov_sf``) samples the
+log spectrum of the correlation on L points, takes its causal cepstrum (the
+coefficients c_k of log X(z) = sum_k c_k z^-k) by one real FFT, and
+exponentiates that power series for the N taps it returns: 2 real FFTs and
+N^2/2 complex multiply-adds per row, with no wrap-around.  The algebraic
+route (``root_sf``) finds the zeros of the two-sided correlation polynomial
+(companion-matrix eigenvalues, ``np.roots``), which come in
+conjugate-reciprocal pairs, and keeps the N-1 innermost; it is accurate only
+for small N and serves as a cross-validation oracle.  ``is_min_phase``
+certifies a signal minimum phase at any N by the argument principle.
 """
 
 from __future__ import annotations
@@ -40,13 +41,19 @@ class SfOptions:
 
 
 def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
-    """Minimum-phase factor of the correlation ``r`` via log-spectrum FFTs.
+    """Minimum-phase factor of the correlation ``r`` from its cepstrum.
 
-    Spectrum samples below ``FLOOR_EPS * max`` are clamped to the floor, which
-    tolerates near-unit-circle zeros.  Accuracy improves with ``l``; the
-    default is the smallest power of two above 32N.  A 2D ``r`` is a stack
-    of correlations as rows, factored together; each row gives what it
-    gives alone.
+    The log of the spectrum sampled on ``l`` points gives the causal
+    cepstrum c_0..c_{N-1} of log X by one real FFT; X = exp(C) then obeys
+    X' = C'X, so x_0 = exp(c_0) and t x_t = sum_{k=1..t} k c_k x_{t-k}.
+    That is 2 real FFTs plus N^2/2 complex multiply-adds per row, and no
+    length-``l`` inverse transform: the result is the factor that
+    exponentiating on the ``l``-point grid would give, without its
+    wrap-around terms.  Spectrum samples below ``FLOOR_EPS * max`` are
+    clamped to the floor, which tolerates near-unit-circle zeros.  Accuracy
+    improves with ``l``; the default is the smallest power of two above
+    32N.  A 2D ``r`` is a stack of correlations as rows, factored together;
+    each row gives what it gives alone.
     """
     r = as_correlation_rows(r)
     opts = opts or SfOptions()
@@ -57,16 +64,16 @@ def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
     top = spectrum.max(axis=-1, keepdims=True)
     if np.any(top <= 0.0):
         raise InvalidCorrelationError("correlation spectrum is entirely <= 0")
-    spectrum = np.maximum(spectrum, FLOOR_EPS * top)
-
-    gamma = 0.5 * np.log(spectrum)
-    # gamma is real, so its Hilbert transform eta is too: half spectra suffice
-    phi = np.fft.rfft(gamma)
-    sign_half = np.full(phi.shape[-1], -1.0)
-    sign_half[0] = sign_half[-1] = 0.0
-    eta = np.fft.irfft(1j * sign_half * phi, l)
-    x = np.fft.ifft(np.exp(gamma - 1j * eta))
-    return x[..., :n]
+    np.maximum(spectrum, FLOOR_EPS * top, out=spectrum)
+    # the rfft of the real log spectrum holds conj(c_k) at k >= 1 and 2 c_0
+    # at k = 0; vecdot conjugates its first argument, which undoes the conj
+    c = np.fft.rfft(np.log(spectrum, out=spectrum))[..., :n] / l
+    kc = (np.arange(n) * c)[..., ::-1].copy()
+    x = np.empty(c.shape, dtype=complex)
+    x[..., 0] = np.exp(0.5 * c[..., 0].real)
+    for t in range(1, n):  # t x_t = sum_{k=1..t} k c_k x_{t-k}
+        x[..., t] = np.vecdot(kc[..., n - 1 - t:n - 1], x[..., :t]) / t
+    return x
 
 
 def is_min_phase(x):

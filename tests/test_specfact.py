@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from phaseret.measurement import AugmentationSpec, augment_min_phase, default_delta
-from phaseret.signals import autocorrelation, global_phase_distance
-from phaseret.specfact import (MIN_PHASE_TOL, ROOT_SF_MAX_N,
+from phaseret.signals import (autocorrelation, default_transform_length,
+                              global_phase_distance)
+from phaseret.specfact import (FLOOR_EPS, MIN_PHASE_TOL, ROOT_SF_MAX_N,
                                InvalidCorrelationError, SfOptions,
                                is_min_phase, kolmogorov_sf, root_sf)
 
@@ -160,6 +161,70 @@ def test_stacked_kolmogorov_rows_equal_single_rows():
     assert xs.shape == rs.shape
     for k in range(len(rs)):
         assert np.array_equal(xs[k], kolmogorov_sf(rs[k], SfOptions(l=128)))
+
+
+def _kolmogorov_reference(r):
+    # the causal cepstrum of the log spectrum on L samples, exponentiated on
+    # a grid of 8L: the same cepstrum with its wrap-around pushed out of reach
+    n = r.size
+    l = default_transform_length(n)
+    two_sided = np.zeros(l, dtype=complex)
+    two_sided[:n] = r
+    two_sided[l - n + 1:] = np.conj(r[:0:-1])
+    spectrum = np.fft.fft(two_sided).real
+    spectrum = np.maximum(spectrum, FLOOR_EPS * spectrum.max())
+    cepstrum = np.fft.ifft(np.log(spectrum))
+    causal = np.zeros(8 * l, dtype=complex)
+    causal[0] = 0.5 * cepstrum[0]
+    causal[1:l // 2] = cepstrum[1:l // 2]
+    causal[l // 2] = 0.5 * cepstrum[l // 2]
+    return np.fft.ifft(np.exp(np.fft.fft(causal)))[:n]
+
+
+def _augmented_correlation(rng, n):
+    s = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return autocorrelation(augment_min_phase(
+        s, AugmentationSpec(delta=default_delta(s))))
+
+
+def test_kolmogorov_matches_same_cepstrum_reference():
+    rng = np.random.default_rng(5)
+    rs = [_augmented_correlation(rng, n) for n in (1, 2, 33, 257)]
+    # zeros of Gaussian polynomials crowd the unit circle
+    rs += [autocorrelation(rng.normal(size=n) + 1j * rng.normal(size=n))
+           for n in (9, 33, 129)]
+    for r in rs:
+        err = np.abs(kolmogorov_sf(r) - _kolmogorov_reference(r)).max()
+        assert err <= 1e-12 * np.sqrt(r[0].real), (r.size, err)
+    np.testing.assert_allclose(kolmogorov_sf([4.0]), [2.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(33,), (8, 33)])
+def test_kolmogorov_costs_two_real_ffts(monkeypatch, shape):
+    # one irfft for the spectrum, one rfft for the cepstrum; no complex FFT
+    rng = np.random.default_rng(6)
+    r = np.array([_augmented_correlation(rng, shape[-1] - 1)
+                  for _ in range(int(np.prod(shape[:-1])))]).reshape(shape)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    assert kolmogorov_sf(r).shape == shape
+    assert calls == ["irfft", "rfft"]
+
+
+def test_kolmogorov_output_pins_no_transform_buffer():
+    rng = np.random.default_rng(9)
+    for r in (_augmented_correlation(rng, 32),
+              np.array([_augmented_correlation(rng, 32) for _ in range(8)])):
+        x = kolmogorov_sf(r)
+        assert x.base is None or x.base.nbytes == x.nbytes
 
 
 def test_root_sf_gaussian_correlations():
