@@ -37,31 +37,25 @@ class IterativeOptions:
     seed: int = 0
 
 
-def _magnitude_project(y: np.ndarray, root_b: np.ndarray) -> np.ndarray:
-    """Signal-domain projection onto {y : |F y| = sqrt(b)}."""
-    return _with_magnitude(np.fft.fft(y), root_b)
-
-
-def _with_magnitude(spectrum: np.ndarray, root_b: np.ndarray) -> np.ndarray:
-    """The signal whose spectrum has the phases of ``spectrum`` and the
-    magnitudes ``root_b``: the projection of ifft(spectrum)."""
-    mag = np.abs(spectrum)
+def _with_magnitude(spec: np.ndarray, mag: np.ndarray, root_b: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """Write to ``out`` the signal whose spectrum has the phases of ``spec``
+    and the magnitudes ``root_b``: the projection of ifft(spec).  ``mag``
+    is |spec|; ``spec`` is overwritten."""
     if mag.all():
-        phase = spectrum / mag
+        np.divide(spec, mag, out=spec)
     else:
-        phase = np.where(mag > 0, spectrum / np.where(mag == 0, 1, mag), 1.0)
-    return np.fft.ifft(root_b * phase)
+        keep = mag > 0
+        np.divide(spec, mag, out=spec, where=keep)
+        spec[~keep] = 1.0
+    spec *= root_b
+    return np.fft.ifft(spec, out=out)
 
 
-def _support_project(y: np.ndarray, n: int) -> np.ndarray:
-    out = y.copy()
-    out[n:] = 0.0
-    return out
-
-
-def _gs_cost(spectrum: np.ndarray, root_b: np.ndarray) -> float:
-    """The GS cost of the support-projected signal whose FFT is ``spectrum``."""
-    d = root_b - np.abs(spectrum)
+def _gs_cost(mag: np.ndarray, root_b: np.ndarray, work: np.ndarray) -> float:
+    """The GS cost of the support-projected signal whose spectrum has the
+    magnitudes ``mag``; ``work`` is overwritten."""
+    d = np.subtract(root_b, mag, out=work)
     return math.sqrt(d.dot(d)) ** 2   # as np.linalg.norm(d) ** 2 rounds it
 
 
@@ -82,18 +76,24 @@ def gs_solve(b: MeasurementSet, opts: IterativeOptions | None = None,
     root_b = np.sqrt(np.maximum(np.asarray(b.b, dtype=float), 0.0))
     y = _random_start(root_b, opts.seed) if y0 is None else y0
     # the iterate is the support-projected signal, kept at length N: the
-    # M-point FFT zero-pads it, and that one FFT serves cost and projection
-    x = y[: b.n].copy()
+    # M-point FFT zero-pads it, and that one FFT and its magnitudes serve
+    # cost and projection
+    x = y[: b.n].astype(complex)
+    spec = np.empty(b.m, dtype=complex)
+    full = np.empty(b.m, dtype=complex)
+    mag, work = np.empty(b.m), np.empty(b.m)
     history = []
     for _ in range(opts.max_iters):
-        spectrum = np.fft.fft(x, b.m)
-        history.append(_gs_cost(spectrum, root_b))
-        x = _with_magnitude(spectrum, root_b)[: b.n]
+        np.fft.fft(x, b.m, out=spec)
+        np.abs(spec, out=mag)
+        history.append(_gs_cost(mag, root_b, work))
+        x[:] = _with_magnitude(spec, mag, root_b, full)[: b.n]
         if len(history) >= 11:
             prev, cur = history[-11], history[-1]
             if prev - cur <= opts.tol * max(prev, 1.0):
                 break
-    history.append(_gs_cost(np.fft.fft(x, b.m), root_b))
+    np.fft.fft(x, b.m, out=spec)
+    history.append(_gs_cost(np.abs(spec, out=mag), root_b, work))
     return x, np.asarray(history)
 
 
@@ -111,12 +111,16 @@ def fienup_solve(b: MeasurementSet, opts: IterativeOptions | None = None):
     y = _random_start(root_b, opts.seed)
     p = np.zeros_like(y)
     q = np.zeros_like(y)
+    t, spec, w = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    mag = np.empty(b.m)
     for _ in range(opts.max_iters):
-        t = y + p
-        w = _magnitude_project(t, root_b)
-        p = t - w
-        q = w + q
-        y = _support_project(q, b.n)
+        np.add(y, p, out=t)
+        np.fft.fft(t, out=spec)
+        _with_magnitude(spec, np.abs(spec, out=mag), root_b, w)
+        np.subtract(t, w, out=p)
+        q += w
+        y[: b.n] = q[: b.n]
+        y[b.n:] = 0.0
         q[: b.n] = 0.0   # w + q - y: zero on the support, w + q off it
 
     refine = IterativeOptions(max_iters=GS_REFINE_ITERS, tol=opts.tol,

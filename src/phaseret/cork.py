@@ -131,34 +131,38 @@ def _nonnegative_qp(k: np.ndarray, c: np.ndarray, mu: np.ndarray,
     for _ in range(3 * mu.size + 1):
         grad = k @ mu + c
         grad[free] = np.inf
-        j = np.argmin(grad)
+        j = grad.argmin()
         if grad[j] >= -tol:
             break
         free[j] = True
         while True:
-            z = np.zeros_like(mu)
+            idx = free.nonzero()[0]
             try:
-                z[free] = np.linalg.solve(k[np.ix_(free, free)], -c[free])
+                zf = np.linalg.solve(k[idx[:, None], idx], -c[idx])
             except np.linalg.LinAlgError:
                 return None
-            if np.all(z[free] > 0):
+            z = np.zeros_like(mu)
+            z[idx] = zf
+            if (zf > 0).all():
                 mu = z
                 break
             # step toward z until the first multiplier reaches zero
-            blocked = np.flatnonzero(free & (z <= 0))
+            blocked = idx[zf <= 0]
             step = mu[blocked] / (mu[blocked] - z[blocked])
             mu = mu + step.min() * (z - mu)
-            mu[blocked[np.argmin(step)]] = 0.0
+            mu[blocked[step.argmin()]] = 0.0
             free &= mu > 0
     return mu
 
 
 def _violations(spec: np.ndarray, tol: float, real_signal: bool) -> np.ndarray:
     """Grid indices of the circular local minima of ``spec`` below -tol."""
-    low = (spec < -tol) & (spec <= np.roll(spec, 1)) & (spec <= np.roll(spec, -1))
+    l = spec.size
+    cand = np.flatnonzero(spec < -tol)
     if real_signal:
-        low[spec.size // 2 + 1:] = False
-    return np.flatnonzero(low)
+        cand = cand[cand <= l // 2]
+    low = cand[spec[cand] <= spec[cand - 1]]
+    return low[spec[low] <= spec[(low + 1) % l]]
 
 
 def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
@@ -203,7 +207,8 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
         spec, s, mu = spec_ls[k], np.zeros(0, dtype=int), np.zeros(0)
         lam = np.zeros(l)
         while True:
-            new = np.setdiff1d(_violations(spec, tol, b.real_signal), s)
+            new = _violations(spec, tol, b.real_signal)
+            new = new[~(new[:, None] == s).any(axis=1)]
             converged[k] = new.size == 0
             if converged[k] or iters[k] == opts.max_iters:
                 break
@@ -211,10 +216,11 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
             # Samples below -tol must move the optimum of a QP run to
             # tol / 2; when none of them joins, or K_S is singular, the
             # step fails and the solve ends with the previous step's lam.
-            grown = np.r_[s, new]
+            grown = np.concatenate((s, new))
             step = _nonnegative_qp(
                 _working_set_kernel(grown, n, l, b.real_signal),
-                spec_ls[k, grown], np.r_[mu, np.zeros(new.size)], tol / 2)
+                spec_ls[k, grown], np.concatenate((mu, np.zeros(new.size))),
+                tol / 2)
             if step is None or not (step[s.size:] > 0).any():
                 break
             s, mu = grown[step > 0], step[step > 0]

@@ -187,3 +187,21 @@ def test_gs_from_zero_start_takes_the_zero_magnitude_guard(n):
     want = reference_gs(ms, opts, y0=y0)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+
+
+def test_buffered_loops_leave_inputs_and_share_no_memory():
+    # the loops reuse work buffers; a start is read, never written, and
+    # every returned estimate owns its memory
+    ms = draw_b("exponential", 8, 3000)
+    opts = IterativeOptions(max_iters=20, seed=1)
+    y0 = np.fft.ifft(np.sqrt(ms.b))
+    kept = y0.copy()
+    outs = [gs_solve(ms, opts, y0=y0)[0], gs_solve(ms, opts, y0=y0)[0],
+            fienup_solve(ms, opts)[0], fienup_solve(ms, opts)[0]]
+    assert np.array_equal(y0, kept)
+    for i, a in enumerate(outs):
+        assert not np.shares_memory(a, y0)
+        for other in outs[i + 1:]:
+            assert not np.shares_memory(a, other)
+    assert np.array_equal(outs[0], outs[1])
+    assert np.array_equal(outs[2], outs[3])

@@ -8,12 +8,14 @@ import pytest
 from scipy.optimize import minimize
 
 import phaseret
-from phaseret.cork import AdmmOptions, _working_set_kernel, solve_cork
+from phaseret.cork import (VIOLATION_TOL, AdmmOptions, CorkDiagnostics,
+                           _nonnegative_qp, _violations, _working_set_kernel,
+                           solve_cork)
 from phaseret.sdp import _fista
 from phaseret.signals import (MeasurementSet, autocorrelation,
-                              correlation_adjoint, correlation_psd_check,
-                              correlation_spectrum, doubled_lags,
-                              intensity_measure)
+                              check_transform_length, correlation_adjoint,
+                              correlation_psd_check, correlation_spectrum,
+                              doubled_lags, intensity_measure)
 
 
 def make_instance(seed, n, m_mult=4):
@@ -356,3 +358,192 @@ def test_import_loads_no_scipy():
          "if m == 'scipy' or m.startswith('scipy.')))", src],
         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Test-local copies of the exchange step as first written, with np.ix_ for
+# the free block, np.roll for the neighbours, np.setdiff1d for the joining
+# samples and np.r_ for the grown set; solve_cork must reproduce it bit for
+# bit.
+
+def reference_qp(k, c, mu, tol):
+    free = mu > 0
+    for _ in range(3 * mu.size + 1):
+        grad = k @ mu + c
+        grad[free] = np.inf
+        j = np.argmin(grad)
+        if grad[j] >= -tol:
+            break
+        free[j] = True
+        while True:
+            z = np.zeros_like(mu)
+            try:
+                z[free] = np.linalg.solve(k[np.ix_(free, free)], -c[free])
+            except np.linalg.LinAlgError:
+                return None
+            if np.all(z[free] > 0):
+                mu = z
+                break
+            blocked = np.flatnonzero(free & (z <= 0))
+            step = mu[blocked] / (mu[blocked] - z[blocked])
+            mu = mu + step.min() * (z - mu)
+            mu[blocked[np.argmin(step)]] = 0.0
+            free &= mu > 0
+    return mu
+
+
+def reference_violations(spec, tol, real_signal):
+    low = (spec < -tol) & (spec <= np.roll(spec, 1)) & (spec <= np.roll(spec, -1))
+    if real_signal:
+        low[spec.size // 2 + 1:] = False
+    return np.flatnonzero(low)
+
+
+def reference_solve(b, opts):
+    n, m = b.n, b.m
+    l = check_transform_length(n, opts.l)
+
+    def constrain(r):
+        if b.real_signal:
+            r = r.real.astype(complex)
+        r[..., 0] = r[..., 0].real
+        return r
+
+    rows = np.atleast_2d(np.asarray(b.b, dtype=float))
+    w = doubled_lags(np.ones(n)).real
+    r_ls = constrain(correlation_adjoint(rows, n) / (m * w))
+    spec_ls = correlation_spectrum(r_ls, l)
+    r, diags = r_ls.copy(), []
+    for k in range(len(rows)):
+        tol = VIOLATION_TOL * np.abs(spec_ls[k]).max()
+        spec, s, mu = spec_ls[k], np.zeros(0, dtype=int), np.zeros(0)
+        lam, iters, converged = np.zeros(l), 0, True
+        while spec_ls[k].min() < 0.0:
+            new = np.setdiff1d(reference_violations(spec, tol, b.real_signal), s)
+            converged = new.size == 0
+            if converged or iters == opts.max_iters:
+                break
+            grown = np.r_[s, new]
+            step = reference_qp(_working_set_kernel(grown, n, l, b.real_signal),
+                                spec_ls[k, grown], np.r_[mu, np.zeros(new.size)],
+                                tol / 2)
+            if step is None or not (step[s.size:] > 0).any():
+                break
+            s, mu = grown[step > 0], step[step > 0]
+            lam[:] = 0.0
+            lam[s] = 2 * m * mu
+            r[k] = r_ls[k] + constrain(correlation_adjoint(lam, n)) / (2 * m * w)
+            spec = correlation_spectrum(r[k], l)
+            iters += 1
+        lift = max(0.0, -float(spec.min()))
+        r[k, 0] += lift
+        fit = float(np.linalg.norm(rows[k] - correlation_spectrum(r[k], m)) ** 2)
+        diags.append(CorkDiagnostics(
+            iters=iters, fit=fit, l=l, converged=converged,
+            feasibility_lift=lift,
+            gap=float(lam @ (spec + lift) + m * lift ** 2), active=s.size))
+    return r, diags
+
+
+def iterating_draws(kind, n, count, real_signal=False):
+    """The first ``count`` draws of b (M = 4N + 4, seeds 0, 1, ...) on which
+    the constraint binds, so that the exchange loop runs."""
+    rows, seed = [], 0
+    while len(rows) < count:
+        rng = np.random.default_rng(seed)
+        b = (rng.exponential(1.0, size=4 * n + 4) if kind == "speckle"
+             else rng.uniform(0.0, 1.0, size=4 * n + 4))
+        seed += 1
+        if solve_cork(MeasurementSet(b, n, real_signal))[1].iters > 0:
+            rows.append(b)
+    return rows
+
+
+@pytest.mark.parametrize("kind,n,real_signal,count,max_iters", [
+    ("speckle", 128, False, 3, 10000), ("uniform", 32, False, 4, 10000),
+    ("speckle", 32, True, 3, 10000), ("speckle", 128, True, 2, 10000),
+    ("speckle", 128, False, 1, 1)])
+def test_exchange_bit_identical_to_reference_loop(kind, n, real_signal, count,
+                                                  max_iters):
+    opts = AdmmOptions(max_iters=max_iters)
+    for b in iterating_draws(kind, n, count, real_signal):
+        ms = MeasurementSet(b, n, real_signal=real_signal)
+        r, diag = solve_cork(ms, opts)
+        r_want, want = reference_solve(ms, opts)
+        assert np.array_equal(r, r_want[0])
+        assert diag.to_json() == want[0].to_json()
+
+
+def test_stacked_exchange_bit_identical_to_reference_loop():
+    b = np.array(iterating_draws("speckle", 32, 2) + iterating_draws("uniform", 32, 1))
+    ms = MeasurementSet(b, 32)
+    r, diags = solve_cork(ms)
+    r_want, want = reference_solve(ms, AdmmOptions())
+    assert np.array_equal(r, r_want)
+    assert diags.to_json() == [d.to_json() for d in want]
+
+
+def test_violations_match_the_roll_form():
+    # circular local minima below -tol, at both ends of the grid, on
+    # equal-neighbour plateaus (both samples kept) and in the real half
+    rng = np.random.default_rng(17)
+    spectra = [rng.normal(size=64) for _ in range(20)]
+    first, last = rng.normal(size=64) + 3.0, rng.normal(size=64) + 3.0
+    first[0], last[-1] = -2.0, -1.0
+    plateau = np.ones(32)
+    plateau[5:7] = plateau[8] = -1.0        # two equal neighbours, a single
+    plateau[30:32] = plateau[0] = -0.5      # a plateau across the wrap
+    spectra += [first, last, plateau, np.round(rng.normal(size=64), 1)]
+    for spec in spectra:
+        for real_signal in (False, True):
+            for tol in (0.0, 0.5):
+                got = _violations(spec, tol, real_signal)
+                want = reference_violations(spec, tol, real_signal)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+    assert _violations(first, 0.0, False)[0] == 0
+    assert _violations(last, 0.0, False)[-1] == 63
+    assert set(_violations(plateau, 0.0, False)) == {0, 5, 6, 8, 30, 31}
+    assert set(_violations(plateau, 0.0, True)) == {0, 5, 6, 8}
+
+
+def test_no_violation_is_an_empty_integer_array():
+    # an empty result keeps the working set integer when it is appended
+    for spec in (np.ones(16), np.r_[-1e-13, np.ones(15)]):
+        got = _violations(spec, 1e-12, False)
+        assert got.size == 0 and got.dtype.kind == "i"
+        assert np.concatenate((np.array([3]), got)).dtype.kind == "i"
+
+
+@pytest.mark.parametrize("real_signal", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_nonnegative_qp_meets_kkt(seed, real_signal):
+    # mu >= 0, and the gradient k mu + c is >= -tol where mu = 0 and within
+    # tol of zero where mu > 0, on Dirichlet blocks over random grid sets:
+    # from a cold start, then warm from that solution with samples appended
+    # at zero, as an exchange step grows the working set
+    rng = np.random.default_rng(seed)
+    n, l = 16, 128
+    hi = l // 2 + 1 if real_signal else l
+    s = rng.choice(hi, size=rng.integers(6, 16), replace=False)
+    k = _working_set_kernel(s, n, l, real_signal)
+    c = rng.normal(size=s.size) * k.diagonal().max()
+    tol = 1e-9 * np.abs(c).max()
+    half = s.size // 2
+    cold = _nonnegative_qp(k[:half, :half], c[:half], np.zeros(half), tol)
+    warm = np.concatenate((cold, np.zeros(s.size - half)))
+    for kk, cc, mu0 in ((k[:half, :half], c[:half], np.zeros(half)),
+                        (k, c, warm)):
+        mu = _nonnegative_qp(kk, cc, mu0.copy(), tol)
+        assert np.array_equal(mu, reference_qp(kk, cc, mu0.copy(), tol))
+        grad = kk @ mu + cc
+        assert (mu >= 0).all() and (mu > 0).any()
+        assert (grad[mu == 0] >= -tol).all()
+        assert np.abs(grad[mu > 0]).max() <= tol
+
+
+def test_nonnegative_qp_singular_free_set_returns_none():
+    # a duplicated grid index makes K singular on any free set holding both
+    s = np.array([3, 3, 10])
+    k = _working_set_kernel(s, 8, 32, False)
+    assert _nonnegative_qp(k, -k.diagonal(), np.array([1.0, 1.0, 0.0]),
+                           1e-12) is None
