@@ -23,15 +23,18 @@ nonnegative QP with Hessian K_S / (2M), where K is the Dirichlet kernel
     K_ij = D(w_i - w_j),   D(d) = sin((2N - 1) d / 2) / sin(d / 2),
 
 or (D(w_i - w_j) + D(w_i + w_j)) / 2 for a real signal, whose spectrum is
-even, so S then stays in 0..L/2.  Lawson and Hanson's active-set method
-(1974, ch. 23) solves the QP from the previous step's multipliers, with
-one dense solve of the free block per change to it.  Each exchange step
-then costs two real L-point FFTs, r(lam) by one ``rfft`` and its
-spectrum by one ``irfft``; every local minimum of the spectrum
-below a roundoff threshold joins S, and zero multipliers leave it.  When
-nothing joins, lam is dual feasible, complementary on S and stationary by
-construction, which is the KKT point of the sampled program; h falls at
-every step, so no working set repeats.
+even, so S then stays in 0..L/2.  Block principal pivoting (Portugal,
+Judice & Vicente 1994, Math. Comp. 63:625; Kim & Park 2011, SIAM J. Sci.
+Comput. 33:3261) solves the QP from the previous step's support plus the
+joining samples: each round is one dense solve of the free block and
+exchanges every infeasible index at once, with Murty's single-index rule
+as a backup when the count of them stalls, so a step takes a few solves.
+Each exchange step then costs two real L-point FFTs, r(lam) by one
+``rfft`` and its spectrum by one ``irfft``; every local minimum of the
+spectrum below a roundoff threshold joins S, and zero multipliers leave
+it.  When nothing joins, lam is dual feasible, complementary on S and
+stationary by construction, which is the KKT point of the sampled
+program; h falls at every step, so no working set repeats.
 
 When A_L r_ls >= 0, lam = 0 already meets every KKT condition and r_ls is
 returned after that one transform.  A stack of measurements (rows of a
@@ -121,38 +124,40 @@ def _working_set_kernel(s: np.ndarray, n: int, l: int,
 
 def _nonnegative_qp(k: np.ndarray, c: np.ndarray, mu: np.ndarray,
                     tol: float) -> np.ndarray | None:
-    """argmin over mu >= 0 of mu^T k mu / 2 + c^T mu, Lawson-Hanson style.
+    """argmin over mu >= 0 of mu^T k mu / 2 + c^T mu, by block pivoting.
 
     Starts from a ``mu`` that is optimal on its own support and returns one
-    whose gradient k mu + c is >= -tol wherever it is zero, or None when k
-    is singular on the free set.  Each inner step solves the free block.
+    whose gradient k mu + c is >= -tol wherever it is zero.  Each round
+    solves the free block once and flips every infeasible index at once: a
+    free one whose solution is <= 0 and a bound one whose gradient is below
+    -tol.  After three rounds in which the count of them does not fall,
+    only the largest flips (Murty's rule), until it falls again.  Returns
+    None when k is singular on the free set or no solution is reached in
+    10 |S| + 10 rounds.
     """
-    free = mu > 0
-    for _ in range(3 * mu.size + 1):
-        grad = k @ mu + c
-        grad[free] = np.inf
-        j = grad.argmin()
-        if grad[j] >= -tol:
-            break
-        free[j] = True
-        while True:
-            idx = free.nonzero()[0]
-            try:
-                zf = np.linalg.solve(k[idx[:, None], idx], -c[idx])
-            except np.linalg.LinAlgError:
-                return None
-            z = np.zeros_like(mu)
-            z[idx] = zf
-            if (zf > 0).all():
-                mu = z
-                break
-            # step toward z until the first multiplier reaches zero
-            blocked = idx[zf <= 0]
-            step = mu[blocked] / (mu[blocked] - z[blocked])
-            mu = mu + step.min() * (z - mu)
-            mu[blocked[step.argmin()]] = 0.0
-            free &= mu > 0
-    return mu
+    free, z, grad = mu > 0, mu, k @ mu + c
+    best, chances = mu.size + 1, 3
+    for _ in range(10 * mu.size + 10):
+        flip = np.where(free, z <= 0, grad < -tol)
+        count = flip.sum()
+        if count == 0:
+            return z
+        if count < best:
+            best, chances = count, 3
+        elif chances:
+            chances -= 1
+        else:
+            flip[:flip.nonzero()[0][-1]] = False
+        free ^= flip
+        idx = free.nonzero()[0]
+        try:
+            zf = np.linalg.solve(k[idx[:, None], idx], -c[idx])
+        except np.linalg.LinAlgError:
+            return None
+        z = np.zeros_like(mu)
+        z[idx] = zf
+        grad = k @ z + c
+    return None
 
 
 def _violations(spec: np.ndarray, tol: float, real_signal: bool) -> np.ndarray:
@@ -214,8 +219,9 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
                 break
             # mu = lam / (2M) on S, so the QP's gradient is the spectrum.
             # Samples below -tol must move the optimum of a QP run to
-            # tol / 2; when none of them joins, or K_S is singular, the
-            # step fails and the solve ends with the previous step's lam.
+            # tol / 2; when none of them joins, K_S is singular or the QP
+            # reaches its round cap, the step fails and the solve ends with
+            # the previous step's lam.
             grown = np.concatenate((s, new))
             step = _nonnegative_qp(
                 _working_set_kernel(grown, n, l, b.real_signal),

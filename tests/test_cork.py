@@ -461,7 +461,8 @@ def iterating_draws(kind, n, count, real_signal=False):
 @pytest.mark.parametrize("kind,n,real_signal,count,max_iters", [
     ("speckle", 128, False, 3, 10000), ("uniform", 32, False, 4, 10000),
     ("speckle", 32, True, 3, 10000), ("speckle", 128, True, 2, 10000),
-    ("speckle", 128, False, 1, 1)])
+    ("speckle", 128, False, 1, 1), ("speckle", 512, False, 1, 10000),
+    ("speckle", 512, True, 1, 10000)])
 def test_exchange_bit_identical_to_reference_loop(kind, n, real_signal, count,
                                                   max_iters):
     opts = AdmmOptions(max_iters=max_iters)
@@ -547,3 +548,70 @@ def test_nonnegative_qp_singular_free_set_returns_none():
     k = _working_set_kernel(s, 8, 32, False)
     assert _nonnegative_qp(k, -k.diagonal(), np.array([1.0, 1.0, 0.0]),
                            1e-12) is None
+
+
+def qp_meets_kkt_like_reference(k, c, mu0, tol):
+    """_nonnegative_qp from ``mu0`` meets the KKT conditions to ``tol`` and
+    keeps the support of the Lawson-Hanson reference; returns its mu."""
+    mu = _nonnegative_qp(k, c, mu0.copy(), tol)
+    grad = k @ mu + c
+    assert (mu >= 0).all() and (grad[mu == 0] >= -tol).all()
+    assert np.abs(grad[mu > 0]).max(initial=0.0) <= tol
+    assert np.array_equal(mu > 0, reference_qp(k, c, mu0.copy(), tol) > 0)
+    return mu
+
+
+@pytest.mark.parametrize("real_signal", [False, True])
+def test_nonnegative_qp_meets_kkt_on_large_dirichlet_blocks(real_signal):
+    # working sets of up to 60 grid indices at N = 64, L = 1024, cold and
+    # then warm with the other half appended at zero
+    n, l = 64, 1024
+    hi = l // 2 + 1 if real_signal else l
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        s = rng.choice(hi, size=rng.integers(8, 61), replace=False)
+        k = _working_set_kernel(s, n, l, real_signal)
+        c = rng.normal(size=s.size) * k.diagonal().max()
+        tol = 1e-9 * np.abs(c).max()
+        half = s.size // 2
+        cold = qp_meets_kkt_like_reference(k[:half, :half], c[:half],
+                                           np.zeros(half), tol)
+        qp_meets_kkt_like_reference(
+            k, c, np.concatenate((cold, np.zeros(s.size - half))), tol)
+
+
+def test_nonnegative_qp_meets_kkt_on_dense_spd_matrices():
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        size = rng.integers(2, 61)
+        a = rng.normal(size=(size, size))
+        k = a @ a.T + 1e-3 * size * np.eye(size)
+        c = rng.normal(size=size) * k.diagonal().max()
+        qp_meets_kkt_like_reference(k, c, np.zeros(size),
+                                    1e-9 * np.abs(c).max())
+
+
+def test_nonnegative_qp_without_a_solution_returns_none():
+    # k = -1, c = -1: mu = 0 has gradient -1 and mu > 0 needs mu = -1, so
+    # the free set flips forever; the round cap ends it with None, where
+    # an active-set loop at its cap returned the non-KKT point mu = 0
+    assert _nonnegative_qp(np.array([[-1.0]]), np.array([-1.0]), np.zeros(1),
+                           1e-12) is None
+
+
+def test_exchange_step_takes_few_dense_solves(monkeypatch):
+    # speckle at N = 1024 works on about 180 samples in 3 exchange steps;
+    # an active-set QP re-solved the free block 212 times, once per change
+    # to it, where block pivoting exchanges every infeasible index at once
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    b = np.random.default_rng(1031).exponential(1.0, size=4100)
+    _, diag = solve_cork(MeasurementSet(b, 1024))
+    assert diag.converged and diag.iters > 0
+    assert len(calls) <= 3 * diag.iters
