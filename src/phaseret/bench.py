@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -42,7 +43,7 @@ from .signals import (MeasurementSet, autocorrelation, global_phase_distance,
                       intensity_measure)
 from .specfact import kolmogorov_sf
 
-__all__ = ["SOLVERS", "ExperimentConfig", "run_gap_trial",
+__all__ = ["SOLVERS", "THRESHOLDS", "ExperimentConfig", "run_gap_trial",
            "run_recovery_trial", "run_crb_study", "run_experiment",
            "aggregate_and_persist"]
 
@@ -105,6 +106,17 @@ def _gs(ms, seed, max_iters=None, tol=None):
 SOLVERS = {"cork": _cork, "phaselift-sf": _phaselift_sf, "fienup": _fienup,
            "gs": _gs}
 
+# Each pass/fail threshold a config may set: name -> (label, the row's value
+# or None).  A threshold fails when its worst value exceeds it, or when no
+# row has a value.
+THRESHOLDS = {
+    "cork_gap_rel_max": ("cork relative gap",
+                         lambda row: row.get("gaps_rel", {}).get("cork")),
+    "minphase_err_rel_max": ("min-phase arm error",
+                             lambda row: row.get("errors_rel", {}).get("cork_minphase")),
+    "mse_over_crb_max": ("MSE/CRB", lambda row: row.get("mse_over_crb")),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -144,6 +156,12 @@ class ExperimentConfig:
         for name in ("m_multiplier", "crb_m_multiplier"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
+        th = self.thresholds
+        if not (isinstance(th, dict) and set(th) <= set(THRESHOLDS) and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                and not np.isnan(v) for v in th.values())):
+            raise ValueError(f"thresholds must map names from "
+                             f"{list(THRESHOLDS)} to numbers, got {th!r}")
 
     def trial_rng(self, trial_index: int) -> np.random.Generator:
         return np.random.default_rng(
@@ -162,6 +180,22 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**kwargs)
+
+
+def _solve(result: dict, key: str, name: str, ms: MeasurementSet, seed):
+    """(estimate, diagnostics) of ``SOLVERS[name]`` on ``ms``, de-augmented
+    when ``ms`` is augmented and timed under ``result["times"][key]``; None
+    when it raised, with the message under ``result["errors"][key]``."""
+    try:
+        t0 = time.perf_counter()
+        x, diag = SOLVERS[name](ms, seed)
+        if ms.augmentation is not None:
+            x = deaugment(x, ms.augmentation)
+        result["times"][key] = time.perf_counter() - t0
+    except Exception as exc:  # noqa: BLE001 - per-solver capture
+        result["errors"][key] = str(exc)
+        return None
+    return x, diag
 
 
 def run_gap_trial(config: ExperimentConfig, trial_index: int) -> dict:
@@ -185,18 +219,14 @@ def run_gap_trial(config: ExperimentConfig, trial_index: int) -> dict:
     result["lower_bound"] = lower_bound
 
     for name in config.solvers:
-        try:
-            t0 = time.perf_counter()
-            _, diag = SOLVERS[name](ms, trial_index)
-            elapsed = time.perf_counter() - t0
-        except Exception as exc:  # noqa: BLE001 - per-solver capture
-            result["errors"][name] = str(exc)
+        solved = _solve(result, name, name, ms, trial_index)
+        if solved is None:
             continue
+        diag = solved[1]
         gap = diag["fit"] - lower_bound
         result["fits"][name] = diag["fit"]
         result["gaps"][name] = gap
         result["gaps_rel"][name] = gap / max(bscale, 1e-300)
-        result["times"][name] = elapsed
         if "iters" in diag:
             result["iters"][name] = diag["iters"]
     return result
@@ -226,16 +256,10 @@ def run_recovery_trial(config: ExperimentConfig, trial_index: int) -> dict:
         bscale = float(np.linalg.norm(ms.b) ** 2)
         for name in config.solvers:
             key = f"{name}_{arm}"
-            try:
-                t0 = time.perf_counter()
-                shat, diag = SOLVERS[name](ms, trial_index)
-                if ms.augmentation is not None:
-                    shat = deaugment(shat, ms.augmentation)
-                elapsed = time.perf_counter() - t0
-            except Exception as exc:  # noqa: BLE001 - per-solver capture
-                result["errors"][key] = str(exc)
+            solved = _solve(result, key, name, ms, trial_index)
+            if solved is None:
                 continue
-            result["times"][key] = elapsed
+            shat, diag = solved
             result["errors_rel"][key] = \
                 global_phase_distance(s, shat) / s_energy
             result["fits_rel"][key] = diag["fit"] / bscale
@@ -377,26 +401,12 @@ def aggregate_and_persist(results: list[dict], output_dir: str) -> dict:
 
 
 def check_thresholds(config: ExperimentConfig, results: list[dict]) -> list[str]:
-    """Evaluate optional pass/fail thresholds; returns failure messages."""
+    """Evaluate the config's thresholds; returns failure messages."""
     failures = []
-    th = config.thresholds or {}
-    if "cork_gap_rel_max" in th:
-        gaps = [r["gaps_rel"]["cork"] for r in results if "cork" in r.get("gaps_rel", {})]
-        worst = max(gaps) if gaps else float("inf")
-        if worst > th["cork_gap_rel_max"]:
-            failures.append(
-                f"cork relative gap {worst:.3g} > {th['cork_gap_rel_max']:.3g}")
-    if "minphase_err_rel_max" in th:
-        errs = [r["errors_rel"].get("cork_minphase") for r in results
-                if r.get("errors_rel", {}).get("cork_minphase") is not None]
-        worst = max(errs) if errs else float("inf")
-        if worst > th["minphase_err_rel_max"]:
-            failures.append(
-                f"min-phase arm error {worst:.3g} > {th['minphase_err_rel_max']:.3g}")
-    if "mse_over_crb_max" in th:
-        ratios = [r["mse_over_crb"] for r in results if "mse_over_crb" in r]
-        worst = max(ratios) if ratios else float("inf")
-        if worst > th["mse_over_crb_max"]:
-            failures.append(
-                f"MSE/CRB {worst:.3g} > {th['mse_over_crb_max']:.3g}")
+    for name, limit in config.thresholds.items():
+        label, value = THRESHOLDS[name]
+        worst = max((v for v in map(value, results) if v is not None),
+                    default=float("inf"))
+        if worst > limit:
+            failures.append(f"{label} {worst:.3g} > {limit:.3g}")
     return failures

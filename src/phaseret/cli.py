@@ -4,9 +4,10 @@
 transform length (the smallest power of two above 32N); ``recover`` takes
 signal realness from the measurement file, which ``measure --real`` sets.
 
-Exit codes: 0 success, 2 validation error, 3 solver non-convergence (or, on
-augmented data, an estimate that fails the min-phase certificate, checked
-at every N), 4 I/O error.
+Exit codes: 0 success, 2 malformed input or invalid option, 3 solver
+non-convergence (or, on augmented data, an estimate that fails the min-phase
+certificate, checked at every N), 4 I/O error.  Commands raise; ``main``
+alone turns a ``ValueError`` into 2 and an ``OSError`` into 4.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .bench import SOLVERS, ExperimentConfig, aggregate_and_persist, \
     check_thresholds, run_experiment
 from .measurement import (AugmentationSpec, add_noise, deaugment,
                           default_delta, margin_violated, measure_augmented)
-from .signals import (MeasurementSet, correlation_psd_check,
-                      global_phase_distance)
+from .signals import correlation_psd_check, global_phase_distance
 from .specfact import ROOT_SF_MAX_N, is_min_phase, kolmogorov_sf, root_sf
 
 EXIT_OK = 0
@@ -32,34 +32,16 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-def _load_signal(path: str) -> np.ndarray:
-    try:
-        return pio.load_signal_file(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"input not found: {path}", EXIT_IO) from exc
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from exc
-
-
 def cmd_measure(args) -> int:
-    s = _load_signal(args.input)
+    s = pio.load_signal_file(args.input)
     n = s.size
     if args.impulse == "three-sigma":
         delta = 3.0 * args.sigma * n
     else:
         delta = default_delta(s)
     m = args.m if args.m else int(np.ceil(args.oversampling * (n + args.gap + 1)))
-    try:
-        spec = AugmentationSpec(delta, gap=args.gap, side="prefix")
-        ms = measure_augmented(s, spec, m, real_signal=args.real)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from exc
+    spec = AugmentationSpec(delta, gap=args.gap, side="prefix")
+    ms = measure_augmented(s, spec, m, real_signal=args.real)
     if args.noise_sigma2 > 0:
         ms = add_noise(ms, args.noise_sigma2, args.seed)
     pio.save_measurement_file(args.output, ms)
@@ -70,17 +52,9 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _load_measurement(path: str) -> MeasurementSet:
-    try:
-        return pio.load_measurement_file(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"input not found: {path}", EXIT_IO) from exc
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from exc
-
-
 def cmd_recover(args) -> int:
-    ms = _load_measurement(args.input)
+    ms = pio.load_measurement_file(args.input)
+    ref = pio.load_signal_file(args.reference) if args.reference else None
     diagnostics: dict = {"solver": args.solver, "m": ms.m, "n": ms.n}
     direct_mode = ms.augmentation is None
     if direct_mode:
@@ -88,11 +62,8 @@ def cmd_recover(args) -> int:
             "no augmentation metadata: direct mode; the minimum-phase "
             "estimate is one of many signals with these intensities")
 
-    try:
-        xmin, diag = SOLVERS[args.solver](ms, args.seed,
-                                          max_iters=args.max_iters, tol=args.tol)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from exc
+    xmin, diag = SOLVERS[args.solver](ms, args.seed,
+                                      max_iters=args.max_iters, tol=args.tol)
     diagnostics[args.solver] = diag
     if not diag["converged"]:
         diagnostics["converged"] = False
@@ -102,11 +73,9 @@ def cmd_recover(args) -> int:
     flag, margin = is_min_phase(xmin)
     diagnostics["min_phase"] = {"flag": flag, "margin": margin}
     estimate = xmin if direct_mode else deaugment(xmin, ms.augmentation)
-    if args.reference:
-        ref = _load_signal(args.reference)
-        if ref.size == estimate.size:
-            diagnostics["ref_error_rel"] = global_phase_distance(ref, estimate) \
-                / max(float(np.linalg.norm(ref) ** 2), 1e-300)
+    if ref is not None and ref.size == estimate.size:
+        diagnostics["ref_error_rel"] = global_phase_distance(ref, estimate) \
+            / max(float(np.linalg.norm(ref) ** 2), 1e-300)
     pio.save_signal_file(args.output, estimate)
     print(json.dumps(diagnostics))
     if diagnostics.get("converged") is False:
@@ -118,14 +87,11 @@ def cmd_recover(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    r = _load_signal(args.input)
-    try:
-        if not correlation_psd_check(r)[2]:
-            raise CliError("input is not a valid correlation (sampled "
-                           "spectrum has negative entries)", EXIT_VALIDATION)
-        x = root_sf(r) if args.exact else kolmogorov_sf(r)
-    except ValueError as exc:  # r0 not real or below 0, or N out of range
-        raise CliError(str(exc), EXIT_VALIDATION) from exc
+    r = pio.load_signal_file(args.input)
+    if not correlation_psd_check(r)[2]:
+        raise ValueError("input is not a valid correlation (sampled "
+                         "spectrum has negative entries)")
+    x = root_sf(r) if args.exact else kolmogorov_sf(r)
     pio.save_signal_file(args.output, x)
     return EXIT_OK
 
@@ -133,19 +99,12 @@ def cmd_factorize(args) -> int:
 def cmd_bench(args) -> int:
     try:
         with open(args.config) as fh:
-            obj = json.load(fh)
-    except FileNotFoundError as exc:
-        raise CliError(f"config not found: {args.config}", EXIT_IO) from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{args.config}: invalid JSON: {exc}", EXIT_VALIDATION) from exc
-    try:
-        config = ExperimentConfig.from_json(obj)
+            config = ExperimentConfig.from_json(json.load(fh))
     except (TypeError, ValueError) as exc:
-        raise CliError(f"bad config: {exc}", EXIT_VALIDATION) from exc
+        raise ValueError(f"bad config {args.config}: {exc}") from exc
     output_dir = args.output or config.output_dir
     if not output_dir:
-        raise CliError("no output directory (pass --output or set output_dir)",
-                       EXIT_VALIDATION)
+        raise ValueError("no output directory (pass --output or set output_dir)")
     results = run_experiment(config)
     paths = aggregate_and_persist(results, output_dir)
     failures = check_thresholds(config, results)
@@ -207,15 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "oversampling", None) is not None and args.command == "measure":
-        if args.oversampling < 2 and not args.m:
-            parser.exit(EXIT_VALIDATION,
-                        "oversampling must be >= 2 (identifiability needs M >= 2N)\n")
+    if args.command == "measure" and args.oversampling < 2 and not args.m:
+        parser.exit(EXIT_VALIDATION,
+                    "oversampling must be >= 2 (identifiability needs M >= 2N)\n")
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:  # also malformed JSON and undecodable text
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_VALIDATION
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

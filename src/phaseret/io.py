@@ -11,6 +11,7 @@ value round-trips exactly.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 
@@ -61,7 +62,7 @@ def load_signal(obj: dict) -> np.ndarray:
     if real.size != n or imag.size != n:
         raise ValueError(f"signal length mismatch: n={n}, "
                          f"len(real)={real.size}, len(imag)={imag.size}")
-    return real + 1j * imag
+    return as_signal(real + 1j * imag)
 
 
 def dump_measurement(ms: MeasurementSet) -> dict:
@@ -81,18 +82,24 @@ def dump_measurement(ms: MeasurementSet) -> dict:
 def load_measurement(obj: dict) -> MeasurementSet:
     try:
         b = np.asarray(obj["b"], dtype=float)
-        n = int(obj["n"])
+        n = operator.index(obj["n"])  # 2.9 is not a length
         sigma2 = float(obj.get("sigma2", 0.0))
-        real_signal = bool(obj.get("real_signal", False))
+        real_signal = obj.get("real_signal", False)
         a = obj.get("augmentation")
         aug = None if a is None else AugmentationSpec(
             delta=complex(float(a["delta_re"]), float(a.get("delta_im", 0.0))),
-            gap=int(a.get("gap", 0)),
+            gap=operator.index(a.get("gap", 0)),
             side=a.get("side", "prefix"),
         )
-        m = int(obj.get("m", b.size))
+        m = operator.index(obj.get("m", b.size))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement object: {exc}") from exc
+    if not isinstance(real_signal, bool):  # bool("false") is True
+        raise ValueError("malformed measurement object: real_signal must be "
+                         f"true or false, got {real_signal!r}")
+    if aug is not None and n < aug.gap + 2:
+        raise ValueError(f"malformed measurement object: n={n} leaves no "
+                         f"signal sample after the impulse and gap={aug.gap}")
     if b.ndim != 1:
         # a file holds one measurement; stacks exist only in memory
         raise ValueError("malformed measurement object: b must be a flat list")
@@ -127,7 +134,7 @@ def load_signal_file(path: str) -> np.ndarray:
                 values.append(complex(float(parts[0]), float(parts[1])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        return np.asarray(values, dtype=complex)
+        return as_signal(values)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

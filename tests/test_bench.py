@@ -220,6 +220,16 @@ def test_crb_sweep_point_ffts_do_not_grow_with_trials(monkeypatch):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("thresholds", [
+    {"cork_gap_max": -1}, {"cork_gap_rel_max": "1e-3"},
+    {"mse_over_crb_max": float("nan")}, {"mse_over_crb_max": True},
+    ["mse_over_crb_max"]])
+def test_config_rejects_bad_thresholds(thresholds):
+    # an unknown name would check nothing, and NaN passes every comparison
+    with pytest.raises(ValueError, match="thresholds"):
+        ExperimentConfig(thresholds=thresholds)
+
+
 def test_check_thresholds():
     cfg = ExperimentConfig(thresholds={"cork_gap_rel_max": 1e-3,
                                        "minphase_err_rel_max": 1e-6})

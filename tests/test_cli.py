@@ -240,6 +240,50 @@ def test_missing_input_gives_io_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("case", ["empty_csv", "nan_signal", "nan_reference",
+                                  "gap_beyond_n"])
+def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
+    # every malformed file is a validation error, whichever command reads it
+    # and wherever in the command it is found; none writes an output
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    bad = tmp_path / ("bad.csv" if case == "empty_csv" else "bad.json")
+    out = tmp_path / "out.json"
+    if case == "empty_csv":
+        bad.write_text("")
+    elif case in ("nan_signal", "nan_reference"):
+        bad.write_text('{"n": 2, "real": [1.0, NaN], "imag": [0.0, 0.0]}')
+    else:
+        # N = 2 holds the impulse and no room for a gap of 5
+        bad.write_text(json.dumps({"m": 8, "n": 2, "b": [1.0] * 8,
+                                   "augmentation": {"delta_re": 3.0,
+                                                    "gap": 5}}))
+    if case == "nan_reference":
+        write_signal(sig)
+        assert main(["measure", "--input", str(sig), "--output",
+                     str(meas)]) == 0
+        capsys.readouterr()
+        argv = ["recover", "--input", str(meas), "--reference", str(bad)]
+    elif case == "gap_beyond_n":
+        argv = ["recover", "--input", str(bad)]
+    else:
+        argv = ["measure", "--input", str(bad)]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_missing_file_exits_4_with_the_os_message(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    for argv in (["recover", "--input", missing, "--output",
+                  str(tmp_path / "o.json")],
+                 ["bench", "--config", missing, "--output",
+                  str(tmp_path / "out")]):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and missing in err
+
+
 def test_factorize_exact_and_fft(tmp_path):
     r = autocorrelation([2.0, 1.0])  # [5, 2]
     rfile = tmp_path / "r.json"
@@ -374,6 +418,21 @@ def test_bench_rejects_m_below_2n(tmp_path, capsys, bad):
     cfg = json.loads(cfgfile.read_text())
     cfg.update(bad)
     cfgfile.write_text(json.dumps(cfg))
+    code = main(["bench", "--config", str(cfgfile),
+                 "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "bad config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("thresholds", [{"cork_gap_max": -1},
+                                        {"cork_gap_rel_max": "1e-3"}])
+def test_bench_rejects_bad_thresholds_before_running(tmp_path, capsys,
+                                                     thresholds):
+    # a misspelled name would check nothing and a string would fail only
+    # after the whole study ran
+    cfgfile = tmp_path / "cfg.json"
+    write_bench_config(cfgfile, thresholds=thresholds)
     code = main(["bench", "--config", str(cfgfile),
                  "--output", str(tmp_path / "out")])
     assert code == 2

@@ -116,6 +116,40 @@ def test_malformed_inputs_raise_with_context(tmp_path):
         load_measurement({"m": 8, "n": 1, "b": [[1.0] * 4] * 2})
 
 
+VALID_MEASUREMENT = {"m": 8, "n": 3, "b": [1.0] * 8,
+                     "augmentation": {"delta_re": 3.0, "gap": 1}}
+
+
+def test_measurement_gap_must_leave_a_signal_sample():
+    # the impulse, the gap zeros and at least one sample of s
+    assert load_measurement(VALID_MEASUREMENT).augmentation.gap == 1
+    obj = dict(VALID_MEASUREMENT, augmentation={"delta_re": 3.0, "gap": 2})
+    with pytest.raises(ValueError, match="no signal sample"):
+        load_measurement(obj)
+
+
+def test_measurement_real_signal_must_be_a_bool():
+    assert load_measurement(dict(VALID_MEASUREMENT,
+                                 real_signal=False)).real_signal is False
+    with pytest.raises(ValueError, match="real_signal"):
+        load_measurement(dict(VALID_MEASUREMENT, real_signal="false"))
+
+
+def test_measurement_n_must_be_an_integer():
+    with pytest.raises(ValueError, match="malformed"):
+        load_measurement(dict(VALID_MEASUREMENT, n=2.9))
+
+
+@pytest.mark.parametrize("name,text", [
+    ("empty.csv", ""), ("nan.csv", "1.0,0.0\nnan,0.0\n"),
+    ("nan.json", '{"n": 2, "real": [1.0, NaN], "imag": [0.0, 0.0]}')])
+def test_signal_files_must_hold_finite_samples(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match="length >= 1|finite"):
+        load_signal_file(str(path))
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = tmp_path / "sig.json"
     save_signal_file(str(path), random_signal(3, 4))
