@@ -61,14 +61,13 @@ def _options(cls, **values):
 
 
 # Each solver maps (measurements, seed, optional max_iters and tol; None
-# keeps the solver's default, phaselift-sf ignores tol, and cork, which
-# stops at the KKT point, rejects one) to (minimum-phase estimate,
-# diagnostics) at the default transform length; the diagnostics
-# always hold ``fit`` and ``converged``.  ``cork`` also takes a stacked
-# measurement set and returns one estimate and one diagnostics dict per
-# row, which is how the CRB study runs its trials.  The entries call the
-# solvers through this module's globals, so a caller that rebinds them (a
-# tracer, a test) sees every call.
+# keeps the solver's default, and cork and phaselift-sf, which have no
+# tolerance, reject one) to (minimum-phase estimate, diagnostics) at the
+# default transform length; the diagnostics always hold ``fit`` and
+# ``converged``.  ``cork`` also takes a stacked measurement set and returns
+# one estimate and one diagnostics dict per row, which is how the CRB study
+# runs its trials.  The entries call the solvers through this module's
+# globals, so a caller that rebinds them (a tracer, a test) sees every call.
 
 def _cork(ms, seed, max_iters=None, tol=None):
     if tol is not None:
@@ -78,6 +77,9 @@ def _cork(ms, seed, max_iters=None, tol=None):
 
 
 def _phaselift_sf(ms, seed, max_iters=None, tol=None):
+    if tol is not None:
+        raise ValueError("phaselift-sf takes no tolerance: its stop is "
+                         "fixed (sdp.GRAD_TOL)")
     x, _, diag = phaselift_sf(ms, _options(SdpOptions, max_iters=max_iters))
     return x, {"fit": diag.fit, "converged": diag.converged,
                "lower_bound": diag.lower_bound}

@@ -73,7 +73,10 @@ def cmd_recover(args) -> int:
     flag, margin = is_min_phase(xmin)
     diagnostics["min_phase"] = {"flag": flag, "margin": margin}
     estimate = xmin if direct_mode else deaugment(xmin, ms.augmentation)
-    if ref is not None and ref.size == estimate.size:
+    if ref is not None:
+        if ref.size != estimate.size:
+            raise ValueError(f"reference {args.reference} has {ref.size} "
+                             f"samples, the estimate {estimate.size}")
         diagnostics["ref_error_rel"] = global_phase_distance(ref, estimate) \
             / max(float(np.linalg.norm(ref) ** 2), 1e-300)
     pio.save_signal_file(args.output, estimate)
@@ -143,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=list(SOLVERS), default="cork")
     p.add_argument("--max-iters", type=int, help="default: the solver's own")
     p.add_argument("--tol", type=float, help="default: the solver's own; "
-                   "cork has none and rejects it, phaselift-sf ignores it")
+                   "cork and phaselift-sf have none and reject it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reference", default=None,
                    help="optional true signal for error reporting")

@@ -20,21 +20,23 @@ programming (Hettich & Kortanek 1993, SIAM Review 35:380) solves for them
 on a working set S of grid frequencies w_j = 2 pi j / L.  On S, h is a
 nonnegative QP with Hessian K_S / (2M), where K is the Dirichlet kernel
 
-    K_ij = D(w_i - w_j),   D(d) = sin((2N - 1) d / 2) / sin(d / 2),
+    K_ij = D(w_i - w_j),   D(d) = sin((2N - 1) d / 2) / sin(d / 2).
 
-or (D(w_i - w_j) + D(w_i + w_j)) / 2 for a real signal, whose spectrum is
-even, so S then stays in 0..L/2.  Block principal pivoting (Portugal,
-Judice & Vicente 1994, Math. Comp. 63:625; Kim & Park 2011, SIAM J. Sci.
-Comput. 33:3261) solves the QP from the previous step's support plus the
-joining samples: each round is one dense solve of the free block and
-exchanges every infeasible index at once, with Murty's single-index rule
-as a backup when the count of them stalls, so a step takes a few solves.
-Each exchange step then costs two real L-point FFTs, r(lam) by one
-``rfft`` and its spectrum by one ``irfft``; every local minimum of the
-spectrum below a roundoff threshold joins S, and zero multipliers leave
-it.  When nothing joins, lam is dual feasible, complementary on S and
-stationary by construction, which is the KKT point of the sampled
-program; h falls at every step, so no working set repeats.
+A real signal's intensities are even, b_m = b_{M-m}, and on even data the
+unique optimum equals its own conjugate, so it is real: the exchange
+starts from Re r_ls, the least-squares fit of b's even part, keeps every
+iterate real, and S holds both members of each (w, -w) pair.  Block
+principal pivoting (Portugal, Judice & Vicente 1994, Math. Comp. 63:625;
+Kim & Park 2011, SIAM J. Sci. Comput. 33:3261) solves the QP from the
+previous step's support plus the joining samples: each round is one dense
+solve of the free block and exchanges every infeasible index at once, with
+Murty's single-index rule as a backup when the count of them stalls, so a
+step takes a few solves.  Each exchange step then costs two real L-point
+FFTs, r(lam) by one ``rfft`` and its spectrum by one ``irfft``; every
+local minimum of the spectrum below a roundoff threshold joins S, and zero
+multipliers leave it.  When nothing joins, lam is dual feasible,
+complementary on S and stationary by construction, which is the KKT point
+of the sampled program; h falls at every step, so no working set repeats.
 
 When A_L r_ls >= 0, lam = 0 already meets every KKT condition and r_ls is
 returned after that one transform.  A stack of measurements (rows of a
@@ -72,19 +74,18 @@ class AdmmOptions:
 
 @dataclass
 class CorkDiagnostics:
-    iters: int
-    fit: float
-    l: int
-    converged: bool
+    """One row's solve; the defaults are the lam = 0 exit."""
+
+    iters: int = 0                # exchange steps
+    fit: float = 0.0
+    l: int = 0
+    converged: bool = True
     feasibility_lift: float = 0.0
     gap: float = 0.0              # duality gap: fit minus a lower bound
     active: int = 0               # working-set size at exit
 
     def to_json(self) -> dict:
-        return {"iters": self.iters, "fit": self.fit, "l": self.l,
-                "converged": self.converged,
-                "feasibility_lift": self.feasibility_lift, "gap": self.gap,
-                "active": self.active}
+        return dict(vars(self))
 
 
 class StackDiagnostics(list):
@@ -113,13 +114,9 @@ def _dirichlet(d, n: int, l: int) -> np.ndarray:
     return np.where(d == 0, 2.0 * n - 1, np.sin((2 * n - 1) * x) / np.sin(x))
 
 
-def _working_set_kernel(s: np.ndarray, n: int, l: int,
-                        real_signal: bool) -> np.ndarray:
+def _working_set_kernel(s: np.ndarray, n: int, l: int) -> np.ndarray:
     """K_S, the block of A_L W^-1 A_L^* on the grid indices ``s``."""
-    k = _dirichlet(s[:, None] - s[None, :], n, l)
-    if real_signal:
-        k = 0.5 * (k + _dirichlet(s[:, None] + s[None, :], n, l))
-    return k
+    return _dirichlet(s[:, None] - s[None, :], n, l)
 
 
 def _nonnegative_qp(k: np.ndarray, c: np.ndarray, mu: np.ndarray,
@@ -160,14 +157,11 @@ def _nonnegative_qp(k: np.ndarray, c: np.ndarray, mu: np.ndarray,
     return None
 
 
-def _violations(spec: np.ndarray, tol: float, real_signal: bool) -> np.ndarray:
+def _violations(spec: np.ndarray, tol: float) -> np.ndarray:
     """Grid indices of the circular local minima of ``spec`` below -tol."""
-    l = spec.size
     cand = np.flatnonzero(spec < -tol)
-    if real_signal:
-        cand = cand[cand <= l // 2]
     low = cand[spec[cand] <= spec[cand - 1]]
-    return low[spec[low] <= spec[(low + 1) % l]]
+    return low[spec[low] <= spec[(low + 1) % spec.size]]
 
 
 def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
@@ -203,19 +197,18 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
     # least-squares spectrum is nonnegative; the other rows iterate.
     # Adding d to r0 raises every spectrum sample by exactly d, so any
     # residual infeasibility is removed by a (tiny) lag-zero lift.
-    k_rows = len(rows)
+    diags = [CorkDiagnostics(l=l) for _ in rows]
     r = r_ls.copy()
-    iters, converged = [0] * k_rows, [True] * k_rows
-    lift, gap, active = [0.0] * k_rows, [0.0] * k_rows, [0] * k_rows
     for k in np.flatnonzero(spec_ls.min(axis=-1) < 0.0):
+        diag = diags[k]
         tol = VIOLATION_TOL * np.abs(spec_ls[k]).max()
         spec, s, mu = spec_ls[k], np.zeros(0, dtype=int), np.zeros(0)
         lam = np.zeros(l)
         while True:
-            new = _violations(spec, tol, b.real_signal)
+            new = _violations(spec, tol)
             new = new[~(new[:, None] == s).any(axis=1)]
-            converged[k] = new.size == 0
-            if converged[k] or iters[k] == opts.max_iters:
+            diag.converged = new.size == 0
+            if diag.converged or diag.iters == opts.max_iters:
                 break
             # mu = lam / (2M) on S, so the QP's gradient is the spectrum.
             # Samples below -tol must move the optimum of a QP run to
@@ -224,9 +217,8 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
             # the previous step's lam.
             grown = np.concatenate((s, new))
             step = _nonnegative_qp(
-                _working_set_kernel(grown, n, l, b.real_signal),
-                spec_ls[k, grown], np.concatenate((mu, np.zeros(new.size))),
-                tol / 2)
+                _working_set_kernel(grown, n, l), spec_ls[k, grown],
+                np.concatenate((mu, np.zeros(new.size))), tol / 2)
             if step is None or not (step[s.size:] > 0).any():
                 break
             s, mu = grown[step > 0], step[step > 0]
@@ -234,21 +226,17 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
             lam[s] = 2 * m * mu
             r[k] = r_ls[k] + constrain(correlation_adjoint(lam, n)) / (2 * m * w)
             spec = correlation_spectrum(r[k], l)
-            iters[k] += 1
-        lift[k] = max(0.0, -float(spec.min()))
-        active[k] = s.size
+            diag.iters += 1
+        lift = diag.feasibility_lift = max(0.0, -float(spec.min()))
+        diag.active = s.size
         # with r = r(lam) + d e0, fit - c0 + h(lam) reduces exactly to
         # lam^T A_L r + M d^2, a sum of nonnegative terms
-        gap[k] = float(lam @ (spec + lift[k]) + m * lift[k] ** 2)
+        diag.gap = float(lam @ (spec + lift) + m * lift ** 2)
 
-    r[:, 0] += lift
+    r[:, 0] += [diag.feasibility_lift for diag in diags]
     residual = rows - correlation_spectrum(r, m)
-    diags = [CorkDiagnostics(iters=iters[k],
-                             fit=float(np.linalg.norm(residual[k]) ** 2),
-                             l=l, converged=converged[k],
-                             feasibility_lift=lift[k], gap=gap[k],
-                             active=active[k])
-             for k in range(k_rows)]
+    for diag, res in zip(diags, residual):
+        diag.fit = float(np.linalg.norm(res) ** 2)
     if b.b.ndim == 1:
         return r[0], diags[0]
     return r, StackDiagnostics(diags)

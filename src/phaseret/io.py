@@ -119,6 +119,16 @@ def save_signal_file(path: str, x) -> None:
         atomic_write_text(path, json.dumps(dump_signal(x)) + "\n")
 
 
+def _load_json(path: str, text: str, load):
+    """``load`` of the JSON object in ``text``; its errors name ``path``."""
+    try:
+        return load(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_signal_file(path: str) -> np.ndarray:
     with open(path) as fh:
         text = fh.read()
@@ -134,12 +144,11 @@ def load_signal_file(path: str) -> np.ndarray:
                 values.append(complex(float(parts[0]), float(parts[1])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        return as_signal(values)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return load_signal(obj)
+        try:
+            return as_signal(values)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return _load_json(path, text, load_signal)
 
 
 def save_measurement_file(path: str, ms: MeasurementSet) -> None:
@@ -148,8 +157,4 @@ def save_measurement_file(path: str, ms: MeasurementSet) -> None:
 
 def load_measurement_file(path: str) -> MeasurementSet:
     with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return load_measurement(obj)
+        return _load_json(path, fh.read(), load_measurement)

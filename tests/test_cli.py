@@ -160,17 +160,39 @@ def test_recover_unconverged_solver_exits_3(tmp_path, capsys):
     assert diag["converged"] is False and not diag["cork"]["converged"]
 
 
-def test_recover_cork_rejects_a_tolerance(tmp_path, capsys):
-    # the exchange solver stops at the KKT point and reads no tolerance
+@pytest.mark.parametrize("solver", ["cork", "phaselift-sf"])
+def test_recover_solver_without_a_tolerance_rejects_one(tmp_path, capsys,
+                                                        solver):
+    # the exchange solver stops at the KKT point and the lifted solve at a
+    # fixed gradient tolerance, so a tolerance would go unread
     sig = tmp_path / "sig.json"
     meas = tmp_path / "meas.json"
     write_signal(sig)
     assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
     capsys.readouterr()
     assert main(["recover", "--input", str(meas), "--output",
-                 str(tmp_path / "out.json"), "--tol", "1e-4"]) == 2
+                 str(tmp_path / "out.json"), "--solver", solver,
+                 "--tol", "1e-4"]) == 2
     assert "tolerance" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_recover_reference_of_the_wrong_length_exits_2(tmp_path, capsys):
+    # the error the user asked for cannot be computed, so nothing is written
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    ref = tmp_path / "ref.json"
+    out = tmp_path / "out.json"
+    write_signal(sig)
+    write_signal(ref, n=5)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--input", str(meas), "--output", str(out),
+                 "--reference", str(ref)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ref) in err
+    assert "5" in err and "8" in err
+    assert not out.exists()
 
 
 def test_recover_uncertified_estimate_exits_3(tmp_path, capsys, monkeypatch):
@@ -244,7 +266,8 @@ def test_missing_input_gives_io_exit_code(tmp_path, capsys):
                                   "gap_beyond_n"])
 def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
     # every malformed file is a validation error, whichever command reads it
-    # and wherever in the command it is found; none writes an output
+    # and wherever in the command it is found; the error names the file, and
+    # none writes an output
     sig = tmp_path / "sig.json"
     meas = tmp_path / "meas.json"
     bad = tmp_path / ("bad.csv" if case == "empty_csv" else "bad.json")
@@ -269,7 +292,7 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
     else:
         argv = ["measure", "--input", str(bad)]
     assert main(argv + ["--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
     assert not out.exists()
 
 

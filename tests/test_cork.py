@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import subprocess
 import sys
@@ -96,7 +97,10 @@ def test_single_iterate_matches_hand_computation():
 @pytest.mark.parametrize("n,l", [(3, 8), (5, 8), (3, 16), (5, 16)])
 def test_working_set_kernel_matches_dense_hessian(n, l, real_signal):
     # the QP Hessian K_S / (2M) against A_L W^-1 constrain(A_L^* .) / (2M),
-    # on a set with adjacent grid points, 0, L/2 and mirrored pairs (w, -w)
+    # on a set with adjacent grid points, 0, L/2 and mirrored pairs (w, -w).
+    # A real signal's constrain keeps Re A_L^* lam, the adjoint of lam's
+    # mirror average, so there K_S acts as the dense Hessian on multipliers
+    # equal at w and -w, as an exchange on even data keeps them
     m = 2 * n
     _, fl, itil = explicit_maps(n, m, l)
     w = np.diag(itil).real
@@ -105,9 +109,14 @@ def test_working_set_kernel_matches_dense_hessian(n, l, real_signal):
         v = v.real.astype(complex)
     v[0] = v[0].real
     dense = (fl @ itil @ (v / w[:, None])).real / (2 * m)
-    s = np.array([0, 1, 2, 3, l // 2, l - 2, l - 1])
-    got = _working_set_kernel(s, n, l, real_signal) / (2 * m)
-    assert np.abs(got - dense[np.ix_(s, s)]).max() <= 1e-13 * np.abs(dense).max()
+    s = np.array([0, 1, 2, 3, l // 2, l - 3, l - 2, l - 1])
+    got = _working_set_kernel(s, n, l) / (2 * m)
+    want = dense[np.ix_(s, s)]
+    if real_signal:
+        mu = np.random.default_rng(n + l).uniform(0.5, 1.5, size=l)
+        mu = (mu + mu[-np.arange(l) % l])[s]
+        got, want = got @ mu, want @ mu
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def dense_reference(b, n, l, real_signal):
@@ -257,6 +266,37 @@ def test_real_mode_returns_real_correlation():
     assert np.abs(r.real - want).max() <= 1e-6 * want[0]
 
 
+@pytest.mark.parametrize("n", [32, 128])
+def test_real_solve_is_the_complex_solve_of_the_even_part(n):
+    # a real signal's intensities are even, b_m = b_{M-m}, and on even data
+    # the optimum equals its own conjugate: the real solve of speckle b is
+    # the complex-mode solve of b's even part, and the odd part, orthogonal
+    # to every even spectrum, adds its squared norm to the fit
+    rng = np.random.default_rng(n)
+    binding = 0
+    for _ in range(5):
+        b = rng.exponential(1.0, size=4 * n + 4)
+        even = (b + b[-np.arange(b.size) % b.size]) / 2
+        r, diag = solve_cork(MeasurementSet(b, n, real_signal=True))
+        r_even, diag_even = solve_cork(MeasurementSet(even, n))
+        assert diag.converged and diag_even.converged
+        assert np.abs(r.imag).max() == 0.0
+        assert np.abs(r - r_even).max() <= 1e-12 * r_even[0].real
+        assert abs(diag.fit - diag_even.fit - np.sum((b - even) ** 2)) \
+            <= 1e-12 * np.dot(b, b)
+        binding += diag.iters > 0
+    assert binding >= 2
+
+
+def test_diagnostics_json_keys_are_the_fields_in_order():
+    _, diag = solve_cork(MeasurementSet(
+        np.random.default_rng(1).exponential(1.0, 130), 32))
+    fields = [f.name for f in dataclasses.fields(CorkDiagnostics)]
+    assert list(diag.to_json()) == fields
+    assert list(CorkDiagnostics().to_json()) == fields
+    assert diag.to_json() == {name: getattr(diag, name) for name in fields}
+
+
 def test_rejects_bad_transform_length():
     with pytest.raises(ValueError):
         solve_cork(MeasurementSet(np.ones(8), 2), AdmmOptions(l=100))
@@ -391,10 +431,8 @@ def reference_qp(k, c, mu, tol):
     return mu
 
 
-def reference_violations(spec, tol, real_signal):
+def reference_violations(spec, tol):
     low = (spec < -tol) & (spec <= np.roll(spec, 1)) & (spec <= np.roll(spec, -1))
-    if real_signal:
-        low[spec.size // 2 + 1:] = False
     return np.flatnonzero(low)
 
 
@@ -418,12 +456,12 @@ def reference_solve(b, opts):
         spec, s, mu = spec_ls[k], np.zeros(0, dtype=int), np.zeros(0)
         lam, iters, converged = np.zeros(l), 0, True
         while spec_ls[k].min() < 0.0:
-            new = np.setdiff1d(reference_violations(spec, tol, b.real_signal), s)
+            new = np.setdiff1d(reference_violations(spec, tol), s)
             converged = new.size == 0
             if converged or iters == opts.max_iters:
                 break
             grown = np.r_[s, new]
-            step = reference_qp(_working_set_kernel(grown, n, l, b.real_signal),
+            step = reference_qp(_working_set_kernel(grown, n, l),
                                 spec_ls[k, grown], np.r_[mu, np.zeros(new.size)],
                                 tol / 2)
             if step is None or not (step[s.size:] > 0).any():
@@ -484,8 +522,8 @@ def test_stacked_exchange_bit_identical_to_reference_loop():
 
 
 def test_violations_match_the_roll_form():
-    # circular local minima below -tol, at both ends of the grid, on
-    # equal-neighbour plateaus (both samples kept) and in the real half
+    # circular local minima below -tol, at both ends of the grid and on
+    # equal-neighbour plateaus (both samples kept)
     rng = np.random.default_rng(17)
     spectra = [rng.normal(size=64) for _ in range(20)]
     first, last = rng.normal(size=64) + 3.0, rng.normal(size=64) + 3.0
@@ -495,38 +533,37 @@ def test_violations_match_the_roll_form():
     plateau[30:32] = plateau[0] = -0.5      # a plateau across the wrap
     spectra += [first, last, plateau, np.round(rng.normal(size=64), 1)]
     for spec in spectra:
-        for real_signal in (False, True):
-            for tol in (0.0, 0.5):
-                got = _violations(spec, tol, real_signal)
-                want = reference_violations(spec, tol, real_signal)
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
-    assert _violations(first, 0.0, False)[0] == 0
-    assert _violations(last, 0.0, False)[-1] == 63
-    assert set(_violations(plateau, 0.0, False)) == {0, 5, 6, 8, 30, 31}
-    assert set(_violations(plateau, 0.0, True)) == {0, 5, 6, 8}
+        for tol in (0.0, 0.5):
+            got = _violations(spec, tol)
+            want = reference_violations(spec, tol)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+    assert _violations(first, 0.0)[0] == 0
+    assert _violations(last, 0.0)[-1] == 63
+    assert set(_violations(plateau, 0.0)) == {0, 5, 6, 8, 30, 31}
 
 
 def test_no_violation_is_an_empty_integer_array():
     # an empty result keeps the working set integer when it is appended
     for spec in (np.ones(16), np.r_[-1e-13, np.ones(15)]):
-        got = _violations(spec, 1e-12, False)
+        got = _violations(spec, 1e-12)
         assert got.size == 0 and got.dtype.kind == "i"
         assert np.concatenate((np.array([3]), got)).dtype.kind == "i"
 
 
-@pytest.mark.parametrize("real_signal", [False, True])
+@pytest.mark.parametrize("half_range", [False, True])
 @pytest.mark.parametrize("seed", range(6))
-def test_nonnegative_qp_meets_kkt(seed, real_signal):
+def test_nonnegative_qp_meets_kkt(seed, half_range):
     # mu >= 0, and the gradient k mu + c is >= -tol where mu = 0 and within
-    # tol of zero where mu > 0, on Dirichlet blocks over random grid sets:
+    # tol of zero where mu > 0, on Dirichlet blocks over random grid sets,
+    # drawn from the whole circle or from 0..L/2 only (a denser draw):
     # from a cold start, then warm from that solution with samples appended
     # at zero, as an exchange step grows the working set
     rng = np.random.default_rng(seed)
     n, l = 16, 128
-    hi = l // 2 + 1 if real_signal else l
+    hi = l // 2 + 1 if half_range else l
     s = rng.choice(hi, size=rng.integers(6, 16), replace=False)
-    k = _working_set_kernel(s, n, l, real_signal)
+    k = _working_set_kernel(s, n, l)
     c = rng.normal(size=s.size) * k.diagonal().max()
     tol = 1e-9 * np.abs(c).max()
     half = s.size // 2
@@ -545,7 +582,7 @@ def test_nonnegative_qp_meets_kkt(seed, real_signal):
 def test_nonnegative_qp_singular_free_set_returns_none():
     # a duplicated grid index makes K singular on any free set holding both
     s = np.array([3, 3, 10])
-    k = _working_set_kernel(s, 8, 32, False)
+    k = _working_set_kernel(s, 8, 32)
     assert _nonnegative_qp(k, -k.diagonal(), np.array([1.0, 1.0, 0.0]),
                            1e-12) is None
 
@@ -561,16 +598,17 @@ def qp_meets_kkt_like_reference(k, c, mu0, tol):
     return mu
 
 
-@pytest.mark.parametrize("real_signal", [False, True])
-def test_nonnegative_qp_meets_kkt_on_large_dirichlet_blocks(real_signal):
-    # working sets of up to 60 grid indices at N = 64, L = 1024, cold and
-    # then warm with the other half appended at zero
+@pytest.mark.parametrize("half_range", [False, True])
+def test_nonnegative_qp_meets_kkt_on_large_dirichlet_blocks(half_range):
+    # working sets of up to 60 grid indices at N = 64, L = 1024, from the
+    # whole circle or from 0..L/2 only, cold and then warm with the other
+    # half appended at zero
     n, l = 64, 1024
-    hi = l // 2 + 1 if real_signal else l
+    hi = l // 2 + 1 if half_range else l
     for seed in range(100):
         rng = np.random.default_rng(seed)
         s = rng.choice(hi, size=rng.integers(8, 61), replace=False)
-        k = _working_set_kernel(s, n, l, real_signal)
+        k = _working_set_kernel(s, n, l)
         c = rng.normal(size=s.size) * k.diagonal().max()
         tol = 1e-9 * np.abs(c).max()
         half = s.size // 2
