@@ -42,7 +42,8 @@ def cmd_measure(args) -> int:
     m = args.m if args.m else int(np.ceil(args.oversampling * (n + args.gap + 1)))
     spec = AugmentationSpec(delta, gap=args.gap, side="prefix")
     ms = measure_augmented(s, spec, m, real_signal=args.real)
-    if args.noise_sigma2 > 0:
+    # add_noise rejects a negative or non-finite variance
+    if args.noise_sigma2 != 0:
         ms = add_noise(ms, args.noise_sigma2, args.seed)
     pio.save_measurement_file(args.output, ms)
     info = {"m": ms.m, "n": ms.n, "delta": delta,
@@ -53,6 +54,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    if args.max_iters is not None and args.max_iters < 0:
+        raise ValueError(f"--max-iters must be >= 0, got {args.max_iters}")
     ms = pio.load_measurement_file(args.input)
     ref = pio.load_signal_file(args.reference) if args.reference else None
     diagnostics: dict = {"solver": args.solver, "m": ms.m, "n": ms.n}

@@ -39,8 +39,14 @@ complementary on S and stationary by construction, which is the KKT point
 of the sampled program; h falls at every step, so no working set repeats.
 
 When A_L r_ls >= 0, lam = 0 already meets every KKT condition and r_ls is
-returned after that one transform.  A stack of measurements (rows of a
-2D ``b``) shares that start and test, one transform pair for all rows.
+returned.  The test needs no length-L transform when the spectrum of r_ls
+is certified positive on the whole circle from k samples, k the smallest
+power of two >= 8N: every sample exceeds ``chord_slack(N, k, ||p||_1)``
+(how far a degree N - 1 polynomial with coefficient l1 norm ||p||_1 can dip
+between samples) plus a roundoff allowance.  Impulse-augmented data pass
+it with a wide margin; only a row that fails it gets the L samples.  A
+stack of measurements (rows of a 2D ``b``) shares that start and test, one
+transform pair for all rows.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import (MeasurementSet, check_transform_length,
+from .signals import (MeasurementSet, check_transform_length, chord_slack,
                       correlation_adjoint, correlation_spectrum, doubled_lags)
 
 __all__ = ["AdmmOptions", "CorkDiagnostics", "StackDiagnostics", "solve_cork"]
@@ -175,8 +181,9 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
     A stacked ``b`` (K rows) gives r with K rows and a
     :class:`StackDiagnostics` of the rows' diagnostics, each equal to what
     that row alone gives.  The least-squares start and its feasibility test
-    are one transform pair for the whole stack; rows that fail the test
-    iterate one at a time.
+    are one transform pair for the whole stack, plus one length-L transform
+    of the rows that the coarse-grid certificate leaves open; rows that
+    fail the test iterate one at a time.
     """
     opts = opts or AdmmOptions()
     n, m = b.n, b.m
@@ -191,7 +198,21 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
     rows = np.atleast_2d(np.asarray(b.b, dtype=float))
     w = doubled_lags(np.ones(n)).real
     r_ls = constrain(correlation_adjoint(rows, n) / (m * w))
-    spec_ls = correlation_spectrum(r_ls, l)
+
+    # A row whose least-squares spectrum is positive on the whole circle,
+    # certified from a coarse grid by the chord test, is nonnegative on the
+    # L samples too; only the other rows get the length-L spectrum.
+    todo = np.arange(len(rows))
+    coarse = 1 << (8 * n - 1).bit_length()  # smallest power of two >= 8N
+    if coarse < l:
+        low = correlation_spectrum(r_ls, coarse).min(axis=-1)
+        sure = low > 0.0
+        if sure.any():  # binding data pay for the short transform alone
+            norm1 = np.abs(doubled_lags(r_ls[sure])).sum(axis=-1)
+            sure[sure] = low[sure] > (chord_slack(n, coarse, norm1)
+                                      + VIOLATION_TOL * norm1)
+        todo = np.flatnonzero(~sure)
+    spec_ls = correlation_spectrum(r_ls[todo], l) if todo.size else []
 
     # lam = 0 is dual feasible, complementary and stationary wherever the
     # least-squares spectrum is nonnegative; the other rows iterate.
@@ -199,10 +220,12 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
     # residual infeasibility is removed by a (tiny) lag-zero lift.
     diags = [CorkDiagnostics(l=l) for _ in rows]
     r = r_ls.copy()
-    for k in np.flatnonzero(spec_ls.min(axis=-1) < 0.0):
+    for k, spec0 in zip(todo, spec_ls):
+        if spec0.min() >= 0.0:
+            continue
         diag = diags[k]
-        tol = VIOLATION_TOL * np.abs(spec_ls[k]).max()
-        spec, s, mu = spec_ls[k], np.zeros(0, dtype=int), np.zeros(0)
+        tol = VIOLATION_TOL * np.abs(spec0).max()
+        spec, s, mu = spec0, np.zeros(0, dtype=int), np.zeros(0)
         lam = np.zeros(l)
         while True:
             new = _violations(spec, tol)
@@ -217,7 +240,7 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
             # the previous step's lam.
             grown = np.concatenate((s, new))
             step = _nonnegative_qp(
-                _working_set_kernel(grown, n, l), spec_ls[k, grown],
+                _working_set_kernel(grown, n, l), spec0[grown],
                 np.concatenate((mu, np.zeros(new.size))), tol / 2)
             if step is None or not (step[s.size:] > 0).any():
                 break

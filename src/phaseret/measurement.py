@@ -131,8 +131,8 @@ def add_noise(ms: MeasurementSet, sigma2: float, seed: int) -> MeasurementSet:
     Deterministic for a fixed seed.  Negative noisy entries pass through
     unchanged (least-squares solvers handle them).
     """
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be >= 0")
+    if not 0.0 <= sigma2 < np.inf:  # also NaN
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
     if sigma2 == 0.0:
         noisy = ms.b.copy()
     else:

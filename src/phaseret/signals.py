@@ -27,6 +27,7 @@ __all__ = [
     "correlation_spectrum",
     "correlation_adjoint",
     "correlation_psd_check",
+    "chord_slack",
     "global_phase_distance",
     "default_transform_length",
     "check_transform_length",
@@ -177,6 +178,19 @@ def correlation_psd_check(r, l: int | None = None, tol: float | None = None):
     return min_value, idx, min_value >= -tol
 
 
+def chord_slack(n: int, k: int, norm1):
+    """How far a trigonometric polynomial of degree n - 1 whose coefficients
+    have l1 norm ``norm1`` can fall below the chord between adjacent samples
+    of a k-point grid.
+
+    Bernstein's inequality, |P''| <= (n - 1)^2 max |P| <= (n - 1)^2 norm1,
+    bounds the linear-interpolation error over a step 2 pi / k by
+    (2 pi / k)^2 / 8 times that.  So a P whose k samples all exceed this
+    slack is positive on the whole circle.
+    """
+    return 0.5 * (np.pi * (n - 1) / k) ** 2 * norm1
+
+
 def global_phase_distance(s, shat) -> float:
     """min over |psi|=1 of ||s - psi*shat||^2, in closed form."""
     s = as_signal(s)
@@ -210,11 +224,14 @@ class MeasurementSet:
             raise ValueError("measurement entries must be finite")
         if n < 1:
             raise ValueError("n must be >= 1")
+        sigma2 = float(sigma2)
+        if not 0.0 <= sigma2 < np.inf:  # also NaN
+            raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
         if b.shape[-1] < 2 * n:
             raise ValueError(f"b needs M >= 2N (got M={b.shape[-1]}, N={n})")
         self.b = b
         self.n = int(n)
-        self.sigma2 = float(sigma2)
+        self.sigma2 = sigma2
         self.real_signal = bool(real_signal)
         self.augmentation = augmentation
 

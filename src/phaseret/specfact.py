@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import (as_correlation, as_correlation_rows, as_signal,
-                      check_transform_length, correlation_psd_check,
-                      correlation_spectrum)
+                      check_transform_length, chord_slack,
+                      correlation_psd_check, correlation_spectrum)
 
 __all__ = ["SfOptions", "kolmogorov_sf", "root_sf", "is_min_phase",
            "InvalidCorrelationError"]
@@ -45,8 +45,10 @@ def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
 
     The log of the spectrum sampled on ``l`` points gives the causal
     cepstrum c_0..c_{N-1} of log X by one real FFT; X = exp(C) then obeys
-    X' = C'X, so x_0 = exp(c_0) and t x_t = sum_{k=1..t} k c_k x_{t-k}.
-    That is 2 real FFTs plus N^2/2 complex multiply-adds per row, and no
+    X' = C'X, so x_0 = exp(c_0) and t x_t = sum_{k=1..t} k c_k x_{t-k}, one
+    dot product per tap: ``np.dot`` for one correlation, ``np.vecdot`` over
+    the rows of a stack, which gives each row the same bits.  That is 2
+    real FFTs plus N^2/2 complex multiply-adds per row, and no
     length-``l`` inverse transform: the result is the factor that
     exponentiating on the ``l``-point grid would give, without its
     wrap-around terms.  Spectrum samples below ``FLOOR_EPS * max`` are
@@ -66,13 +68,19 @@ def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
         raise InvalidCorrelationError("correlation spectrum is entirely <= 0")
     np.maximum(spectrum, FLOOR_EPS * top, out=spectrum)
     # the rfft of the real log spectrum holds conj(c_k) at k >= 1 and 2 c_0
-    # at k = 0; vecdot conjugates its first argument, which undoes the conj
+    # at k = 0; vecdot conjugates its first argument, which undoes the conj,
+    # and np.dot, which dispatches faster per tap, takes the conj'd taps
     c = np.fft.rfft(np.log(spectrum, out=spectrum))[..., :n] / l
     kc = (np.arange(n) * c)[..., ::-1].copy()
     x = np.empty(c.shape, dtype=complex)
     x[..., 0] = np.exp(0.5 * c[..., 0].real)
-    for t in range(1, n):  # t x_t = sum_{k=1..t} k c_k x_{t-k}
-        x[..., t] = np.vecdot(kc[..., n - 1 - t:n - 1], x[..., :t]) / t
+    if x.ndim == 1:
+        kc = np.conj(kc)
+        for t in range(1, n):  # t x_t = sum_{k=1..t} k c_k x_{t-k}
+            x[t] = np.dot(kc[n - 1 - t:n - 1], x[:t]) / t
+        return x
+    for t in range(1, n):
+        x[:, t] = np.vecdot(kc[:, n - 1 - t:n - 1], x[:, :t]) / t
     return x
 
 
@@ -82,7 +90,7 @@ def is_min_phase(x):
     Counts the zeros of P(w) = sum x_n w^n in |w| < 1/(1+tol) as the
     winding number about 0 of L samples fft(x_rho, L) on that circle.  L
     doubles from the power of two >= 4N until every chord between adjacent
-    samples is farther from 0 than (pi/L)^2 (N-1)^2 ||x_rho||_1 / 2, the
+    samples is farther from 0 than ``chord_slack(N, L, ||x_rho||_1)``, the
     linear-interpolation error under Bernstein's |P''| <= (N-1)^2 max|P|;
     then P has no zero between samples and the winding is exact.  Past
     ``MIN_PHASE_MAX_L`` x is not certified.  Returns ``(flag, margin)``,
@@ -104,7 +112,7 @@ def is_min_phase(x):
         t = np.clip(-(np.conj(p) * step).real
                     / np.maximum(np.abs(step) ** 2, 1e-300), 0.0, 1.0)
         margin = float(np.abs(p).min()) / norm1
-        if np.abs(p + t * step).min() > 0.5 * (np.pi * (n - 1) / l) ** 2 * norm1:
+        if np.abs(p + t * step).min() > chord_slack(n, l, norm1):
             winding = np.angle(p_next * np.conj(p)).sum() / (2 * np.pi)
             return bool(round(winding) == 0), margin
         if 2 * l > MIN_PHASE_MAX_L:

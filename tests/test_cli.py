@@ -263,7 +263,8 @@ def test_missing_input_gives_io_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["empty_csv", "nan_signal", "nan_reference",
-                                  "gap_beyond_n"])
+                                  "gap_beyond_n", "negative_sigma2",
+                                  "nan_sigma2"])
 def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
     # every malformed file is a validation error, whichever command reads it
     # and wherever in the command it is found; the error names the file, and
@@ -276,18 +277,22 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
         bad.write_text("")
     elif case in ("nan_signal", "nan_reference"):
         bad.write_text('{"n": 2, "real": [1.0, NaN], "imag": [0.0, 0.0]}')
-    else:
+    elif case == "gap_beyond_n":
         # N = 2 holds the impulse and no room for a gap of 5
         bad.write_text(json.dumps({"m": 8, "n": 2, "b": [1.0] * 8,
                                    "augmentation": {"delta_re": 3.0,
                                                     "gap": 5}}))
+    else:
+        sigma2 = -1.0 if case == "negative_sigma2" else float("nan")
+        bad.write_text(json.dumps({"m": 8, "n": 2, "b": [1.0] * 8,
+                                   "sigma2": sigma2}))
     if case == "nan_reference":
         write_signal(sig)
         assert main(["measure", "--input", str(sig), "--output",
                      str(meas)]) == 0
         capsys.readouterr()
         argv = ["recover", "--input", str(meas), "--reference", str(bad)]
-    elif case == "gap_beyond_n":
+    elif case in ("gap_beyond_n", "negative_sigma2", "nan_sigma2"):
         argv = ["recover", "--input", str(bad)]
     else:
         argv = ["measure", "--input", str(bad)]
@@ -342,7 +347,10 @@ def test_factorize_complex_r0_exits_2(tmp_path, capsys, exact):
 @pytest.mark.parametrize("extra,message", [
     (["--m", "5"], "must be >= signal length 9"),
     (["--m", "12"], r"needs M >= 2N \(got M=12, N=9\)"),
-    (["--gap", "-1"], "gap must be >= 0")])
+    (["--gap", "-1"], "gap must be >= 0"),
+    (["--noise-sigma2", "-1"], "sigma2 must be finite and >= 0"),
+    (["--noise-sigma2", "nan"], "sigma2 must be finite and >= 0"),
+    (["--noise-sigma2", "inf"], "sigma2 must be finite and >= 0")])
 def test_measure_out_of_range_exits_2(tmp_path, capsys, extra, message):
     # N = 8 augments to 9: M = 5 cannot be measured and M = 12 < 2N could
     # not be recovered, so neither writes a file
@@ -352,6 +360,21 @@ def test_measure_out_of_range_exits_2(tmp_path, capsys, extra, message):
     assert main(["measure", "--input", str(sig), "--output", str(out)]
                 + extra) == 2
     assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", ["cork", "phaselift-sf", "fienup", "gs"])
+def test_recover_negative_max_iters_exits_2(tmp_path, capsys, solver):
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    out = tmp_path / "out.json"
+    write_signal(sig)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--input", str(meas), "--output", str(out),
+                 "--solver", solver, "--max-iters", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert "--max-iters must be >= 0" in captured.err and not captured.out
     assert not out.exists()
 
 

@@ -297,6 +297,44 @@ def test_diagnostics_json_keys_are_the_fields_in_order():
     assert diag.to_json() == {name: getattr(diag, name) for name in fields}
 
 
+def augmented_noisy_rows(rng, n, m, count, real_signal=False):
+    """Intensities of [3N, s] plus noise: the impulse keeps the constraint
+    slack, so these rows take the lam = 0 exit."""
+    rows = []
+    for _ in range(count):
+        s = rng.normal(size=n - 1) + (0 if real_signal else 1j) * rng.normal(size=n - 1)
+        rows.append(intensity_measure(np.r_[3.0 * n, s], m)
+                    + rng.normal(scale=n, size=m))
+    return rows
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_certified_rows_take_no_length_l_transform(monkeypatch, rows):
+    # the coarse-grid certificate settles augmented rows at lam = 0 without
+    # the length-L spectrum: every transform is shorter than L
+    n, m = 33, 136
+    l = check_transform_length(n, None)
+    b = augmented_noisy_rows(np.random.default_rng(5), n, m, rows)
+    ms = MeasurementSet(b[0] if rows == 1 else np.array(b), n)
+    want = reference_solve(ms, AdmmOptions())
+    lengths = []
+
+    def counted(fn):
+        def wrapper(a, length=None, *args, **kwargs):
+            lengths.append(np.shape(a)[-1] if length is None else length)
+            return fn(a, length, *args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    r, diags = solve_cork(ms)
+    assert lengths and max(lengths) < l
+    assert np.array_equal(np.atleast_2d(r), want[0])
+    diags = diags if rows > 1 else [diags]
+    assert [d.to_json() for d in diags] == [d.to_json() for d in want[1]]
+    assert all(d.iters == 0 and d.converged for d in diags)
+
+
 def test_rejects_bad_transform_length():
     with pytest.raises(ValueError):
         solve_cork(MeasurementSet(np.ones(8), 2), AdmmOptions(l=100))
@@ -308,13 +346,8 @@ def test_rejects_bad_transform_length():
 def test_stacked_rows_equal_single_row_solves(real_signal):
     # augmented noisy rows exit at lam = 0; the speckle row (a draw that
     # iterates in both modes) has to iterate
-    rng = np.random.default_rng(31)
     n, m = 17, 72
-    rows = []
-    for _ in range(4):
-        s = rng.normal(size=n - 1) + (0 if real_signal else 1j) * rng.normal(size=n - 1)
-        x = np.r_[3.0 * n, s]
-        rows.append(intensity_measure(x, m) + rng.normal(scale=n, size=m))
+    rows = augmented_noisy_rows(np.random.default_rng(31), n, m, 4, real_signal)
     rows.insert(2, np.random.default_rng(11).exponential(float(n) ** 2, size=m))
     opts = AdmmOptions(l=256, tol_rel=1e-6)
     r, diags = solve_cork(MeasurementSet(np.array(rows), n,
@@ -513,7 +546,12 @@ def test_exchange_bit_identical_to_reference_loop(kind, n, real_signal, count,
 
 
 def test_stacked_exchange_bit_identical_to_reference_loop():
-    b = np.array(iterating_draws("speckle", 32, 2) + iterating_draws("uniform", 32, 1))
+    # the iterating rows, two augmented rows that the coarse-grid
+    # certificate settles, and x = [1, 1] (zero padded), whose spectrum
+    # 2 + 2 cos w touches zero, so that it cannot be certified
+    b = np.array(iterating_draws("speckle", 32, 2) + iterating_draws("uniform", 32, 1)
+                 + augmented_noisy_rows(np.random.default_rng(3), 32, 132, 2)
+                 + [intensity_measure(np.r_[1.0, 1.0, np.zeros(30)], 132)])
     ms = MeasurementSet(b, 32)
     r, diags = solve_cork(ms)
     r_want, want = reference_solve(ms, AdmmOptions())

@@ -135,6 +135,13 @@ def test_measurement_real_signal_must_be_a_bool():
         load_measurement(dict(VALID_MEASUREMENT, real_signal="false"))
 
 
+@pytest.mark.parametrize("sigma2", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_measurement_sigma2_must_be_finite_and_nonnegative(sigma2):
+    # a negative or non-finite variance would make snr_db() inf or nan
+    with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
+        load_measurement(dict(VALID_MEASUREMENT, sigma2=sigma2))
+
+
 def test_measurement_n_must_be_an_integer():
     with pytest.raises(ValueError, match="malformed"):
         load_measurement(dict(VALID_MEASUREMENT, n=2.9))

@@ -3,7 +3,7 @@ import pytest
 
 from phaseret.signals import (MeasurementSet, as_correlation,
                               as_correlation_rows, as_rows, as_signal,
-                              autocorrelation,
+                              autocorrelation, chord_slack,
                               correlation_adjoint, correlation_psd_check,
                               correlation_spectrum, correlation_to_intensity,
                               default_transform_length, dft_partial,
@@ -224,6 +224,9 @@ def test_measurement_set_validation():
     assert np.isfinite(ms.snr_db())
     with pytest.raises(ValueError):
         MeasurementSet([np.nan], 1)
+    for sigma2 in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
+            MeasurementSet([1.0, 2.0], 1, sigma2=sigma2)
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 7)])
@@ -232,3 +235,25 @@ def test_measurement_set_needs_2n_samples(shape):
     with pytest.raises(ValueError, match=r"needs M >= 2N \(got M=7, N=4\)"):
         MeasurementSet(np.ones(shape), 4)
     assert MeasurementSet(np.ones(shape[:-1] + (8,)), 4).m == 8
+
+
+@pytest.mark.parametrize("n", [2, 33, 1025])
+def test_chord_slack_floor_is_below_the_fine_grid_minimum(n):
+    # the smallest of k samples minus the chord slack never exceeds the
+    # minimum of the polynomial, here read on 2^20 points; the draws mix
+    # random lags with the highest frequency alone, which dips farthest
+    # between samples for its l1 norm
+    rng = np.random.default_rng(n)
+    draws = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(4)]
+    draws += [np.r_[rng.uniform(0.0, 1.0), np.zeros(n - 2), np.exp(2j * np.pi * u)]
+              for u in rng.uniform(0.0, 1.0, size=4)]
+    for r in draws:
+        r[0] = r[0].real
+        norm1 = np.abs(doubled_lags(r)).sum()
+        fine = correlation_spectrum(r, 2 ** 20).min()
+        for k in sorted({2 * n, 3 * n + 1, 5 * n - 1, 8 * n,
+                         1 << (8 * n - 1).bit_length(),
+                         *rng.integers(2 * n, 8 * n + 1, size=3)}):
+            floor = correlation_spectrum(r, k).min() - chord_slack(n, k, norm1)
+            assert floor <= fine + 1e-14 * norm1
+

@@ -151,16 +151,20 @@ def test_unit_circle_double_root():
 
 
 def test_stacked_kolmogorov_rows_equal_single_rows():
+    # a stack runs the recursion by np.vecdot and one row by np.dot; both
+    # give the same bits, here also at N = 1024 + 1 and the default L
     rng = np.random.default_rng(17)
-    rs = []
-    for _ in range(5):
-        s = rng.normal(size=11) + 1j * rng.normal(size=11)
-        rs.append(autocorrelation(augment_min_phase(s, AugmentationSpec(default_delta(s)))))
-    rs = np.array(rs)
-    xs = kolmogorov_sf(rs, SfOptions(l=128))
-    assert xs.shape == rs.shape
-    for k in range(len(rs)):
-        assert np.array_equal(xs[k], kolmogorov_sf(rs[k], SfOptions(l=128)))
+    for size, count, opts in ((11, 5, SfOptions(l=128)), (1024, 2, None)):
+        rs = []
+        for _ in range(count):
+            s = rng.normal(size=size) + 1j * rng.normal(size=size)
+            rs.append(autocorrelation(augment_min_phase(
+                s, AugmentationSpec(default_delta(s)))))
+        rs = np.array(rs)
+        xs = kolmogorov_sf(rs, opts)
+        assert xs.shape == rs.shape
+        for k in range(len(rs)):
+            assert np.array_equal(xs[k], kolmogorov_sf(rs[k], opts))
 
 
 def _kolmogorov_reference(r):
