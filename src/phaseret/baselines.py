@@ -9,8 +9,8 @@ decreases the cost
             = || sqrt(b) - |F_M x| ||^2.
 
 Dykstra's correction with unit step gives Fienup's algorithm.  Fienup-SF
-re-expresses the Fienup output through its autocorrelation and factors it at
-the default transform length, yielding a minimum-phase estimate with the
+re-expresses the Fienup output through its autocorrelation and factors it by
+``kolmogorov_sf``, yielding a minimum-phase estimate with the
 identical fit (the intensity model depends on the signal only through its
 autocorrelation).
 """

@@ -13,7 +13,7 @@ Three experiment kinds:
 
 Gap and recovery trials run the solvers named in ``ExperimentConfig.solvers``
 from ``SOLVERS``, the one table of minimum-phase solvers that ``phaseret
-recover`` also uses; every solver samples at the default transform length.
+recover`` also uses; every solver runs at its default transform lengths.
 Trials are deterministic: trial t uses
 ``SeedSequence([master_seed, t])``, so runs are reproducible and trivially
 parallel.  Persistence writes results.jsonl (one trial per line),
@@ -63,7 +63,7 @@ def _options(cls, **values):
 # Each solver maps (measurements, seed, optional max_iters and tol; None
 # keeps the solver's default, and cork and phaselift-sf, which have no
 # tolerance, reject one) to (minimum-phase estimate, diagnostics) at the
-# default transform length; the diagnostics always hold ``fit`` and
+# default transform lengths; the diagnostics always hold ``fit`` and
 # ``converged``.  ``cork`` also takes a stacked measurement set and returns
 # one estimate and one diagnostics dict per row, which is how the CRB study
 # runs its trials.  The entries call the solvers through this module's

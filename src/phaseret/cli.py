@@ -1,8 +1,11 @@
 """Command-line pipeline: measure, recover, factorize, bench.
 
-``recover`` and ``factorize`` sample the correlation spectrum at the default
-transform length (the smallest power of two above 32N); ``recover`` takes
-signal realness from the measurement file, which ``measure --real`` sets.
+``recover`` and ``factorize`` factor on the power of two >= 8N, and again on
+the default transform length (the smallest power of two above 32N) for a
+correlation whose cepstrum has not decayed there; that default is also the
+grid of ``recover``'s correlation fit where its constraint binds.
+``recover`` takes signal realness from the measurement file, which
+``measure --real`` sets.
 
 Exit codes: 0 success, 2 malformed input or invalid option, 3 solver
 non-convergence (or, on augmented data, an estimate that fails the min-phase
@@ -33,6 +36,8 @@ EXIT_IO = 4
 
 
 def cmd_measure(args) -> int:
+    if not 0.0 < args.sigma < np.inf:  # also NaN
+        raise ValueError(f"--sigma must be finite and > 0, got {args.sigma}")
     s = pio.load_signal_file(args.input)
     n = s.size
     if args.impulse == "three-sigma":

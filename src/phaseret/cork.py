@@ -56,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import (MeasurementSet, check_transform_length, chord_slack,
-                      correlation_adjoint, correlation_spectrum, doubled_lags)
+                      coarse_transform_length, correlation_adjoint,
+                      correlation_spectrum, doubled_lags)
 
 __all__ = ["AdmmOptions", "CorkDiagnostics", "StackDiagnostics", "solve_cork"]
 
@@ -203,7 +204,7 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
     # certified from a coarse grid by the chord test, is nonnegative on the
     # L samples too; only the other rows get the length-L spectrum.
     todo = np.arange(len(rows))
-    coarse = 1 << (8 * n - 1).bit_length()  # smallest power of two >= 8N
+    coarse = coarse_transform_length(n)
     if coarse < l:
         low = correlation_spectrum(r_ls, coarse).min(axis=-1)
         sure = low > 0.0

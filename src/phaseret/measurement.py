@@ -43,6 +43,10 @@ class AugmentationSpec:
     side: str = "prefix"
 
     def __post_init__(self):
+        # a zero impulse certifies nothing and de-augments to a wrong
+        # estimate; a non-finite one poisons every measurement
+        if not (np.isfinite(self.delta) and self.delta != 0):
+            raise ValueError(f"delta must be finite and nonzero, got {self.delta}")
         if self.gap < 0:
             raise ValueError("gap must be >= 0")
         if self.side not in ("prefix", "suffix"):

@@ -179,10 +179,9 @@ def phaselift_sf(b: MeasurementSet, opts: SdpOptions | None = None):
 
     The lifted solution X attains the lower bound but need not be rank one.
     X is PSD, so its traces r_k = tr(T_k X) are a valid correlation with the
-    same fit, and their minimum-phase factor (``kolmogorov_sf`` at the
-    default transform length) attains it too.  Returns ``(x, X,
-    diagnostics)``: the factor, the lifted solution, and the bound, the fit
-    of x, one solve and whether it converged.
+    same fit, and their minimum-phase factor (``kolmogorov_sf``) attains it
+    too.  Returns ``(x, X, diagnostics)``: the factor, the lifted solution,
+    and the bound, the fit of x, one solve and whether it converged.
     """
     x_mat, bound, converged = phaselift_value(b, 0.0, opts)
     x = kolmogorov_sf(correlation_traces(x_mat))

@@ -30,6 +30,7 @@ __all__ = [
     "chord_slack",
     "global_phase_distance",
     "default_transform_length",
+    "coarse_transform_length",
     "check_transform_length",
     "MeasurementSet",
 ]
@@ -80,11 +81,18 @@ def as_correlation_rows(r) -> np.ndarray:
 
 
 def default_transform_length(n: int) -> int:
-    """Smallest power of two strictly greater than 32N."""
+    """Smallest power of two strictly greater than 32N: the grid of
+    ``solve_cork``'s exchange and ``kolmogorov_sf``'s fallback length."""
     l = 1
     while l <= 32 * n:
         l *= 2
     return l
+
+
+def coarse_transform_length(n: int) -> int:
+    """Smallest power of two >= 8N: the short grid on which ``solve_cork``
+    certifies a least-squares spectrum and ``kolmogorov_sf`` first factors."""
+    return 1 << (8 * n - 1).bit_length()
 
 
 def check_transform_length(n: int, l: int | None) -> int:

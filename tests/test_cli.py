@@ -363,6 +363,59 @@ def test_measure_out_of_range_exits_2(tmp_path, capsys, extra, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+def test_measure_three_sigma_rejects_a_bad_sigma(tmp_path, capsys, sigma):
+    # sigma = 0 made delta = 0: the file de-augmented to a wrong estimate
+    # that recover certified and exited 0 on
+    sig = tmp_path / "sig.json"
+    save_signal_file(str(sig), np.array([1.0, 2.0, 3.0]))
+    out = tmp_path / "m.json"
+    assert main(["measure", "--input", str(sig), "--output", str(out),
+                 "--impulse", "three-sigma", "--sigma", sigma]) == 2
+    assert "--sigma must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta_re", [0.0, float("nan"), float("inf")])
+def test_recover_rejects_a_zero_or_non_finite_impulse(tmp_path, capsys,
+                                                      delta_re):
+    # the measurement of s = [1, 2, 3] that measure wrote at --sigma 0
+    sig = tmp_path / "sig.json"
+    save_signal_file(str(sig), np.array([1.0, 2.0, 3.0]))
+    meas = tmp_path / "meas.json"
+    b = np.abs(np.fft.fft([0.0, 1.0, 2.0, 3.0], 16)) ** 2
+    meas.write_text(json.dumps({"m": 16, "n": 4, "b": b.tolist(),
+                                "augmentation": {"delta_re": delta_re}}))
+    out = tmp_path / "out.json"
+    assert main(["recover", "--input", str(meas), "--output", str(out),
+                 "--reference", str(sig)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed measurement" in err and "delta must be finite" in err
+    assert not out.exists()
+
+
+def test_measure_three_sigma_impulse_round_trip(tmp_path, capsys):
+    # delta = 3 sigma N for N = 8; at sigma = 2 it exceeds ||s||_1, so the
+    # noiseless measurement recovers s
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    out = tmp_path / "out.json"
+    s = write_signal(sig)
+    assert main(["measure", "--input", str(sig), "--output", str(meas),
+                 "--impulse", "three-sigma", "--sigma", "2"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["delta"] == 3.0 * 2.0 * 8 and not info["margin_violated"]
+    aug = json.loads(meas.read_text())["augmentation"]
+    assert (aug["delta_re"], aug["delta_im"]) == (48.0, 0.0)
+    assert main(["recover", "--input", str(meas), "--output", str(out),
+                 "--reference", str(sig)]) == 0
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["min_phase"]["flag"]
+    assert diag["ref_error_rel"] <= 1e-10
+    shat = load_signal_file(str(out))
+    assert global_phase_distance(s, shat) <= 1e-10 * np.vdot(s, s).real
+
+
 @pytest.mark.parametrize("solver", ["cork", "phaselift-sf", "fienup", "gs"])
 def test_recover_negative_max_iters_exits_2(tmp_path, capsys, solver):
     sig = tmp_path / "sig.json"

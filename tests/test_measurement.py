@@ -46,6 +46,12 @@ def test_margin_violation_warns():
     assert margin_violated(s, spec.delta)
 
 
+@pytest.mark.parametrize("delta", [0.0, 0j, np.nan, np.inf, complex(1.0, np.inf)])
+def test_spec_rejects_a_zero_or_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="delta must be finite and nonzero"):
+        AugmentationSpec(delta=delta)
+
+
 def test_max_phase_augmentation():
     rng = np.random.default_rng(11)
     s = rng.normal(size=6) + 1j * rng.normal(size=6)

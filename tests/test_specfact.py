@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from phaseret.measurement import AugmentationSpec, augment_min_phase, default_delta
-from phaseret.signals import (autocorrelation, default_transform_length,
+from phaseret.cork import solve_cork
+from phaseret.measurement import (AugmentationSpec, add_noise,
+                                  augment_min_phase, default_delta,
+                                  measure_augmented)
+from phaseret.signals import (autocorrelation, coarse_transform_length,
+                              correlation_spectrum, default_transform_length,
                               global_phase_distance)
 from phaseret.specfact import (FLOOR_EPS, MIN_PHASE_TOL, ROOT_SF_MAX_N,
-                               InvalidCorrelationError, SfOptions,
+                               WRAP_TOL, InvalidCorrelationError, SfOptions,
                                is_min_phase, kolmogorov_sf, root_sf)
 
 
@@ -185,10 +189,10 @@ def _kolmogorov_reference(r):
     return np.fft.ifft(np.exp(np.fft.fft(causal)))[:n]
 
 
-def _augmented_correlation(rng, n):
+def _augmented_correlation(rng, n, margin=1e-3):
     s = rng.normal(size=n) + 1j * rng.normal(size=n)
     return autocorrelation(augment_min_phase(
-        s, AugmentationSpec(delta=default_delta(s))))
+        s, AugmentationSpec(delta=default_delta(s, margin))))
 
 
 def test_kolmogorov_matches_same_cepstrum_reference():
@@ -203,24 +207,120 @@ def test_kolmogorov_matches_same_cepstrum_reference():
     np.testing.assert_allclose(kolmogorov_sf([4.0]), [2.0], rtol=1e-15)
 
 
-@pytest.mark.parametrize("shape", [(33,), (8, 33)])
-def test_kolmogorov_costs_two_real_ffts(monkeypatch, shape):
-    # one irfft for the spectrum, one rfft for the cepstrum; no complex FFT
-    rng = np.random.default_rng(6)
-    r = np.array([_augmented_correlation(rng, shape[-1] - 1)
-                  for _ in range(int(np.prod(shape[:-1])))]).reshape(shape)
+def _fft_spy(monkeypatch):
+    # records (name, length) of every numpy FFT call
     calls = []
 
     def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
+        def wrapper(a, n=None, *args, **kwargs):
+            calls.append((fn.__name__, np.shape(a)[-1] if n is None else n))
+            return fn(a, n, *args, **kwargs)
         return wrapper
 
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(33,), (8, 33)])
+def test_kolmogorov_costs_two_real_ffts(monkeypatch, shape):
+    # an impulse of twice ||s||_1 keeps the zeros of these N = 33 rows
+    # within modulus about 0.93, so their cepstrum has decayed by L0 = 512:
+    # one irfft for the spectrum and one rfft for the cepstrum, both there
+    rng = np.random.default_rng(6)
+    r = np.array([_augmented_correlation(rng, shape[-1] - 1, margin=1.0)
+                  for _ in range(int(np.prod(shape[:-1])))]).reshape(shape)
+    calls = _fft_spy(monkeypatch)
     assert kolmogorov_sf(r).shape == shape
-    assert calls == ["irfft", "rfft"]
+    assert calls == [("irfft", 512), ("rfft", 512)]
+
+
+@pytest.mark.parametrize("shape", [(33,), (8, 33)])
+def test_kolmogorov_fallback_costs_four_real_ffts(monkeypatch, shape):
+    # at the l1 impulse margin of 1e-3 the cepstrum of these N = 33 rows
+    # has not decayed by L0 = 512, so they are factored again at L = 2048
+    rng = np.random.default_rng(6)
+    r = np.array([_augmented_correlation(rng, shape[-1] - 1)
+                  for _ in range(int(np.prod(shape[:-1])))]).reshape(shape)
+    calls = _fft_spy(monkeypatch)
+    assert kolmogorov_sf(r).shape == shape
+    assert calls == [("irfft", 512), ("rfft", 512),
+                     ("irfft", 2048), ("rfft", 2048)]
+
+
+def _single_length_sf(r, l):
+    # the factorization at one transform length, with no short first pass:
+    # the answer every fallback row must give bit for bit
+    n = r.size
+    spectrum = correlation_spectrum(r, l)
+    np.maximum(spectrum, FLOOR_EPS * spectrum.max(), out=spectrum)
+    c = np.fft.rfft(np.log(spectrum))[:n] / l
+    kc = np.conj((np.arange(n) * c)[::-1])
+    x = np.empty(n, dtype=complex)
+    x[0] = np.exp(0.5 * c[0].real)
+    for t in range(1, n):
+        x[t] = np.dot(kc[n - 1 - t:n - 1], x[:t]) / t
+    return x
+
+
+def _factor_corpus():
+    # augmented correlations (l1 impulse), noiseless and fitted by
+    # solve_cork to noisy intensities at 0 to 60 dB, and correlations of
+    # Gaussian signals, whose zeros crowd the unit circle
+    rng = np.random.default_rng(2016)
+    corpus = []
+    for n in [*range(2, 48, 3), 64, 129, 257, 513, 1025]:
+        s = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+        spec = AugmentationSpec(default_delta(s))
+        clean = measure_augmented(s, spec, 4 * n)
+        corpus.append(("clean", autocorrelation(augment_min_phase(s, spec))))
+        for snr_db in (0, 10, 20, 40, 60):
+            sigma2 = np.mean(clean.b ** 2) / 10 ** (snr_db / 10)
+            noisy = add_noise(clean, sigma2, int(rng.integers(2 ** 31)))
+            corpus.append((f"{snr_db} dB", solve_cork(noisy)[0]))
+        corpus.append(("gaussian", autocorrelation(
+            rng.normal(size=n) + 1j * rng.normal(size=n))))
+    # wider impulse margins at N = 30..47, where many rows' wrap-around
+    # estimates land within a decade of WRAP_TOL
+    for n in range(30, 48):
+        for margin in (0.01, 0.05, 0.1):
+            corpus.append((f"margin {margin}",
+                           _augmented_correlation(rng, n - 1, margin)))
+    return corpus
+
+
+def test_kolmogorov_short_length_within_tolerance_or_bit_identical():
+    # each row is either the factor at L0 = coarse_transform_length(N),
+    # within WRAP_TOL ||x||_1 of every tap of the factor at the default L,
+    # or bit for bit the factor at the default L
+    accepted = fallback = 0
+    for kind, r in _factor_corpus():
+        n = r.size
+        x = kolmogorov_sf(r)
+        long = _single_length_sf(r, default_transform_length(n))
+        if np.array_equal(x, long):
+            fallback += 1
+            continue
+        assert np.array_equal(x, _single_length_sf(r, coarse_transform_length(n)))
+        err = np.abs(x - long).max()
+        assert err <= WRAP_TOL * np.abs(long).sum(), (n, kind, err)
+        assert kind != "gaussian", n
+        accepted += 1
+    assert accepted >= 20 and fallback >= 150
+
+
+def test_stacked_kolmogorov_mixes_short_and_fallback_rows():
+    # rows of one stack take different lengths; each gives its single bits
+    rng = np.random.default_rng(12)
+    rows = [_augmented_correlation(rng, 32, margin=margin)
+            for margin in (1.0, 1e-3, 1.0, 1e-3, 1.0)]
+    rows.append(autocorrelation(rng.normal(size=33) + 1j * rng.normal(size=33)))
+    xs = kolmogorov_sf(np.array(rows))
+    long = [np.array_equal(x, _single_length_sf(r, 2048))
+            for x, r in zip(xs, rows)]
+    assert long == [False, True, False, True, False, True]
+    for x, r in zip(xs, rows):
+        assert np.array_equal(x, kolmogorov_sf(r))
 
 
 def test_kolmogorov_output_pins_no_transform_buffer():
