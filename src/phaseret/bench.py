@@ -13,11 +13,14 @@ Three experiment kinds:
 
 Gap and recovery trials run the solvers named in ``ExperimentConfig.solvers``
 from ``SOLVERS``, the one table of minimum-phase solvers that ``phaseret
-recover`` also uses; every solver runs at its default transform lengths.
-Trials are deterministic: trial t uses
+recover`` also uses; every solver runs at its default transform lengths, and
+one that raises leaves its message under the row's ``errors`` while the
+others' results stay.  A config file holds one JSON object whose keys are
+``ExperimentConfig`` fields.  Trials are deterministic: trial t uses
 ``SeedSequence([master_seed, t])``, so runs are reproducible and trivially
 parallel.  Persistence writes results.jsonl (one trial per line),
-summary.json, and plot-ready curves.csv.
+summary.json, and plot-ready curves.csv; only a row's ``times`` differ
+between runs, and the summary leaves them out.
 """
 
 from __future__ import annotations
@@ -47,14 +50,6 @@ __all__ = ["SOLVERS", "THRESHOLDS", "ExperimentConfig", "run_gap_trial",
            "run_recovery_trial", "run_crb_study", "run_experiment",
            "aggregate_and_persist"]
 
-TIMING_FIELDS = ("times",)  # stripped when comparing runs byte-for-byte
-
-
-def _fit(x, b: np.ndarray) -> float:
-    model = intensity_measure(x, b.size)
-    return float(np.linalg.norm(b - model) ** 2)
-
-
 def _options(cls, **values):
     """``cls()`` with the given values that are not None."""
     return cls(**{k: v for k, v in values.items() if v is not None})
@@ -80,6 +75,9 @@ def _phaselift_sf(ms, seed, max_iters=None, tol=None):
     if tol is not None:
         raise ValueError("phaselift-sf takes no tolerance: its stop is "
                          "fixed (sdp.GRAD_TOL)")
+    if max_iters is not None and max_iters < 1:
+        raise ValueError(f"phaselift-sf needs --max-iters >= 1, got "
+                         f"{max_iters}: with no step its estimate is zero")
     x, _, diag = phaselift_sf(ms, _options(SdpOptions, max_iters=max_iters))
     return x, {"fit": diag.fit, "converged": diag.converged,
                "lower_bound": diag.lower_bound}
@@ -90,19 +88,20 @@ def _phaselift_sf(ms, seed, max_iters=None, tol=None):
 # test fired before the cap (one cost per iteration, plus the last).
 # Fienup's Dykstra phase has no stopping test, so its GS refinement decides.
 
-def _fienup(ms, seed, max_iters=None, tol=None):
-    x, history = fienup_solve(ms, _options(IterativeOptions, seed=seed,
-                                           max_iters=max_iters, tol=tol))
+def _factored(ms, x, history, cap):
     x = kolmogorov_sf(autocorrelation(x))
-    return x, {"fit": _fit(x, ms.b),
-               "converged": history.size <= GS_REFINE_ITERS}
+    fit = float(np.linalg.norm(ms.b - intensity_measure(x, ms.b.size)) ** 2)
+    return x, {"fit": fit, "converged": history.size <= cap}
+
+
+def _fienup(ms, seed, max_iters=None, tol=None):
+    opts = _options(IterativeOptions, seed=seed, max_iters=max_iters, tol=tol)
+    return _factored(ms, *fienup_solve(ms, opts), GS_REFINE_ITERS)
 
 
 def _gs(ms, seed, max_iters=None, tol=None):
     opts = _options(IterativeOptions, seed=seed, max_iters=max_iters, tol=tol)
-    x, history = gs_solve(ms, opts)
-    x = kolmogorov_sf(autocorrelation(x))
-    return x, {"fit": _fit(x, ms.b), "converged": history.size <= opts.max_iters}
+    return _factored(ms, *gs_solve(ms, opts), opts.max_iters)
 
 
 SOLVERS = {"cork": _cork, "phaselift-sf": _phaselift_sf, "fienup": _fienup,
@@ -171,33 +170,38 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        kwargs = {}
-        for name in cls.__dataclass_fields__:
-            if name in obj:
-                value = obj[name]
-                if isinstance(value, list):
-                    value = tuple(value)
-                kwargs[name] = value
+        """The config of a JSON object; its lists become tuples."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a config must be a JSON object, got "
+                             f"{type(obj).__name__}")
         unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in obj.items()})
 
 
-def _solve(result: dict, key: str, name: str, ms: MeasurementSet, seed):
-    """(estimate, diagnostics) of ``SOLVERS[name]`` on ``ms``, de-augmented
-    when ``ms`` is augmented and timed under ``result["times"][key]``; None
-    when it raised, with the message under ``result["errors"][key]``."""
-    try:
-        t0 = time.perf_counter()
-        x, diag = SOLVERS[name](ms, seed)
-        if ms.augmentation is not None:
-            x = deaugment(x, ms.augmentation)
-        result["times"][key] = time.perf_counter() - t0
-    except Exception as exc:  # noqa: BLE001 - per-solver capture
-        result["errors"][key] = str(exc)
-        return None
-    return x, diag
+def _solved(result: dict, config: ExperimentConfig, arms, seed):
+    """Run every solver of ``config`` on each arm ``(suffix, ms)``.
+
+    Yields ``(key, ms, estimate, diagnostics)`` with key = solver name +
+    suffix, the estimate de-augmented when ``ms`` is augmented and timed
+    under ``result["times"][key]``.  A solver that raises yields nothing;
+    its message goes under ``result["errors"][key]``.
+    """
+    for suffix, ms in arms:
+        for name in config.solvers:
+            key = name + suffix
+            try:
+                t0 = time.perf_counter()
+                x, diag = SOLVERS[name](ms, seed)
+                if ms.augmentation is not None:
+                    x = deaugment(x, ms.augmentation)
+                result["times"][key] = time.perf_counter() - t0
+            except Exception as exc:  # noqa: BLE001 - per-solver capture
+                result["errors"][key] = str(exc)
+                continue
+            yield key, ms, x, diag
 
 
 def run_gap_trial(config: ExperimentConfig, trial_index: int) -> dict:
@@ -220,11 +224,7 @@ def run_gap_trial(config: ExperimentConfig, trial_index: int) -> dict:
     result["fits"]["phaselift"] = lower_bound
     result["lower_bound"] = lower_bound
 
-    for name in config.solvers:
-        solved = _solve(result, name, name, ms, trial_index)
-        if solved is None:
-            continue
-        diag = solved[1]
+    for name, _, _, diag in _solved(result, config, [("", ms)], trial_index):
         gap = diag["fit"] - lower_bound
         result["fits"][name] = diag["fit"]
         result["gaps"][name] = gap
@@ -250,21 +250,13 @@ def run_recovery_trial(config: ExperimentConfig, trial_index: int) -> dict:
               "errors_rel": {}, "fits_rel": {}, "times": {}, "errors": {}}
 
     # the direct arm runs the same solvers without augmentation
-    arms = (("minphase", MeasurementSet(intensity_measure(smin, m), smin.size,
-                                        augmentation=spec)),
-            ("direct", MeasurementSet(
+    arms = (("_minphase", MeasurementSet(intensity_measure(smin, m), smin.size,
+                                         augmentation=spec)),
+            ("_direct", MeasurementSet(
                 intensity_measure(s, int(config.m_multiplier * n)), n)))
-    for arm, ms in arms:
-        bscale = float(np.linalg.norm(ms.b) ** 2)
-        for name in config.solvers:
-            key = f"{name}_{arm}"
-            solved = _solve(result, key, name, ms, trial_index)
-            if solved is None:
-                continue
-            shat, diag = solved
-            result["errors_rel"][key] = \
-                global_phase_distance(s, shat) / s_energy
-            result["fits_rel"][key] = diag["fit"] / bscale
+    for key, ms, shat, diag in _solved(result, config, arms, trial_index):
+        result["errors_rel"][key] = global_phase_distance(s, shat) / s_energy
+        result["fits_rel"][key] = diag["fit"] / float(np.linalg.norm(ms.b) ** 2)
     return result
 
 
@@ -320,17 +312,10 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
-    if config.kind == "gap":
-        return [run_gap_trial(config, t) for t in range(config.trials)]
-    if config.kind == "recovery":
-        return [run_recovery_trial(config, t) for t in range(config.trials)]
     if config.kind == "crb":
         return run_crb_study(config)
-    raise ValueError(f"unknown experiment kind: {config.kind!r}")
-
-
-def _strip_timing(row: dict) -> dict:
-    return {k: v for k, v in row.items() if k not in TIMING_FIELDS}
+    trial = run_gap_trial if config.kind == "gap" else run_recovery_trial
+    return [trial(config, t) for t in range(config.trials)]
 
 
 def _quantiles(values) -> dict:
@@ -343,23 +328,23 @@ def _quantiles(values) -> dict:
 
 
 def summarize(results: list[dict]) -> dict:
-    """Medians/quantiles of every numeric per-trial metric."""
+    """Medians/quantiles of every numeric per-trial metric but the timings,
+    which differ between runs."""
     if not results:
         raise ValueError("need at least one result")
-    summary: dict = {"trials": len(results)}
-    kind = results[0].get("kind")
-    summary["kind"] = kind
     numeric: dict[str, list[float]] = {}
     for row in results:
-        for key, value in _strip_timing(row).items():
+        for key, value in row.items():
+            if key == "times":
+                continue
             if isinstance(value, dict):
                 for sub, v in value.items():
                     if isinstance(v, (int, float)) and not isinstance(v, bool):
                         numeric.setdefault(f"{key}.{sub}", []).append(float(v))
             elif isinstance(value, (int, float)) and not isinstance(value, bool):
                 numeric.setdefault(key, []).append(float(value))
-    summary["metrics"] = {k: _quantiles(v) for k, v in sorted(numeric.items())}
-    return summary
+    return {"trials": len(results), "kind": results[0].get("kind"),
+            "metrics": {k: _quantiles(v) for k, v in sorted(numeric.items())}}
 
 
 def _curves_rows(results: list[dict]) -> list[tuple]:

@@ -38,6 +38,10 @@ EXIT_IO = 4
 def cmd_measure(args) -> int:
     if not 0.0 < args.sigma < np.inf:  # also NaN
         raise ValueError(f"--sigma must be finite and > 0, got {args.sigma}")
+    if not args.m and not 2.0 <= args.oversampling < np.inf:  # also NaN
+        raise ValueError(f"--oversampling must be finite and >= 2 "
+                         f"(identifiability needs M >= 2N), got "
+                         f"{args.oversampling}")
     s = pio.load_signal_file(args.input)
     n = s.size
     if args.impulse == "three-sigma":
@@ -175,11 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "measure" and args.oversampling < 2 and not args.m:
-        parser.exit(EXIT_VALIDATION,
-                    "oversampling must be >= 2 (identifiability needs M >= 2N)\n")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # also malformed JSON and undecodable text

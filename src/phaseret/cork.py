@@ -216,14 +216,13 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
     spec_ls = correlation_spectrum(r_ls[todo], l) if todo.size else []
 
     # lam = 0 is dual feasible, complementary and stationary wherever the
-    # least-squares spectrum is nonnegative; the other rows iterate.
+    # least-squares spectrum is nonnegative, so such a row leaves the loop at
+    # its first pass with no step; the other rows iterate.
     # Adding d to r0 raises every spectrum sample by exactly d, so any
     # residual infeasibility is removed by a (tiny) lag-zero lift.
     diags = [CorkDiagnostics(l=l) for _ in rows]
     r = r_ls.copy()
     for k, spec0 in zip(todo, spec_ls):
-        if spec0.min() >= 0.0:
-            continue
         diag = diags[k]
         tol = VIOLATION_TOL * np.abs(spec0).max()
         spec, s, mu = spec0, np.zeros(0, dtype=int), np.zeros(0)

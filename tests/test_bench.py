@@ -28,6 +28,9 @@ def test_config_from_json_round_trip():
     assert cfg.kind == "recovery" and cfg.n == 8 and cfg.m_range == (2.0, 4.0)
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_json({"bogus": 1})
+    for obj in ([], ["kind"], "gap", 3):
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentConfig.from_json(obj)
 
 
 def test_trial_rng_is_deterministic_and_distinct():
@@ -75,6 +78,23 @@ def test_recovery_trial_runs_every_listed_solver():
     assert set(row["errors_rel"]) == {"phaselift-sf_minphase",
                                       "phaselift-sf_direct"}
     assert row["errors_rel"]["phaselift-sf_minphase"] <= 1e-3
+
+
+@pytest.mark.parametrize("kind", ["gap", "recovery"])
+def test_a_raising_solver_leaves_the_others_results(monkeypatch, kind):
+    def broken(ms, seed):
+        raise ValueError(f"no estimate at M={ms.m}")
+
+    monkeypatch.setitem(SOLVERS, "gs", broken)
+    cfg = ExperimentConfig(kind=kind, n=6, trials=1, solvers=("gs", "cork"))
+    row = (run_gap_trial if kind == "gap" else run_recovery_trial)(cfg, 0)
+    suffixes = [""] if kind == "gap" else ["_minphase", "_direct"]
+    results = row["gaps"] if kind == "gap" else row["errors_rel"]
+    assert set(row["errors"]) == {"gs" + arm for arm in suffixes}
+    assert all(msg.startswith("no estimate at M=")
+               for msg in row["errors"].values())
+    assert set(results) == {"cork" + arm for arm in suffixes}
+    assert set(row["times"]) - {"phaselift"} == set(results)
 
 
 @pytest.mark.parametrize("name", list(SOLVERS))
@@ -139,6 +159,20 @@ def test_summarize_and_persist(tmp_path):
     assert json.loads(Path(paths["summary"]).read_text())["trials"] == 2
     header = Path(paths["curves"]).read_text().splitlines()[0].strip()
     assert header == "x,y,series"
+
+
+def test_recovery_experiment_persists_an_error_series_per_arm(tmp_path):
+    cfg = ExperimentConfig(kind="recovery", n=4, trials=2,
+                           solvers=("cork", "gs"), master_seed=3)
+    results = run_experiment(cfg)
+    assert [strip_times(row) for row in results] == \
+        [strip_times(run_recovery_trial(cfg, t)) for t in range(2)]
+    paths = aggregate_and_persist(results, str(tmp_path))
+    lines = Path(paths["curves"]).read_text().splitlines()
+    want = [f"{row['trial']},{row['errors_rel'][key]!r},error:{key}"
+            for row in results for key in ("cork_minphase", "gs_minphase",
+                                           "cork_direct", "gs_direct")]
+    assert lines == ["x,y,series"] + want
 
 
 def test_results_jsonl_identical_modulo_times(tmp_path):

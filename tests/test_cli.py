@@ -177,6 +177,21 @@ def test_recover_solver_without_a_tolerance_rejects_one(tmp_path, capsys,
     assert not (tmp_path / "out.json").exists()
 
 
+def test_recover_phaselift_sf_without_a_step_exits_2(tmp_path, capsys):
+    # with no step the lifted estimate is zero, which the factorization
+    # would blame on the input
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    write_signal(sig)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--input", str(meas), "--output",
+                 str(tmp_path / "out.json"), "--solver", "phaselift-sf",
+                 "--max-iters", "0"]) == 2
+    assert "--max-iters" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_recover_reference_of_the_wrong_length_exits_2(tmp_path, capsys):
     # the error the user asked for cannot be computed, so nothing is written
     sig = tmp_path / "sig.json"
@@ -539,15 +554,29 @@ def test_bench_rejects_bad_thresholds_before_running(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", ["[]", '"gap"', "3"])
+def test_bench_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    # a list once ran the default 50-trial gap study
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(text)
+    assert main(["bench", "--config", str(cfgfile),
+                 "--output", str(tmp_path / "out")]) == 2
+    assert "JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_requires_output_dir(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     write_bench_config(cfgfile)
     assert main(["bench", "--config", str(cfgfile)]) == 2
 
 
-def test_measure_oversampling_validation(tmp_path):
+@pytest.mark.parametrize("oversampling", ["1.5", "-3", "inf", "nan"])
+def test_measure_oversampling_validation(tmp_path, capsys, oversampling):
+    # identifiability needs M >= 2N, and an infinite or NaN factor gives no M
     sig = tmp_path / "sig.json"
     write_signal(sig)
-    with pytest.raises(SystemExit):
-        main(["measure", "--input", str(sig), "--output",
-              str(tmp_path / "m.json"), "--oversampling", "1.5"])
+    assert main(["measure", "--input", str(sig), "--output",
+                 str(tmp_path / "m.json"), "--oversampling", oversampling]) == 2
+    assert "--oversampling" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()

@@ -335,6 +335,39 @@ def test_certified_rows_take_no_length_l_transform(monkeypatch, rows):
     assert all(d.iters == 0 and d.converged for d in diags)
 
 
+@pytest.mark.parametrize("real_signal", [False, True])
+def test_rows_nonnegative_on_the_l_grid_take_no_exchange_step(monkeypatch,
+                                                              real_signal):
+    # noiseless direct rows: |S|^2 dips too close to zero for the coarse-grid
+    # certificate but is nonnegative on the L samples, so lam = 0 is optimal
+    # and the exchange loop's first pass returns it, alone or stacked
+    spectrum, lengths = phaseret.cork.correlation_spectrum, []
+    monkeypatch.setattr(phaseret.cork, "correlation_spectrum",
+                        lambda r, k: lengths.append(k) or spectrum(r, k))
+    for n in (2, 5, 16, 64):
+        l, picked = check_transform_length(n, None), []
+        for seed in range(12):
+            x, _ = make_instance(seed, n)
+            ms = MeasurementSet(intensity_measure(x.real if real_signal else x,
+                                                  4 * n), n, real_signal)
+            lengths.clear()
+            r, diag = solve_cork(ms)
+            if l not in lengths or diag.feasibility_lift != 0.0:
+                continue
+            picked.append(ms.b)
+            r_want, want = reference_solve(ms, AdmmOptions())
+            assert np.array_equal(r, r_want[0])
+            assert diag.to_json() == want[0].to_json()
+            assert (diag.iters, diag.converged, diag.gap, diag.active) == \
+                (0, True, 0.0, 0)
+        assert len(picked) >= 2, n
+        ms = MeasurementSet(np.array(picked), n, real_signal)
+        r, diags = solve_cork(ms)
+        r_want, want = reference_solve(ms, AdmmOptions())
+        assert np.array_equal(r, r_want)
+        assert diags.to_json() == [d.to_json() for d in want]
+
+
 def test_rejects_bad_transform_length():
     with pytest.raises(ValueError):
         solve_cork(MeasurementSet(np.ones(8), 2), AdmmOptions(l=100))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaseret.cork import solve_cork
 from phaseret.measurement import (AugmentationSpec, ImpulseMarginWarning,
                                   add_noise, augment_max_phase,
                                   augment_min_phase, conjugate_reversal,
@@ -8,6 +9,7 @@ from phaseret.measurement import (AugmentationSpec, ImpulseMarginWarning,
                                   measure_augmented)
 from phaseret.signals import (MeasurementSet, global_phase_distance,
                               intensity_measure)
+from phaseret.specfact import kolmogorov_sf
 
 
 def test_augment_prefix_layout():
@@ -150,3 +152,18 @@ def test_measure_augmented_records_metadata():
     assert ms.augmentation is spec
     np.testing.assert_allclose(
         ms.b, intensity_measure(augment_min_phase(s, spec), 12), atol=1e-12)
+
+
+@pytest.mark.parametrize("gap", [0, 2])
+@pytest.mark.parametrize("side", ["prefix", "suffix"])
+def test_measure_augmented_noiseless_round_trip(side, gap):
+    # fit, factor and de-augment noiseless measurements: either side of the
+    # impulse gives s back up to a global phase (at N = 16; at an augmented
+    # length of 7 the factor is still aliased at the fallback length)
+    rng = np.random.default_rng(16)
+    s = rng.normal(size=16) + 1j * rng.normal(size=16)
+    spec = AugmentationSpec(delta=default_delta(s), gap=gap, side=side)
+    ms = measure_augmented(s, spec, 4 * (s.size + gap + 1))
+    shat = deaugment(kolmogorov_sf(solve_cork(ms)[0]), spec)
+    phase = np.vdot(shat, s) / abs(np.vdot(shat, s))
+    assert np.linalg.norm(shat * phase - s) <= 1e-12 * np.linalg.norm(s)
