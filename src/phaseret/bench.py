@@ -40,7 +40,8 @@ from .baselines import (GS_REFINE_ITERS, IterativeOptions, fienup_solve,
 from .cork import AdmmOptions, solve_cork
 from .crb import compute_crb
 from .io import atomic_write_text
-from .measurement import AugmentationSpec, augment_min_phase, deaugment
+from .measurement import (AugmentationSpec, augment_min_phase, deaugment,
+                          measure_augmented)
 from .sdp import SdpOptions, phaselift_sf, phaselift_value
 from .signals import (MeasurementSet, autocorrelation, global_phase_distance,
                       intensity_measure)
@@ -75,9 +76,6 @@ def _phaselift_sf(ms, seed, max_iters=None, tol=None):
     if tol is not None:
         raise ValueError("phaselift-sf takes no tolerance: its stop is "
                          "fixed (sdp.GRAD_TOL)")
-    if max_iters is not None and max_iters < 1:
-        raise ValueError(f"phaselift-sf needs --max-iters >= 1, got "
-                         f"{max_iters}: with no step its estimate is zero")
     x, _, diag = phaselift_sf(ms, _options(SdpOptions, max_iters=max_iters))
     return x, {"fit": diag.fit, "converged": diag.converged,
                "lower_bound": diag.lower_bound}
@@ -139,9 +137,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("gap", "recovery", "crb"):
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
-        if self.n < 1 or self.trials < 1:
-            raise ValueError(f"need n >= 1 and trials >= 1 (got n={self.n}, "
-                             f"trials={self.trials})")
+        if not all(isinstance(v, numbers.Integral) and v >= 1
+                   for v in (self.n, self.trials)):
+            raise ValueError(f"need integers n >= 1 and trials >= 1 (got "
+                             f"n={self.n!r}, trials={self.trials!r})")
         unknown = [name for name in self.solvers if name not in SOLVERS]
         if unknown:
             raise ValueError(f"unknown solvers {unknown}; "
@@ -170,15 +169,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """The config of a JSON object; its lists become tuples."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"a config must be a JSON object, got "
-                             f"{type(obj).__name__}")
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v
-                      for k, v in obj.items()})
+        """The config of a JSON object; its lists become tuples.  Any bad
+        field, such as a string where a number belongs, raises a
+        ``ValueError`` whose message starts with ``bad config:``."""
+        try:
+            if not isinstance(obj, dict):
+                raise ValueError(f"a config must be a JSON object, got "
+                                 f"{type(obj).__name__}")
+            unknown = set(obj) - set(cls.__dataclass_fields__)
+            if unknown:
+                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            return cls(**{k: tuple(v) if isinstance(v, list) else v
+                          for k, v in obj.items()})
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad config: {exc}") from exc
 
 
 def _solved(result: dict, config: ExperimentConfig, arms, seed):
@@ -202,6 +206,13 @@ def _solved(result: dict, config: ExperimentConfig, arms, seed):
                 result["errors"][key] = str(exc)
                 continue
             yield key, ms, x, diag
+
+
+def _augmented_draw(rng: np.random.Generator, n: int):
+    """A unit-variance complex-Gaussian signal s of length n, its energy and
+    the three-sigma impulse spec that makes it minimum phase."""
+    s = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
+    return s, float(np.linalg.norm(s) ** 2), AugmentationSpec(3.0 * n)
 
 
 def run_gap_trial(config: ExperimentConfig, trial_index: int) -> dict:
@@ -236,22 +247,16 @@ def run_gap_trial(config: ExperimentConfig, trial_index: int) -> dict:
 
 def run_recovery_trial(config: ExperimentConfig, trial_index: int) -> dict:
     """Direct vs minimum-phase measurement arms on one random signal."""
-    rng = config.trial_rng(trial_index)
     n = config.n
-    s = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
-    s_energy = float(np.linalg.norm(s) ** 2)
-    delta = 3.0 * n  # unit-variance heuristic impulse
-    spec = AugmentationSpec(delta)
-    smin = augment_min_phase(s, spec)
-    m = int(config.m_multiplier * smin.size)
+    s, s_energy, spec = _augmented_draw(config.trial_rng(trial_index), n)
+    m = int(config.m_multiplier * (n + 1))  # of the augmented signal
 
     result = {"trial": trial_index, "kind": "recovery", "n": n, "m": m,
-              "delta": delta, "s_energy": s_energy,
+              "delta": spec.delta, "s_energy": s_energy,
               "errors_rel": {}, "fits_rel": {}, "times": {}, "errors": {}}
 
     # the direct arm runs the same solvers without augmentation
-    arms = (("_minphase", MeasurementSet(intensity_measure(smin, m), smin.size,
-                                         augmentation=spec)),
+    arms = (("_minphase", measure_augmented(s, spec, m)),
             ("_direct", MeasurementSet(
                 intensity_measure(s, int(config.m_multiplier * n)), n)))
     for key, ms, shat, diag in _solved(result, config, arms, trial_index):
@@ -270,11 +275,8 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
     that scale gives.  The CRB is linear in sigma^2, so it is computed once
     per distinct M at sigma^2 = 1 and scaled.
     """
-    rng = config.trial_rng(2**31 - 1)  # signal draw index, outside trial range
-    n = config.n
-    s = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
-    s_energy = float(np.linalg.norm(s) ** 2)
-    spec = AugmentationSpec(3.0 * n)
+    # the signal's draw index lies outside the trial range
+    s, s_energy, spec = _augmented_draw(config.trial_rng(2**31 - 1), config.n)
     smin = augment_min_phase(s, spec)
 
     points = []

@@ -112,11 +112,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        with open(args.config) as fh:
-            config = ExperimentConfig.from_json(json.load(fh))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad config {args.config}: {exc}") from exc
+    config = pio.load_json_file(args.config, ExperimentConfig.from_json)
     output_dir = args.output or config.output_dir
     if not output_dir:
         raise ValueError("no output directory (pass --output or set output_dir)")

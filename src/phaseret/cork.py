@@ -114,16 +114,13 @@ class StackDiagnostics(list):
         return [d.to_json() for d in self]
 
 
-def _dirichlet(d, n: int, l: int) -> np.ndarray:
-    """D(2 pi d / L) = sum over |k| < N of exp(2 pi i k d / L), integer d."""
-    d = np.asarray(d) % l
+def _working_set_kernel(s: np.ndarray, n: int, l: int) -> np.ndarray:
+    """K_S, the block of A_L W^-1 A_L^* on the grid indices ``s``: entry
+    (i, j) is D(2 pi d / L) = sum over |k| < N of exp(2 pi i k d / L) with
+    d = s_i - s_j."""
+    d = (s[:, None] - s[None, :]) % l
     x = np.pi * np.where(d == 0, 1, d) / l
     return np.where(d == 0, 2.0 * n - 1, np.sin((2 * n - 1) * x) / np.sin(x))
-
-
-def _working_set_kernel(s: np.ndarray, n: int, l: int) -> np.ndarray:
-    """K_S, the block of A_L W^-1 A_L^* on the grid indices ``s``."""
-    return _dirichlet(s[:, None] - s[None, :], n, l)
 
 
 def _nonnegative_qp(k: np.ndarray, c: np.ndarray, mu: np.ndarray,
@@ -202,17 +199,13 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
 
     # A row whose least-squares spectrum is positive on the whole circle,
     # certified from a coarse grid by the chord test, is nonnegative on the
-    # L samples too; only the other rows get the length-L spectrum.
-    todo = np.arange(len(rows))
+    # L samples too, whatever L is; only the other rows get the length-L
+    # spectrum.
     coarse = coarse_transform_length(n)
-    if coarse < l:
-        low = correlation_spectrum(r_ls, coarse).min(axis=-1)
-        sure = low > 0.0
-        if sure.any():  # binding data pay for the short transform alone
-            norm1 = np.abs(doubled_lags(r_ls[sure])).sum(axis=-1)
-            sure[sure] = low[sure] > (chord_slack(n, coarse, norm1)
-                                      + VIOLATION_TOL * norm1)
-        todo = np.flatnonzero(~sure)
+    low = correlation_spectrum(r_ls, coarse).min(axis=-1)
+    norm1 = np.abs(doubled_lags(r_ls)).sum(axis=-1)
+    todo = np.flatnonzero(~(low > chord_slack(n, coarse, norm1)
+                            + VIOLATION_TOL * norm1))
     spec_ls = correlation_spectrum(r_ls[todo], l) if todo.size else []
 
     # lam = 0 is dual feasible, complementary and stationary wherever the

@@ -21,7 +21,7 @@ from .measurement import AugmentationSpec
 from .signals import MeasurementSet, as_signal
 
 __all__ = ["atomic_write_text", "dump_signal", "load_signal",
-           "dump_measurement", "load_measurement",
+           "dump_measurement", "load_measurement", "load_json_file",
            "save_signal_file", "load_signal_file",
            "save_measurement_file", "load_measurement_file"]
 
@@ -94,12 +94,6 @@ def load_measurement(obj: dict) -> MeasurementSet:
         m = operator.index(obj.get("m", b.size))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement object: {exc}") from exc
-    if not isinstance(real_signal, bool):  # bool("false") is True
-        raise ValueError("malformed measurement object: real_signal must be "
-                         f"true or false, got {real_signal!r}")
-    if aug is not None and n < aug.gap + 2:
-        raise ValueError(f"malformed measurement object: n={n} leaves no "
-                         f"signal sample after the impulse and gap={aug.gap}")
     if b.ndim != 1:
         # a file holds one measurement; stacks exist only in memory
         raise ValueError("malformed measurement object: b must be a flat list")
@@ -119,10 +113,16 @@ def save_signal_file(path: str, x) -> None:
         atomic_write_text(path, json.dumps(dump_signal(x)) + "\n")
 
 
-def _load_json(path: str, text: str, load):
-    """``load`` of the JSON object in ``text``; its errors name ``path``."""
+def load_json_file(path: str, load):
+    """``load`` of the JSON value in the file at ``path``.
+
+    A ``ValueError`` from decoding, parsing or ``load`` is raised again with
+    ``path`` in front of its message; an ``OSError`` passes unchanged.
+    """
     try:
-        return load(json.loads(text))
+        with open(path) as fh:
+            obj = json.load(fh)
+        return load(obj)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     except ValueError as exc:
@@ -130,25 +130,25 @@ def _load_json(path: str, text: str, load):
 
 
 def load_signal_file(path: str) -> np.ndarray:
+    if not path.endswith(".csv"):
+        return load_json_file(path, load_signal)
     with open(path) as fh:
         text = fh.read()
-    if path.endswith(".csv"):
-        values = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns re,im")
-            try:
-                values.append(complex(float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    values = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected two columns re,im")
         try:
-            return as_signal(values)
+            values.append(complex(float(parts[0]), float(parts[1])))
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    return _load_json(path, text, load_signal)
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        return as_signal(values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_measurement_file(path: str, ms: MeasurementSet) -> None:
@@ -156,5 +156,4 @@ def save_measurement_file(path: str, ms: MeasurementSet) -> None:
 
 
 def load_measurement_file(path: str) -> MeasurementSet:
-    with open(path) as fh:
-        return _load_json(path, fh.read(), load_measurement)
+    return load_json_file(path, load_measurement)

@@ -45,6 +45,12 @@ GRAD_TOL = 1e-7   # projected-gradient stop, relative to the initial gradient
 class SdpOptions:
     max_iters: int = 4000
 
+    def __post_init__(self):
+        # with no step the lifted solution is zero, which phaselift_sf's
+        # factorization would blame on the input
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+
 
 @dataclass
 class SdpDiagnostics:

@@ -12,6 +12,8 @@ built on them, also take a 2D stack of equal-length rows along the last axis.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -83,10 +85,7 @@ def as_correlation_rows(r) -> np.ndarray:
 def default_transform_length(n: int) -> int:
     """Smallest power of two strictly greater than 32N: the grid of
     ``solve_cork``'s exchange and ``kolmogorov_sf``'s fallback length."""
-    l = 1
-    while l <= 32 * n:
-        l *= 2
-    return l
+    return 1 << (32 * n).bit_length()
 
 
 def coarse_transform_length(n: int) -> int:
@@ -219,7 +218,8 @@ class MeasurementSet:
     minimum-phase construction (see :mod:`phaseret.measurement`).  A 2D
     ``b`` stacks K measurements of signals sharing N, M, ``sigma2`` and
     ``augmentation`` as rows; :func:`phaseret.cork.solve_cork` solves them
-    together, and the other solvers take one row.
+    together, and the other solvers take one row.  An augmentation must
+    leave at least one sample of the signal after the impulse and its gap.
     """
 
     def __init__(self, b, n: int, sigma2: float = 0.0,
@@ -230,17 +230,23 @@ class MeasurementSet:
                              "of length >= 1")
         if not np.all(np.isfinite(b)):
             raise ValueError("measurement entries must be finite")
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        if not isinstance(n, numbers.Integral) or n < 1:  # 2.9 is no length
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
         sigma2 = float(sigma2)
         if not 0.0 <= sigma2 < np.inf:  # also NaN
             raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
+        if not isinstance(real_signal, bool):  # bool("false") is True
+            raise ValueError(f"real_signal must be true or false, got "
+                             f"{real_signal!r}")
+        if augmentation is not None and n < augmentation.gap + 2:
+            raise ValueError(f"n={n} leaves no signal sample after the "
+                             f"impulse and gap={augmentation.gap}")
         if b.shape[-1] < 2 * n:
             raise ValueError(f"b needs M >= 2N (got M={b.shape[-1]}, N={n})")
         self.b = b
         self.n = int(n)
         self.sigma2 = sigma2
-        self.real_signal = bool(real_signal)
+        self.real_signal = real_signal
         self.augmentation = augmentation
 
     @property

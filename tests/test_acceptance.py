@@ -190,16 +190,16 @@ def test_acceptance_5_crb_attainment_at_large_n():
 
 
 def test_acceptance_6_admm_behavior():
-    """Every solve converges in a median of at most 200 iterations at
-    tol_rel=1e-4, certifies a duality gap of at most 3e-5*||b||^2, and exits
-    with a (numerically) nonnegative sampled spectrum."""
+    """Every solve converges in a median of at most 200 iterations,
+    certifies a duality gap of at most 3e-5*||b||^2, and exits with a
+    (numerically) nonnegative sampled spectrum."""
     t0 = time.perf_counter()
     iters, worst_feas, worst_gap = [], 0.0, 0.0
     for t in range(100):
         rng = np.random.default_rng([1006, t])
         n = 128
         ms = MeasurementSet(rng.uniform(size=4 * n), n)
-        r, diag = solve_cork(ms, AdmmOptions(tol_rel=1e-4, max_iters=30000))
+        r, diag = solve_cork(ms, AdmmOptions(max_iters=30000))
         assert diag.converged
         iters.append(diag.iters)
         worst_gap = max(worst_gap, diag.gap / float(np.dot(ms.b, ms.b)))

@@ -188,7 +188,7 @@ def test_recover_phaselift_sf_without_a_step_exits_2(tmp_path, capsys):
     assert main(["recover", "--input", str(meas), "--output",
                  str(tmp_path / "out.json"), "--solver", "phaselift-sf",
                  "--max-iters", "0"]) == 2
-    assert "--max-iters" in capsys.readouterr().err
+    assert "max_iters" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
 
 
@@ -562,6 +562,21 @@ def test_bench_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
     assert main(["bench", "--config", str(cfgfile),
                  "--output", str(tmp_path / "out")]) == 2
     assert "JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"kind": "gap", "n": "x"}', "bad config: need integers n >= 1"),
+    ('{"kind": "recovery", "n": 2.5}', "bad config: need integers n >= 1"),
+    ('{"kind": "gap",', "invalid JSON at line 1")])
+def test_bench_bad_field_or_bad_json_exits_2(tmp_path, capsys, text, message):
+    # a string n failed the config's checks with a TypeError, and a
+    # fractional n passed them and failed with one in the first trial
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(text)
+    assert main(["bench", "--config", str(cfgfile),
+                 "--output", str(tmp_path / "out")]) == 2
+    assert f"error: {cfgfile}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

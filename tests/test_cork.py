@@ -14,9 +14,10 @@ from phaseret.cork import (VIOLATION_TOL, AdmmOptions, CorkDiagnostics,
                            solve_cork)
 from phaseret.sdp import _fista
 from phaseret.signals import (MeasurementSet, autocorrelation,
-                              check_transform_length, correlation_adjoint,
-                              correlation_psd_check, correlation_spectrum,
-                              doubled_lags, intensity_measure)
+                              check_transform_length, coarse_transform_length,
+                              correlation_adjoint, correlation_psd_check,
+                              correlation_spectrum, doubled_lags,
+                              intensity_measure)
 
 
 def make_instance(seed, n, m_mult=4):
@@ -149,7 +150,7 @@ def test_matches_dense_reference(real_signal):
     n, m, l = 3, 7, 8
     b = np.random.default_rng(28).exponential(1.0, size=m)
     ms = MeasurementSet(b, n, real_signal=real_signal)
-    r, diag = solve_cork(ms, AdmmOptions(l=l, tol_rel=1e-12))
+    r, diag = solve_cork(ms, AdmmOptions(l=l))
     r_want = dense_reference(b, n, l, real_signal)
 
     assert diag.converged and diag.iters > 0
@@ -241,7 +242,7 @@ def test_duality_gap_bounds_excess(seed, real_signal):
     ms = MeasurementSet(b, 32, real_signal=real_signal)
     b2 = np.dot(b, b)
     _, diag = solve_cork(ms, AdmmOptions(max_iters=1))
-    _, ref = solve_cork(ms, AdmmOptions(tol_rel=1e-10, max_iters=100000))
+    _, ref = solve_cork(ms, AdmmOptions(max_iters=100000))
     assert diag.iters > 0 and ref.converged
     assert diag.gap >= diag.fit - ref.fit - 1e-12 * b2
     assert diag.gap > 1e-9 * b2
@@ -336,6 +337,33 @@ def test_certified_rows_take_no_length_l_transform(monkeypatch, rows):
 
 
 @pytest.mark.parametrize("real_signal", [False, True])
+def test_certified_rows_equal_the_reference_at_every_l(monkeypatch,
+                                                       real_signal):
+    # the coarse-grid certificate runs at every L, also at or below the
+    # coarse length: a row it settles gets no length-L spectrum and takes the
+    # lam = 0 exit that the reference reaches on the L samples, alone or
+    # stacked
+    n, m = 17, 72
+    coarse = coarse_transform_length(n)
+    rows = augmented_noisy_rows(np.random.default_rng(5), n, m, 3, real_signal)
+    spectrum, lengths = phaseret.cork.correlation_spectrum, []
+    monkeypatch.setattr(phaseret.cork, "correlation_spectrum",
+                        lambda r, k: lengths.append(k) or spectrum(r, k))
+    for l in (64, coarse // 2, coarse):  # 64: the power of two >= 2N
+        opts = AdmmOptions(l=l)
+        for b in (*rows, np.array(rows)):
+            ms = MeasurementSet(b, n, real_signal)
+            lengths.clear()
+            r, diags = solve_cork(ms, opts)
+            assert lengths == [coarse, m]
+            r_want, want = reference_solve(ms, opts)
+            assert np.array_equal(np.atleast_2d(r), r_want)
+            diags = diags if b.ndim > 1 else [diags]
+            assert [d.to_json() for d in diags] == [d.to_json() for d in want]
+            assert all(d.iters == 0 and d.l == l for d in diags)
+
+
+@pytest.mark.parametrize("real_signal", [False, True])
 def test_rows_nonnegative_on_the_l_grid_take_no_exchange_step(monkeypatch,
                                                               real_signal):
     # noiseless direct rows: |S|^2 dips too close to zero for the coarse-grid
@@ -382,7 +410,7 @@ def test_stacked_rows_equal_single_row_solves(real_signal):
     n, m = 17, 72
     rows = augmented_noisy_rows(np.random.default_rng(31), n, m, 4, real_signal)
     rows.insert(2, np.random.default_rng(11).exponential(float(n) ** 2, size=m))
-    opts = AdmmOptions(l=256, tol_rel=1e-6)
+    opts = AdmmOptions(l=256)
     r, diags = solve_cork(MeasurementSet(np.array(rows), n,
                                          real_signal=real_signal), opts)
     assert r.shape == (5, n) and len(diags) == 5
@@ -418,13 +446,13 @@ def fista_reference_fit(ms, l, tol_rel):
 
 
 def test_binding_speckle_needs_no_lag_zero_lift():
-    # speckle at N = 128, M = 516 and tol_rel = 1e-4, where the constraint
-    # binds: the fit is the sampled optimum itself, not an inexact iterate
-    # raised onto feasibility by a lag-zero lift
+    # speckle at N = 128 and M = 516, where the constraint binds: the fit is
+    # the sampled optimum itself, not an inexact iterate raised onto
+    # feasibility by a lag-zero lift
     rng = np.random.default_rng(52)
     for _ in range(12):
         ms = MeasurementSet(rng.exponential(1.0, size=516), 128)
-        r, diag = solve_cork(ms, AdmmOptions(tol_rel=1e-4))
+        r, diag = solve_cork(ms)
         assert diag.converged
         assert diag.feasibility_lift <= 1e-6 * r[0].real
         assert diag.fit <= (fista_reference_fit(ms, diag.l, 1e-9)

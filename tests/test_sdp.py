@@ -5,7 +5,7 @@ from scipy.linalg import toeplitz
 from phaseret.cork import solve_cork
 from phaseret.measurement import (AugmentationSpec, add_noise, default_delta,
                                   measure_augmented)
-from phaseret.sdp import (_hermitian_toeplitz, correlation_traces,
+from phaseret.sdp import (SdpOptions, _hermitian_toeplitz, correlation_traces,
                           phaselift_sf, phaselift_value, psd_project)
 from phaseret.signals import (MeasurementSet, as_correlation, autocorrelation,
                               correlation_to_intensity, global_phase_distance,
@@ -117,6 +117,18 @@ def test_phaselift_sf_recovers_min_phase_signal():
     assert diag.converged and diag.solves == 1
     assert rel_err(x, xhat) <= 1e-6
     assert diag.fit <= diag.lower_bound + 1e-3 * np.dot(ms.b, ms.b)
+
+
+def test_phaselift_needs_at_least_one_step():
+    # with no step the lifted solution is zero, and phaselift_sf's
+    # factorization blamed the input ("correlation spectrum is entirely <= 0")
+    for max_iters in (0, -1):
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            SdpOptions(max_iters=max_iters)
+    x = min_phase_signal(3, 4)
+    _, _, diag = phaselift_sf(MeasurementSet(intensity_measure(x, 20), 5),
+                              SdpOptions(max_iters=1))
+    assert not diag.converged
 
 
 def test_phaselift_sf_noisy_stays_near_bound():

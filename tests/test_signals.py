@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaseret.measurement import AugmentationSpec
 from phaseret.signals import (MeasurementSet, as_correlation,
                               as_correlation_rows, as_rows, as_signal,
                               autocorrelation, chord_slack,
@@ -227,6 +228,33 @@ def test_measurement_set_validation():
     for sigma2 in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
             MeasurementSet([1.0, 2.0], 1, sigma2=sigma2)
+
+
+def test_measurement_set_n_must_be_an_integer():
+    # int(2.9) once made the length 2
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got 2.9"):
+        MeasurementSet(np.ones(8), 2.9)
+    ms = MeasurementSet(np.ones(8), np.int64(4))
+    assert ms.n == 4 and type(ms.n) is int
+
+
+def test_measurement_set_real_signal_must_be_a_bool():
+    # bool("false") is True
+    for flag in ("false", 1, None):
+        with pytest.raises(ValueError, match="real_signal must be true or false"):
+            MeasurementSet(np.ones(8), 4, real_signal=flag)
+    assert MeasurementSet(np.ones(8), 4, real_signal=True).real_signal is True
+
+
+def test_measurement_set_augmentation_must_leave_a_signal_sample():
+    # [delta, 0] holds no sample of s: the solve ran, and only deaugment
+    # raised afterwards
+    spec = AugmentationSpec(3.0, gap=1)
+    assert MeasurementSet(np.ones(8), 3, augmentation=spec).n == 3
+    with pytest.raises(ValueError, match="n=2 leaves no signal sample"):
+        MeasurementSet(np.ones(8), 2, augmentation=spec)
+    with pytest.raises(ValueError, match="no signal sample"):
+        MeasurementSet(np.ones(8), 1, augmentation=AugmentationSpec(3.0))
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 7)])
