@@ -8,8 +8,8 @@ Three experiment kinds:
   the impulse-augmented minimum-phase arm; records global-phase-aligned
   errors per arm and solver.
 * ``crb``: fixed signal, sweeps over measurement count and SNR; records
-  normalized MSE of the ``cork`` pipeline against the normalized Cramer-Rao
-  bound.
+  normalized MSE of the ``cork`` pipeline, run on all trials as one stack
+  per distinct M and one factorization, against the normalized CRB.
 
 Gap and recovery trials run the solvers named in ``ExperimentConfig.solvers``
 from ``SOLVERS``, the one table of minimum-phase solvers that ``phaseret
@@ -61,9 +61,9 @@ def _options(cls, **values):
 # tolerance, reject one) to (minimum-phase estimate, diagnostics) at the
 # default transform lengths; the diagnostics always hold ``fit`` and
 # ``converged``.  ``cork`` also takes a stacked measurement set and returns
-# one estimate and one diagnostics dict per row, which is how the CRB study
-# runs its trials.  The entries call the solvers through this module's
-# globals, so a caller that rebinds them (a tracer, a test) sees every call.
+# one estimate and one diagnostics dict per row.  The entries and the CRB
+# study call the solvers through this module's globals, so a caller that
+# rebinds them (a tracer, a test) sees every call.
 
 def _cork(ms, seed, max_iters=None, tol=None):
     if tol is not None:
@@ -266,51 +266,54 @@ def run_recovery_trial(config: ExperimentConfig, trial_index: int) -> dict:
 
 
 def run_crb_study(config: ExperimentConfig) -> list[dict]:
-    """Sweep M at fixed SNR and SNR at fixed M with the ``cork`` solver;
+    """Sweep M at fixed SNR and SNR at fixed M with the ``cork`` pipeline;
     returns per-point rows.
 
-    Each sweep point solves its trials as one stack.  Trial t's noise at
-    every point is the first M samples of one standard-normal draw from
-    ``trial_rng(t)`` scaled by sigma, the same values a draw of M samples at
-    that scale gives.  The CRB is linear in sigma^2, so it is computed once
-    per distinct M at sigma^2 = 1 and scaled.
+    Trial t's noise at every point is the first M samples of one
+    standard-normal draw from ``trial_rng(t)``, scaled by sigma.  All
+    trials are recovered as one stack, at the ``cork`` entry's defaults and
+    each row with its own bits: one ``solve_cork`` per distinct M, then one
+    ``kolmogorov_sf`` and ``deaugment``; every row's ``times`` holds their
+    wall time as ``stacked_recovery``.  The CRB is linear in sigma^2, so it
+    is computed once per M and scaled.
     """
     # the signal's draw index lies outside the trial range
     s, s_energy, spec = _augmented_draw(config.trial_rng(2**31 - 1), config.n)
     smin = augment_min_phase(s, spec)
 
-    points = []
     lo, hi, count = config.m_sweep
-    for mult in np.linspace(lo, hi, int(count)):
-        points.append((int(mult * smin.size), config.snr_db, "m_sweep",
-                       float(mult)))
+    points = [(int(mult * smin.size), config.snr_db, "m_sweep", float(mult))
+              for mult in np.linspace(lo, hi, int(count))]
     lo, hi, count = config.snr_sweep
-    for snr in np.linspace(lo, hi, int(count)):
-        points.append((int(config.crb_m_multiplier * smin.size), float(snr),
-                       "snr_sweep", float(snr)))
-    m_max = max((p[0] for p in points), default=0)
-    unit_noise = np.array([config.trial_rng(t).normal(size=m_max)
-                           for t in range(config.trials)])
+    points += [(int(config.crb_m_multiplier * smin.size), float(snr),
+                "snr_sweep", float(snr)) for snr in np.linspace(lo, hi, int(count))]
+    if not points:  # kolmogorov_sf takes no empty stack
+        return []
     unit_crb = {m: compute_crb(smin, m, 1.0) for m in sorted({p[0] for p in points})}
+    unit_noise = np.array([config.trial_rng(t).normal(size=max(unit_crb))
+                           for t in range(config.trials)])
 
-    def point(m: int, snr_db: float, series: str, x_value: float) -> dict:
+    rows, noisy = [], []
+    for m, snr_db, series, x_value in points:
         b_clean = intensity_measure(smin, m)
-        power = float(np.linalg.norm(b_clean) ** 2)
-        sigma2 = power / (m * 10.0 ** (snr_db / 10.0))
-        crb = unit_crb[m] * sigma2
-        t0 = time.perf_counter()
-        noisy = b_clean + np.sqrt(sigma2) * unit_noise[:, :m]
-        ms = MeasurementSet(noisy, smin.size, sigma2=sigma2, augmentation=spec)
-        shat = deaugment(SOLVERS["cork"](ms, None)[0], spec)
-        mse = float(np.mean([np.linalg.norm(s - row) ** 2 for row in shat]))
-        elapsed = time.perf_counter() - t0
-        return {"kind": "crb", "series": series, "x": x_value, "m": m,
-                "snr_db": snr_db, "sigma2": sigma2,
-                "mse_norm": mse / s_energy, "crb_norm": crb / s_energy,
-                "mse_over_crb": mse / crb, "trials": config.trials,
-                "times": {"sweep_point": elapsed}}
-
-    return [point(*p) for p in points]
+        sigma2 = float(np.linalg.norm(b_clean) ** 2) / (m * 10.0 ** (snr_db / 10.0))
+        noisy.append(b_clean + np.sqrt(sigma2) * unit_noise[:, :m])
+        rows.append({"kind": "crb", "series": series, "x": x_value, "m": m,
+                     "snr_db": snr_db, "sigma2": sigma2, "trials": config.trials,
+                     "crb_norm": unit_crb[m] * sigma2 / s_energy})
+    t0 = time.perf_counter()
+    r = np.empty((len(rows), config.trials, smin.size), dtype=complex)
+    for m in unit_crb:
+        at = [i for i, row in enumerate(rows) if row["m"] == m]
+        ms = MeasurementSet(np.concatenate([noisy[i] for i in at]), smin.size)
+        r[at] = solve_cork(ms)[0].reshape(len(at), config.trials, -1)
+    shat = deaugment(kolmogorov_sf(r.reshape(-1, smin.size)), spec)
+    elapsed = time.perf_counter() - t0
+    for row, est in zip(rows, shat.reshape(len(rows), config.trials, -1)):
+        mse = float(np.mean([np.linalg.norm(s - x) ** 2 for x in est]))
+        row.update(mse_norm=mse / s_energy, times={"stacked_recovery": elapsed},
+                   mse_over_crb=mse / (unit_crb[row["m"]] * row["sigma2"]))
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
@@ -322,9 +325,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
 
 def _quantiles(values) -> dict:
     arr = np.asarray(values, dtype=float)
-    return {"median": float(np.median(arr)),
-            "q25": float(np.quantile(arr, 0.25)),
-            "q75": float(np.quantile(arr, 0.75)),
+    q25, q75 = np.quantile(arr, [0.25, 0.75])
+    return {"median": float(np.median(arr)), "q25": float(q25), "q75": float(q75),
             "min": float(arr.min()), "max": float(arr.max()),
             "mean": float(arr.mean()), "count": int(arr.size)}
 
@@ -337,9 +339,7 @@ def summarize(results: list[dict]) -> dict:
     numeric: dict[str, list[float]] = {}
     for row in results:
         for key, value in row.items():
-            if key == "times":
-                continue
-            if isinstance(value, dict):
+            if isinstance(value, dict) and key != "times":
                 for sub, v in value.items():
                     if isinstance(v, (int, float)) and not isinstance(v, bool):
                         numeric.setdefault(f"{key}.{sub}", []).append(float(v))

@@ -88,7 +88,7 @@ def load_measurement(obj: dict) -> MeasurementSet:
         a = obj.get("augmentation")
         aug = None if a is None else AugmentationSpec(
             delta=complex(float(a["delta_re"]), float(a.get("delta_im", 0.0))),
-            gap=operator.index(a.get("gap", 0)),
+            gap=a.get("gap", 0),
             side=a.get("side", "prefix"),
         )
         m = operator.index(obj.get("m", b.size))

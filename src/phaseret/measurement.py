@@ -8,6 +8,7 @@ Fourier intensities.  Appending it instead gives the maximum-phase mirror.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -47,6 +48,10 @@ class AugmentationSpec:
         # estimate; a non-finite one poisons every measurement
         if not (np.isfinite(self.delta) and self.delta != 0):
             raise ValueError(f"delta must be finite and nonzero, got {self.delta}")
+        try:  # 1.5 zeros is no gap; np.int64(2) is stored as 2
+            self.gap = operator.index(self.gap)
+        except TypeError:
+            raise ValueError(f"gap must be an integer, got {self.gap!r}") from None
         if self.gap < 0:
             raise ValueError("gap must be >= 0")
         if self.side not in ("prefix", "suffix"):

@@ -218,8 +218,10 @@ class MeasurementSet:
     minimum-phase construction (see :mod:`phaseret.measurement`).  A 2D
     ``b`` stacks K measurements of signals sharing N, M, ``sigma2`` and
     ``augmentation`` as rows; :func:`phaseret.cork.solve_cork` solves them
-    together, and the other solvers take one row.  An augmentation must
-    leave at least one sample of the signal after the impulse and its gap.
+    together, and the other solvers take one row.  A caller whose rows do
+    not share one ``sigma2`` leaves it 0.0; ``solve_cork`` does not read it.
+    An augmentation must leave at least one sample of the signal after the
+    impulse and its gap.
     """
 
     def __init__(self, b, n: int, sigma2: float = 0.0,

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phaseret import bench
 from phaseret.baselines import IterativeOptions, fienup_sf, gs_solve
 from phaseret.bench import (SOLVERS, ExperimentConfig, aggregate_and_persist,
                             check_thresholds, run_crb_study, run_experiment,
@@ -230,28 +231,84 @@ def test_crb_results_jsonl_identical_modulo_times(tmp_path):
     assert out[0] == out[1]
 
 
-def test_crb_sweep_point_ffts_do_not_grow_with_trials(monkeypatch):
-    # a sweep point solves its trials as one stack, so its transform count
-    # is that of one recovery however many trials it holds
+def per_point_crb_study(config):
+    """The CRB study as it ran before its trials were stacked across sweep
+    points: one ``SOLVERS["cork"]`` call on each point's own stack."""
+    rng = config.trial_rng(2**31 - 1)
+    s = (rng.normal(size=config.n) + 1j * rng.normal(size=config.n)) / np.sqrt(2)
+    s_energy = float(np.linalg.norm(s) ** 2)
+    spec = AugmentationSpec(3.0 * config.n)
+    smin = augment_min_phase(s, spec)
+    points = []
+    lo, hi, count = config.m_sweep
+    for mult in np.linspace(lo, hi, int(count)):
+        points.append((int(mult * smin.size), config.snr_db, "m_sweep",
+                       float(mult)))
+    lo, hi, count = config.snr_sweep
+    for snr in np.linspace(lo, hi, int(count)):
+        points.append((int(config.crb_m_multiplier * smin.size), float(snr),
+                       "snr_sweep", float(snr)))
+    m_max = max(p[0] for p in points)
+    unit_noise = np.array([config.trial_rng(t).normal(size=m_max)
+                           for t in range(config.trials)])
+    rows = []
+    for m, snr_db, series, x_value in points:
+        b_clean = intensity_measure(smin, m)
+        power = float(np.linalg.norm(b_clean) ** 2)
+        sigma2 = power / (m * 10.0 ** (snr_db / 10.0))
+        crb = compute_crb(smin, m, 1.0) * sigma2
+        noisy = b_clean + np.sqrt(sigma2) * unit_noise[:, :m]
+        ms = MeasurementSet(noisy, smin.size, sigma2=sigma2, augmentation=spec)
+        shat = deaugment(SOLVERS["cork"](ms, None)[0], spec)
+        mse = float(np.mean([np.linalg.norm(s - row) ** 2 for row in shat]))
+        rows.append({"kind": "crb", "series": series, "x": x_value, "m": m,
+                     "snr_db": snr_db, "sigma2": sigma2,
+                     "mse_norm": mse / s_energy, "crb_norm": crb / s_energy,
+                     "mse_over_crb": mse / crb, "trials": config.trials})
+    return rows
+
+
+@pytest.mark.parametrize("master_seed", [7, 1603])
+def test_crb_study_stack_matches_per_point_stacks(master_seed):
+    # the benchmark's own study shape: 15 points at 8 distinct M
+    cfg = ExperimentConfig(kind="crb", n=32, trials=8, master_seed=master_seed)
+    rows = run_crb_study(cfg)
+    assert len({row["m"] for row in rows}) == 8
+    assert [strip_times(row) for row in rows] == per_point_crb_study(cfg)
+    # one recovery of the whole study, timed once for every row
+    assert len({json.dumps(row["times"]) for row in rows}) == 1
+    assert set(rows[0]["times"]) == {"stacked_recovery"}
+
+
+def test_crb_study_calls_each_solver_once_per_distinct_m(monkeypatch):
+    # however many trials and sweep points, the study factors and
+    # de-augments once, and fits once per distinct M on all its rows
     calls = []
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
+    def counted(name):
+        fn = getattr(bench, name)
+
+        def wrapper(first, *args, **kwargs):
+            stack = first.b if name == "solve_cork" else np.atleast_2d(first)
+            calls.append((name, stack.shape))
+            return fn(first, *args, **kwargs)
         return wrapper
 
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-    counts = []
-    for trials in (2, 8):
+    for name in ("solve_cork", "kolmogorov_sf", "deaugment"):
+        monkeypatch.setattr(bench, name, counted(name))
+    for trials, m_sweep, snr_sweep in [(1, (4.0, 4.0, 1), (40.0, 40.0, 0)),
+                                       (2, (4.0, 4.0, 1), (40.0, 40.0, 0)),
+                                       (5, (2.0, 5.0, 3), (30.0, 50.0, 4))]:
         calls.clear()
-        rows = run_crb_study(ExperimentConfig(
-            kind="crb", n=8, trials=trials, m_sweep=(4.0, 4.0, 1),
-            snr_sweep=(40.0, 40.0, 0)))
-        assert len(rows) == 1
-        counts.append(sorted(calls))
-    assert counts[0] == counts[1]
+        cfg = ExperimentConfig(kind="crb", n=6, trials=trials, m_sweep=m_sweep,
+                               snr_sweep=snr_sweep, crb_m_multiplier=3.5)
+        point_ms = [row["m"] for row in run_crb_study(cfg)]
+        fits = [shape for name, shape in calls if name == "solve_cork"]
+        assert sorted(m for _, m in fits) == sorted(set(point_ms))
+        assert all(k == trials * point_ms.count(m) for k, m in fits)
+        rows = (len(point_ms) * trials, 1 + 6)  # the impulse, then s
+        assert [c for c in calls if c[0] != "solve_cork"] == [
+            ("kolmogorov_sf", rows), ("deaugment", rows)]
 
 
 @pytest.mark.parametrize("thresholds", [
