@@ -42,7 +42,7 @@ def _with_magnitude(spec: np.ndarray, mag: np.ndarray, root_b: np.ndarray,
     """Write to ``out`` the signal whose spectrum has the phases of ``spec``
     and the magnitudes ``root_b``: the projection of ifft(spec).  ``mag``
     is |spec|; ``spec`` is overwritten."""
-    if mag.all():
+    if np.count_nonzero(mag) == mag.size:
         np.divide(spec, mag, out=spec)
     else:
         keep = mag > 0
@@ -77,7 +77,8 @@ def gs_solve(b: MeasurementSet, opts: IterativeOptions | None = None,
     y = _random_start(root_b, opts.seed) if y0 is None else y0
     # the iterate is the support-projected signal, kept at length N: the
     # M-point FFT zero-pads it, and that one FFT and its magnitudes serve
-    # cost and projection
+    # cost and projection; after the first step it is a view of ``full``,
+    # which the next FFT reads before the next inverse FFT overwrites it
     x = y[: b.n].astype(complex)
     spec = np.empty(b.m, dtype=complex)
     full = np.empty(b.m, dtype=complex)
@@ -87,14 +88,14 @@ def gs_solve(b: MeasurementSet, opts: IterativeOptions | None = None,
         np.fft.fft(x, b.m, out=spec)
         np.abs(spec, out=mag)
         history.append(_gs_cost(mag, root_b, work))
-        x[:] = _with_magnitude(spec, mag, root_b, full)[: b.n]
+        x = _with_magnitude(spec, mag, root_b, full)[: b.n]
         if len(history) >= 11:
             prev, cur = history[-11], history[-1]
             if prev - cur <= opts.tol * max(prev, 1.0):
                 break
     np.fft.fft(x, b.m, out=spec)
     history.append(_gs_cost(np.abs(spec, out=mag), root_b, work))
-    return x, np.asarray(history)
+    return x.copy(), np.asarray(history)
 
 
 def fienup_solve(b: MeasurementSet, opts: IterativeOptions | None = None):
@@ -113,15 +114,19 @@ def fienup_solve(b: MeasurementSet, opts: IterativeOptions | None = None):
     q = np.zeros_like(y)
     t, spec, w = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     mag = np.empty(b.m)
+    # y = P_support(w + q) and q = w + q - y: q stays zero on the support
+    # and y off it, so w + q goes to y on the support and to q off it
+    w_in, w_out, q_in, q_out = w[: b.n], w[b.n:], q[: b.n], q[b.n:]
+    y_in = y[: b.n]
+    np.add(y, p, out=t)
+    y[b.n:] = 0.0
     for _ in range(opts.max_iters):
-        np.add(y, p, out=t)
         np.fft.fft(t, out=spec)
         _with_magnitude(spec, np.abs(spec, out=mag), root_b, w)
         np.subtract(t, w, out=p)
-        q += w
-        y[: b.n] = q[: b.n]
-        y[b.n:] = 0.0
-        q[: b.n] = 0.0   # w + q - y: zero on the support, w + q off it
+        np.add(q_in, w_in, out=y_in)
+        q_out += w_out
+        np.add(y, p, out=t)
 
     refine = IterativeOptions(max_iters=GS_REFINE_ITERS, tol=opts.tol,
                               seed=opts.seed)

@@ -150,9 +150,17 @@ class ExperimentConfig:
         lo, hi = self.m_range
         if not 2 <= lo <= hi:
             raise ValueError(f"m_range must have 2 <= lo <= hi, got {self.m_range}")
-        lo, hi, _ = self.m_sweep
+        lo, hi, m_count = self.m_sweep
         if min(lo, hi) < 2:
             raise ValueError(f"m_sweep must stay >= 2, got {self.m_sweep}")
+        _, _, snr_count = self.snr_sweep
+        if not all(isinstance(v, numbers.Integral) and v >= 0
+                   for v in (m_count, snr_count)):
+            raise ValueError(f"sweep counts must be integers >= 0 (got "
+                             f"m_sweep={self.m_sweep}, snr_sweep={self.snr_sweep})")
+        if self.kind == "crb" and m_count + snr_count == 0:
+            raise ValueError("a crb study needs a point: m_sweep and "
+                             "snr_sweep both have count 0")
         for name in ("m_multiplier", "crb_m_multiplier"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
@@ -283,12 +291,10 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
 
     lo, hi, count = config.m_sweep
     points = [(int(mult * smin.size), config.snr_db, "m_sweep", float(mult))
-              for mult in np.linspace(lo, hi, int(count))]
+              for mult in np.linspace(lo, hi, count)]
     lo, hi, count = config.snr_sweep
     points += [(int(config.crb_m_multiplier * smin.size), float(snr),
-                "snr_sweep", float(snr)) for snr in np.linspace(lo, hi, int(count))]
-    if not points:  # kolmogorov_sf takes no empty stack
-        return []
+                "snr_sweep", float(snr)) for snr in np.linspace(lo, hi, count)]
     unit_crb = {m: compute_crb(smin, m, 1.0) for m in sorted({p[0] for p in points})}
     unit_noise = np.array([config.trial_rng(t).normal(size=max(unit_crb))
                            for t in range(config.trials)])

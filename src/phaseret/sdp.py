@@ -17,7 +17,13 @@ Two entry points:
 
 The solve is ``_fista``, accelerated projected gradient with adaptive
 restart, with projection onto the PSD cone and the closed-form Lipschitz
-constant 2MN (exact because a ``MeasurementSet`` has M >= 2N).
+constant 2MN (exact because a ``MeasurementSet`` has M >= 2N).  The
+projection skips its ``eigh`` on a step that a Cholesky factorization shows
+to be positive definite already; it tries one at the first step and after
+each step that clamped no eigenvalue.  Both entry points share one solve
+per input: the last one is kept, so the bound and then the estimate of one
+measurement set cost one solve, and ``SdpDiagnostics.solves`` is the number
+of solves the call ran (0 when it reused the kept one).
 Sizes are guarded to N <= 64; this module is a reference/bounding tool, not
 the scalable path (that is :func:`phaseret.cork.solve_cork`, an exchange
 method on the dual of the sampled correlation program).
@@ -64,12 +70,41 @@ def _hermitize(h: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.conj().T)
 
 
+def _clamp(h: np.ndarray):
+    """The PSD projection of Hermitian ``h``, and whether it clamped an
+    eigenvalue."""
+    w, v = np.linalg.eigh(h)
+    return _hermitize((v * np.maximum(w, 0.0)) @ v.conj().T), bool(w[0] < 0.0)
+
+
 def psd_project(h: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm: clamp negative eigenvalues."""
-    h = _hermitize(np.asarray(h, dtype=complex))
-    w, v = np.linalg.eigh(h)
-    w = np.maximum(w, 0.0)
-    return _hermitize((v * w) @ v.conj().T)
+    return _clamp(_hermitize(np.asarray(h, dtype=complex)))[0]
+
+
+def _gated_psd_project():
+    """``psd_project`` for the steps of one solve, skipping the ``eigh`` of a
+    step that is already positive definite.
+
+    A Cholesky factorization is tried at the first step and after every
+    projection that clamped no eigenvalue; if it succeeds, the hermitized
+    step is its own projection.  Clamping comes in runs of steps, so inside
+    a run the projection goes straight to the ``eigh``.
+    """
+    clamped = False
+
+    def project(h):
+        nonlocal clamped
+        h = _hermitize(h)
+        if not clamped:
+            try:
+                np.linalg.cholesky(h)
+                return h
+            except np.linalg.LinAlgError:
+                pass
+        x, clamped = _clamp(h)
+        return x
+    return project
 
 
 @lru_cache(maxsize=None)
@@ -151,19 +186,30 @@ def _fista(grad, lipschitz: float, x0: np.ndarray, project, max_iters: int,
     return x, False, max_iters
 
 
-def phaselift_value(b: MeasurementSet, lam: float = 0.0,
-                    opts: SdpOptions | None = None):
-    """Minimize sum_m (b_m - f_m^H X f_m)^2 - lam * X00 over PSD X.
+# The last solve, (key, X, fit, converged) with X read-only.  One entry is
+# enough for the duplicate it serves: a bound from phaselift_value and an
+# estimate from phaselift_sf on the same measurements.  The entry is replaced
+# as a whole, so a reader never sees a key with another solve's result.
+_last_solve = None
 
-    Returns ``(X, objective, converged)`` where ``objective`` is the fit
-    alone (regularizer excluded), comparable across methods.
+
+def _solve(b: MeasurementSet, lam: float, opts: SdpOptions | None):
+    """``phaselift_value``'s solve, or the last one when its input repeats.
+
+    Returns ``(X, fit, converged, solves)``: a fresh writable X, and
+    solves = 1 when a FISTA solve ran, 0 when the last one was reused.
     """
+    global _last_solve
     opts = opts or SdpOptions()
     n = b.n
     if n > SIZE_GUARD:
         raise ValueError(f"phaselift_value is desk-scale only (N <= {SIZE_GUARD})")
     m = b.m
     bvec = np.asarray(b.b, dtype=float)
+    key = (n, m, bvec.tobytes(), lam, opts.max_iters)
+    last = _last_solve
+    if last is not None and last[0] == key:
+        return last[1].copy(), last[2], last[3], 0
 
     def grad(x_mat):
         g = 2.0 * _lifted_adjoint(_lifted_op(x_mat, m) - bvec, n)
@@ -174,10 +220,24 @@ def phaselift_value(b: MeasurementSet, lam: float = 0.0,
     x0 = np.zeros((n, n), dtype=complex)
     tol = GRAD_TOL * max(np.linalg.norm(grad(x0)), 1.0)
     # ||A(X)||^2 = M ||traces(X)||_W^2 <= M N ||X||_F^2, equal at X = I
-    x_mat, converged, _ = _fista(grad, 2.0 * m * n, x0, psd_project,
+    x_mat, converged, _ = _fista(grad, 2.0 * m * n, x0, _gated_psd_project(),
                                   opts.max_iters, tol)
     fit = float(np.sum((_lifted_op(x_mat, m) - bvec) ** 2))
-    return x_mat, fit, converged
+    x_mat.flags.writeable = False
+    _last_solve = (key, x_mat, fit, converged)
+    return x_mat.copy(), fit, converged, 1
+
+
+def phaselift_value(b: MeasurementSet, lam: float = 0.0,
+                    opts: SdpOptions | None = None):
+    """Minimize sum_m (b_m - f_m^H X f_m)^2 - lam * X00 over PSD X.
+
+    Returns ``(X, objective, converged)`` where ``objective`` is the fit
+    alone (regularizer excluded), comparable across methods.  A call that
+    repeats the last solve's measurements, ``lam`` and ``max_iters`` gets
+    a copy of its result without solving again.
+    """
+    return _solve(b, lam, opts)[:3]
 
 
 def phaselift_sf(b: MeasurementSet, opts: SdpOptions | None = None):
@@ -187,11 +247,11 @@ def phaselift_sf(b: MeasurementSet, opts: SdpOptions | None = None):
     X is PSD, so its traces r_k = tr(T_k X) are a valid correlation with the
     same fit, and their minimum-phase factor (``kolmogorov_sf``) attains it
     too.  Returns ``(x, X, diagnostics)``: the factor, the lifted solution,
-    and the bound, the fit of x, one solve and whether it converged.
+    and the bound, the fit of x, the solves run (0 when the last solve, such as that of
+    ``phaselift_value(b, 0.0, opts)``, is reused) and whether it converged.
     """
-    x_mat, bound, converged = phaselift_value(b, 0.0, opts)
+    x_mat, bound, converged, solves = _solve(b, 0.0, opts)
     x = kolmogorov_sf(correlation_traces(x_mat))
     fit = float(np.sum((intensity_measure(x, b.m) - b.b) ** 2))
-    return x, x_mat, SdpDiagnostics(lower_bound=bound, fit=fit, solves=1,
+    return x, x_mat, SdpDiagnostics(lower_bound=bound, fit=fit, solves=solves,
                                     converged=converged)
-

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaseret import baselines
 from phaseret.baselines import (GS_REFINE_ITERS, IterativeOptions, fienup_sf,
                                 fienup_solve, gs_solve)
 from phaseret.signals import MeasurementSet, autocorrelation, intensity_measure
@@ -71,6 +72,30 @@ def test_one_gs_iteration_costs_two_ffts(monkeypatch):
         calls.clear()
         _, history = gs_solve(ms, IterativeOptions(max_iters=iters, tol=-1.0))
         assert history.size == iters + 1
+        runs.append(list(calls))
+    assert sorted(runs[1]) == sorted(runs[0] + ["fft", "ifft"])
+
+
+def test_one_dykstra_iteration_costs_two_ffts(monkeypatch):
+    # the FFT of y + p and the inverse FFT of the magnitude projection; the
+    # GS refinement runs its full, fixed length
+    _, ms = make_instance(14, 12)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    monkeypatch.setattr(baselines, "GS_REFINE_ITERS", 3)
+    runs = []
+    for iters in (5, 6):
+        calls.clear()
+        _, history = fienup_solve(ms, IterativeOptions(max_iters=iters, tol=-1.0))
+        assert history.size == 3 + 1
         runs.append(list(calls))
     assert sorted(runs[1]) == sorted(runs[0] + ["fft", "ifft"])
 

@@ -138,6 +138,26 @@ def test_config_with_m_below_2n_is_rejected(bad):
         ExperimentConfig(n=4, trials=1, **bad)
 
 
+@pytest.mark.parametrize("sweeps,message", [
+    ({"m_sweep": (2.0, 4.0, 0), "snr_sweep": (30.0, 50.0, 0)}, "needs a point"),
+    ({"m_sweep": (2.0, 4.0, -1)}, "sweep counts"),
+    ({"snr_sweep": (30.0, 50.0, 2.5)}, "sweep counts"),
+    ({"snr_sweep": (30.0, 50.0, "3")}, "sweep counts")])
+def test_config_rejects_a_crb_study_without_points(sweeps, message):
+    # no point ran the study and then failed to persist it, a negative count
+    # failed in np.linspace, and a fractional one was truncated
+    with pytest.raises(ValueError, match=f"bad config: .*{message}"):
+        ExperimentConfig.from_json({"kind": "crb", "n": 4, "trials": 1, **sweeps})
+
+
+def test_only_a_crb_study_needs_a_sweep_point():
+    empty = {"m_sweep": (2.0, 4.0, 0), "snr_sweep": (30.0, 50.0, 0)}
+    ExperimentConfig(kind="gap", **empty)
+    cfg = ExperimentConfig(kind="crb", n=4, trials=1, m_sweep=(2.0, 4.0, 0),
+                           snr_sweep=(30.0, 50.0, 2))
+    assert [row["series"] for row in run_experiment(cfg)] == ["snr_sweep"] * 2
+
+
 def test_run_experiment_rejects_unknown_kind():
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(kind="nope"))

@@ -568,10 +568,13 @@ def test_bench_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
 @pytest.mark.parametrize("text,message", [
     ('{"kind": "gap", "n": "x"}', "bad config: need integers n >= 1"),
     ('{"kind": "recovery", "n": 2.5}', "bad config: need integers n >= 1"),
-    ('{"kind": "gap",', "invalid JSON at line 1")])
+    ('{"kind": "gap",', "invalid JSON at line 1"),
+    ('{"kind": "crb", "m_sweep": [2, 4, 0], "snr_sweep": [30, 50, 0]}',
+     "bad config: a crb study needs a point")])
 def test_bench_bad_field_or_bad_json_exits_2(tmp_path, capsys, text, message):
-    # a string n failed the config's checks with a TypeError, and a
-    # fractional n passed them and failed with one in the first trial
+    # a string n failed the config's checks with a TypeError, a fractional
+    # n passed them and failed with one in the first trial, and a crb study
+    # without a point ran and then failed to persist no rows
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(text)
     assert main(["bench", "--config", str(cfgfile),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+from phaseret import sdp
 from phaseret.cork import solve_cork
 from phaseret.measurement import (AugmentationSpec, add_noise, default_delta,
                                   measure_augmented)
@@ -10,6 +11,12 @@ from phaseret.sdp import (SdpOptions, _hermitian_toeplitz, correlation_traces,
 from phaseret.signals import (MeasurementSet, as_correlation, autocorrelation,
                               correlation_to_intensity, global_phase_distance,
                               intensity_measure)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_solve(monkeypatch):
+    """Each test starts without the module's kept solve."""
+    monkeypatch.setattr(sdp, "_last_solve", None)
 
 
 def rel_err(x, xhat):
@@ -208,3 +215,120 @@ def test_lift_equivalence_check():
 def test_size_guard():
     with pytest.raises(ValueError):
         phaselift_value(MeasurementSet(np.ones(260), 130))
+
+
+# --- one solve per input, and the projection gate
+
+@pytest.fixture
+def fista_calls(monkeypatch):
+    """Count ``_fista`` runs."""
+    calls = []
+    fista = sdp._fista
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fista(*args, **kwargs)
+    monkeypatch.setattr(sdp, "_fista", counted)
+    return calls
+
+
+def uniform_ms(seed, n=6, m=24):
+    return MeasurementSet(np.random.default_rng(seed).uniform(size=m), n)
+
+
+def test_bound_then_estimate_share_one_solve(fista_calls):
+    a, b = uniform_ms(0), uniform_ms(1)
+    x_mat, bound, ok = phaselift_value(a, 0.0)
+    _, x_sf, diag = phaselift_sf(a)
+    assert len(fista_calls) == 1
+    assert diag.solves == 0
+    assert diag.lower_bound == bound and diag.converged == ok
+    assert np.array_equal(x_sf, x_mat)
+    # one entry: b -> a -> b solves three times
+    fista_calls.clear()
+    for ms in (b, a, b):
+        assert phaselift_sf(ms)[2].solves == 1
+    assert len(fista_calls) == 3
+
+
+def test_a_different_input_solves_again(fista_calls):
+    ms = uniform_ms(2)
+    b = ms.b.copy()
+    b[-1] += 1e-12
+    other_b = MeasurementSet(b, ms.n)
+    phaselift_value(ms)
+    phaselift_value(other_b)
+    phaselift_value(ms, 0.5)
+    phaselift_value(ms, 0.5, SdpOptions(max_iters=3))
+    assert len(fista_calls) == 4
+    # opts=None is keyed like SdpOptions(), and lam=0 like 0.0
+    phaselift_value(ms, 0.5, SdpOptions())
+    phaselift_value(ms, 0.5)
+    assert len(fista_calls) == 5
+    phaselift_value(ms, 0)
+    phaselift_value(ms, 0.0, SdpOptions())
+    assert len(fista_calls) == 6
+
+
+def test_a_returned_matrix_is_the_callers_own(fista_calls):
+    ms = uniform_ms(3)
+    x1, fit1, _ = phaselift_value(ms)
+    want = x1.copy()
+    x1[:] = 7.0
+    x2, fit2, _ = phaselift_value(ms)
+    _, x3, _ = phaselift_sf(ms)
+    assert len(fista_calls) == 1
+    assert fit2 == fit1
+    assert np.array_equal(x2, want) and np.array_equal(x3, want)
+    assert x2.flags.writeable and x3.flags.writeable
+    assert not np.shares_memory(x2, x3)
+
+
+def test_size_guard_raises_before_the_memo(fista_calls, monkeypatch):
+    class Untouchable:
+        def __getitem__(self, index):
+            raise AssertionError("memo read")
+    monkeypatch.setattr(sdp, "_last_solve", Untouchable())
+    for call in (phaselift_value, phaselift_sf):
+        with pytest.raises(ValueError, match="desk-scale"):
+            call(MeasurementSet(np.ones(260), 130))
+    assert fista_calls == []
+
+
+def hermitian(seed, n, shift):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return g @ g.conj().T + shift * np.eye(n)
+
+
+def test_gated_projection_skips_eigh_on_a_pd_step(monkeypatch):
+    pd = hermitian(0, 8, 1.0)
+    step = pd + 1e-3j * np.triu(np.ones((8, 8)), 1)   # not quite Hermitian
+    project = sdp._gated_psd_project()
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh on a PD step")
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", no_eigh)
+        got = project(step)
+    assert np.array_equal(got, 0.5 * (step + step.conj().T))
+
+
+def test_gated_projection_matches_psd_project_on_indefinite_steps(monkeypatch):
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: eighs.append(1) or eigh(h))
+    project = sdp._gated_psd_project()
+    indefinite = [hermitian(s, 8, -20.0) for s in (1, 2)]
+    for h in indefinite:
+        assert np.array_equal(project(h), psd_project(h))
+    assert len(eighs) == 4
+    # after a step that clamped, a PD step goes to eigh too; after one that
+    # clamped nothing, the next tries Cholesky again
+    pd = hermitian(3, 8, 1.0)
+    eighs.clear()
+    assert np.array_equal(project(pd), psd_project(pd))
+    assert len(eighs) == 2
+    assert np.array_equal(project(pd), 0.5 * (pd + pd.conj().T))
+    assert len(eighs) == 2
