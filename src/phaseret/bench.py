@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import (GS_REFINE_ITERS, IterativeOptions, fienup_solve,
-                        gs_solve)
+from .baselines import IterativeOptions, fienup_solve, gs_converged, gs_solve
 from .cork import AdmmOptions, solve_cork
 from .crb import compute_crb
 from .io import atomic_write_text
@@ -83,23 +82,23 @@ def _phaselift_sf(ms, seed, max_iters=None, tol=None):
 
 # The alternating-projection baselines certify nothing about accuracy; the
 # min-phase certificate checks them.  GS has converged when its stalled-cost
-# test fired before the cap (one cost per iteration, plus the last).
-# Fienup's Dykstra phase has no stopping test, so its GS refinement decides.
+# test fired, also on the last iteration the cap allows.  Fienup's Dykstra
+# phase has no stopping test, so its GS refinement decides.
 
-def _factored(ms, x, history, cap):
+def _factored(ms, x, history, tol):
     x = kolmogorov_sf(autocorrelation(x))
     fit = float(np.linalg.norm(ms.b - intensity_measure(x, ms.b.size)) ** 2)
-    return x, {"fit": fit, "converged": history.size <= cap}
+    return x, {"fit": fit, "converged": gs_converged(history, tol)}
 
 
 def _fienup(ms, seed, max_iters=None, tol=None):
     opts = _options(IterativeOptions, seed=seed, max_iters=max_iters, tol=tol)
-    return _factored(ms, *fienup_solve(ms, opts), GS_REFINE_ITERS)
+    return _factored(ms, *fienup_solve(ms, opts), opts.tol)
 
 
 def _gs(ms, seed, max_iters=None, tol=None):
     opts = _options(IterativeOptions, seed=seed, max_iters=max_iters, tol=tol)
-    return _factored(ms, *gs_solve(ms, opts), opts.max_iters)
+    return _factored(ms, *gs_solve(ms, opts), opts.tol)
 
 
 SOLVERS = {"cork": _cork, "phaselift-sf": _phaselift_sf, "fienup": _fienup,

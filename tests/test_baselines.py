@@ -53,20 +53,31 @@ def test_gs_deterministic_for_fixed_seed():
     np.testing.assert_array_equal(h1, h2)
 
 
-def test_one_gs_iteration_costs_two_ffts(monkeypatch):
-    # one FFT of the support-projected iterate serves the cost and the
-    # magnitude projection; the inverse FFT makes the other
-    _, ms = make_instance(13, 12)
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """The name of every FFT called, through the module's ufunc names
+    ``_fft``/``_ifft`` or through ``np.fft``, in call order."""
     calls = []
 
-    def counted(fn):
+    def counted(fn, name):
         def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
+            calls.append(name)
             return fn(*args, **kwargs)
         return wrapper
 
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(baselines, "_" + name,
+                            counted(getattr(baselines, "_" + name), name))
     for name in ("fft", "ifft", "rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), name))
+    return calls
+
+
+def test_one_gs_iteration_costs_two_ffts(transform_calls):
+    # one FFT of the support-projected iterate serves the cost and the
+    # magnitude projection; the inverse FFT makes the other
+    _, ms = make_instance(13, 12)
+    calls = transform_calls
     runs = []
     for iters in (5, 6):
         calls.clear()
@@ -76,20 +87,11 @@ def test_one_gs_iteration_costs_two_ffts(monkeypatch):
     assert sorted(runs[1]) == sorted(runs[0] + ["fft", "ifft"])
 
 
-def test_one_dykstra_iteration_costs_two_ffts(monkeypatch):
+def test_one_dykstra_iteration_costs_two_ffts(transform_calls, monkeypatch):
     # the FFT of y + p and the inverse FFT of the magnitude projection; the
     # GS refinement runs its full, fixed length
     _, ms = make_instance(14, 12)
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    calls = transform_calls
     monkeypatch.setattr(baselines, "GS_REFINE_ITERS", 3)
     runs = []
     for iters in (5, 6):
@@ -124,6 +126,40 @@ def test_gs_rejects_m_below_n():
     # the measurement set refuses M < 2N before any solver sees it
     with pytest.raises(ValueError, match="M >= 2N"):
         gs_solve(MeasurementSet(np.ones(3), 5))
+
+
+@pytest.mark.parametrize("m", [31, 36, 37, 132])
+def test_module_transforms_equal_numpy_fft(m):
+    # the loops' ufunc calls, with the inverse factor computed once, give
+    # np.fft's results to the bit, also zero-padding a short input
+    rng = np.random.default_rng(m)
+    inv_m = np.reciprocal(m, dtype=float)
+    for length in (m, m // 4 + 1):
+        a = rng.normal(size=length) + 1j * rng.normal(size=length)
+        out = np.empty(m, dtype=complex)
+        assert baselines._fft(a, 1, out=out) is out
+        assert np.array_equal(out, np.fft.fft(a, m))
+    spec = rng.normal(size=m) + 1j * rng.normal(size=m)
+    assert np.array_equal(baselines._ifft(spec, inv_m, out=out),
+                          np.fft.ifft(spec))
+
+
+@pytest.mark.parametrize("length", [3, 8, 35, 37])
+def test_gs_rejects_a_start_of_the_wrong_shape(length):
+    # only a start of length M is a start: N = 8, M = 36
+    ms = draw_b("uniform", 8, 4000)
+    assert ms.m == 36
+    with pytest.raises(ValueError, match=r"y0 must have shape \(M,\)"):
+        gs_solve(ms, IterativeOptions(max_iters=0), y0=np.ones(length, complex))
+    with pytest.raises(ValueError, match=r"y0 must have shape \(M,\)"):
+        gs_solve(ms, y0=np.ones((1, 36), complex))
+
+
+@pytest.mark.parametrize("solve", [gs_solve, fienup_solve])
+def test_alternating_projections_reject_a_stacked_set(solve):
+    stack = MeasurementSet(np.ones((2, 40)), 8)
+    with pytest.raises(ValueError, match="one measurement row"):
+        solve(stack)
 
 
 # Test-local copies of the GS and Dykstra loops as first written, with

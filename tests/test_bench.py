@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaseret import bench
-from phaseret.baselines import IterativeOptions, fienup_sf, gs_solve
+from phaseret import baselines, bench
+from phaseret.baselines import (IterativeOptions, fienup_sf, fienup_solve,
+                                gs_solve)
 from phaseret.bench import (SOLVERS, ExperimentConfig, aggregate_and_persist,
                             check_thresholds, run_crb_study, run_experiment,
                             run_gap_trial, run_recovery_trial, summarize)
@@ -117,6 +118,38 @@ def test_solver_entries_are_their_library_compositions(name):
     x, diag = SOLVERS[name](ms, seed)
     assert np.array_equal(x, want)
     assert {"fit", "converged"} <= set(diag)
+
+
+def six_tap_set(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=6) + 1j * rng.normal(size=6)
+    return MeasurementSet(intensity_measure(x, 24), 6)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gs_stalling_on_its_last_allowed_iteration_has_converged(seed):
+    # a stall on iteration k leaves as many costs as a cap of k without
+    # one; the flag follows the stall rule, not the history's size
+    ms = six_tap_set(seed)
+    _, history = gs_solve(ms, IterativeOptions(max_iters=100_000, tol=1e-6,
+                                               seed=seed))
+    k = history.size - 1
+    flags = [SOLVERS["gs"](ms, seed, max_iters=cap, tol=1e-6)[1]["converged"]
+             for cap in (k - 1, k, k + 1)]
+    assert flags == [False, True, True]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fienup_refinement_stalling_at_its_cap_has_converged(seed,
+                                                             monkeypatch):
+    ms = six_tap_set(seed)
+    opts = IterativeOptions(tol=1e-6, seed=seed)
+    k = fienup_solve(ms, opts)[1].size - 1
+    flags = []
+    for cap in (k - 1, k, k + 1):
+        monkeypatch.setattr(baselines, "GS_REFINE_ITERS", cap)
+        flags.append(SOLVERS["fienup"](ms, seed, tol=1e-6)[1]["converged"])
+    assert flags == [False, True, True]
 
 
 def test_unknown_solver_is_rejected():

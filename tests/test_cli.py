@@ -97,7 +97,7 @@ def test_recover_each_solver(tmp_path, capsys, solver):
 
 @pytest.mark.parametrize("n,extra", [(8, ["--max-iters", "1"]), (16, [])])
 def test_recover_gs_at_its_cap_exits_3(tmp_path, capsys, n, extra):
-    # GS has converged only when its stalled-cost test fires before the cap;
+    # GS has converged only when its stalled-cost test fires;
     # N = 16 at GS's own budget (1000 iterations, tol 1e-10) reaches it
     sig = tmp_path / "sig.json"
     meas = tmp_path / "meas.json"
@@ -113,7 +113,7 @@ def test_recover_gs_at_its_cap_exits_3(tmp_path, capsys, n, extra):
 @pytest.mark.parametrize("n,extra", [(8, ["--tol", "-1"]), (32, [])])
 def test_recover_fienup_at_its_refinement_cap_exits_3(tmp_path, capsys, n,
                                                       extra):
-    # Fienup has converged only when its GS refinement stalls before
+    # Fienup has converged only when its GS refinement stalls within
     # GS_REFINE_ITERS; a negative tol never stalls, and N = 32 at Fienup's
     # own budget reaches the cap
     sig = tmp_path / "sig.json"
