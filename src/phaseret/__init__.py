@@ -12,13 +12,12 @@ from .baselines import IterativeOptions, fienup_sf, fienup_solve, gs_solve
 from .cork import AdmmOptions, CorkDiagnostics, solve_cork
 from .crb import compute_crb
 from .measurement import (AugmentationSpec, ImpulseMarginWarning, add_noise,
-                          augment_max_phase, augment_min_phase,
-                          conjugate_reversal, deaugment, default_delta,
+                          augment_min_phase, deaugment, default_delta,
                           margin_violated, measure_augmented)
 from .sdp import SdpOptions, phaselift_sf, phaselift_value, psd_project
 from .signals import (MeasurementSet, autocorrelation, correlation_psd_check,
                       correlation_to_intensity, default_transform_length,
-                      dft_partial, global_phase_distance, intensity_measure)
+                      global_phase_distance, intensity_measure)
 from .specfact import (InvalidCorrelationError, SfOptions, is_min_phase,
                        kolmogorov_sf, root_sf)
 

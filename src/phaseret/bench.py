@@ -59,16 +59,26 @@ def _options(cls, **values):
 # keeps the solver's default, and cork and phaselift-sf, which have no
 # tolerance, reject one) to (minimum-phase estimate, diagnostics) at the
 # default transform lengths; the diagnostics always hold ``fit`` and
-# ``converged``.  ``cork`` also takes a stacked measurement set and returns
-# one estimate and one diagnostics dict per row.  The entries and the CRB
-# study call the solvers through this module's globals, so a caller that
-# rebinds them (a tracer, a test) sees every call.
+# ``converged``; ``fit`` is ||b - |F_M x|^2||^2 of the estimate x returned.
+# ``cork`` also takes a stacked measurement set and returns one estimate and
+# one diagnostics dict per row.  The entries and the CRB study call the
+# solvers through this module's globals, so a caller that rebinds them (a
+# tracer, a test) sees every call.
+
+def _fit(b, x) -> float:
+    return float(np.linalg.norm(b - intensity_measure(x, b.size)) ** 2)
+
 
 def _cork(ms, seed, max_iters=None, tol=None):
     if tol is not None:
         raise ValueError("cork takes no tolerance: it stops at the KKT point")
     r, diag = solve_cork(ms, _options(AdmmOptions, max_iters=max_iters))
-    return kolmogorov_sf(r), diag.to_json()
+    x, out = kolmogorov_sf(r), diag.to_json()
+    # solve_cork's fit is that of r, which the factor need not attain
+    rows = out if isinstance(out, list) else [out]
+    for row, b, xk in zip(rows, np.atleast_2d(ms.b), np.atleast_2d(x)):
+        row["fit"] = _fit(b, xk)
+    return x, out
 
 
 def _phaselift_sf(ms, seed, max_iters=None, tol=None):
@@ -87,8 +97,7 @@ def _phaselift_sf(ms, seed, max_iters=None, tol=None):
 
 def _factored(ms, x, history, tol):
     x = kolmogorov_sf(autocorrelation(x))
-    fit = float(np.linalg.norm(ms.b - intensity_measure(x, ms.b.size)) ** 2)
-    return x, {"fit": fit, "converged": gs_converged(history, tol)}
+    return x, {"fit": _fit(ms.b, x), "converged": gs_converged(history, tol)}
 
 
 def _fienup(ms, seed, max_iters=None, tol=None):

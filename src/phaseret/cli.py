@@ -49,7 +49,7 @@ def cmd_measure(args) -> int:
     else:
         delta = default_delta(s)
     m = args.m if args.m else int(np.ceil(args.oversampling * (n + args.gap + 1)))
-    spec = AugmentationSpec(delta, gap=args.gap, side="prefix")
+    spec = AugmentationSpec(delta, gap=args.gap)
     ms = measure_augmented(s, spec, m, real_signal=args.real)
     # add_noise rejects a negative or non-finite variance
     if args.noise_sigma2 != 0:

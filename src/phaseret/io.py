@@ -3,9 +3,11 @@
 Signal JSON: {"n": N, "real": [...], "imag": [...]}.
 Signal CSV: two columns re,im, no header.
 Measurement JSON: {"m": M, "n": N, "b": [...], "sigma2": s, "real_signal":
-bool} plus optional augmentation metadata {"delta_re", "delta_im", "gap",
-"side"}.  Floats are written as Python's shortest round-trip repr, so every
-value round-trips exactly.
+bool} plus optional prefix-impulse metadata {"delta_re", "delta_im", "gap"}.
+Files from before the prefix impulse was the only augmentation may carry
+"side": "prefix", which loads as no key; any other side is rejected.  Floats
+are written as Python's shortest round-trip repr, so every value round-trips
+exactly.  ``n`` must be an integer in both objects.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def dump_signal(x) -> dict:
 
 def load_signal(obj: dict) -> np.ndarray:
     try:
-        n = int(obj["n"])
+        n = operator.index(obj["n"])  # 2.9 is not a length
         real = np.asarray(obj["real"], dtype=float)
         imag = np.asarray(obj["imag"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
@@ -74,7 +76,6 @@ def dump_measurement(ms: MeasurementSet) -> dict:
             "delta_re": float(np.real(spec.delta)),
             "delta_im": float(np.imag(spec.delta)),
             "gap": int(spec.gap),
-            "side": spec.side,
         }
     return obj
 
@@ -89,8 +90,12 @@ def load_measurement(obj: dict) -> MeasurementSet:
         aug = None if a is None else AugmentationSpec(
             delta=complex(float(a["delta_re"]), float(a.get("delta_im", 0.0))),
             gap=a.get("gap", 0),
-            side=a.get("side", "prefix"),
         )
+        # an augmentation that is not an object has raised at a["delta_re"];
+        # a file of the appended-impulse mirror must not be de-augmented as
+        # a prefix one
+        if aug is not None and a.get("side", "prefix") != "prefix":
+            raise ValueError(f"unsupported augmentation side {a['side']!r}")
         m = operator.index(obj.get("m", b.size))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement object: {exc}") from exc

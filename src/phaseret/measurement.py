@@ -1,9 +1,9 @@
-"""Minimum/maximum-phase measurement augmentation and noise injection.
+"""Minimum-phase measurement augmentation and noise injection.
 
 Prepending an impulse ``delta`` with ``|delta| >= ||s||_1`` to a signal makes
 the result minimum phase (all z-transform zeros strictly inside the unit
 circle when the inequality is strict), restoring identifiability from
-Fourier intensities.  Appending it instead gives the maximum-phase mirror.
+Fourier intensities.  The prefix impulse is the package's one augmentation.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ __all__ = [
     "default_delta",
     "margin_violated",
     "augment_min_phase",
-    "augment_max_phase",
-    "conjugate_reversal",
     "deaugment",
     "add_noise",
     "measure_augmented",
@@ -37,11 +35,10 @@ class ImpulseMarginWarning(UserWarning):
 
 @dataclass
 class AugmentationSpec:
-    """Impulse placement: value, number of gap zeros, and which side."""
+    """Prefix impulse: its value and the number of gap zeros after it."""
 
     delta: complex
     gap: int = 0
-    side: str = "prefix"
 
     def __post_init__(self):
         # a zero impulse certifies nothing and de-augments to a wrong
@@ -54,8 +51,6 @@ class AugmentationSpec:
             raise ValueError(f"gap must be an integer, got {self.gap!r}") from None
         if self.gap < 0:
             raise ValueError("gap must be >= 0")
-        if self.side not in ("prefix", "suffix"):
-            raise ValueError("side must be 'prefix' or 'suffix'")
 
 
 def default_delta(s, margin: float = 1e-3) -> float:
@@ -70,43 +65,20 @@ def default_delta(s, margin: float = 1e-3) -> float:
 
 def margin_violated(s, delta) -> bool:
     """True when |delta| < ||s||_1, so the impulse does not certify the
-    augmented signal minimum (or maximum) phase."""
+    augmented signal minimum phase."""
     return abs(delta) < float(np.sum(np.abs(as_signal(s))))
 
 
-def _check_margin(s: np.ndarray, spec: AugmentationSpec) -> None:
+def augment_min_phase(s, spec: AugmentationSpec) -> np.ndarray:
+    """Return [delta, 0 x gap, s_0, ..., s_{N-1}]."""
+    s = as_signal(s)
     if margin_violated(s, spec.delta):
         warnings.warn(
             f"|delta|={abs(spec.delta):.6g} < ||s||_1={np.sum(np.abs(s)):.6g}: "
-            "augmented signal is not certified minimum/maximum phase",
+            "augmented signal is not certified minimum phase",
             ImpulseMarginWarning,
         )
-
-
-def augment_min_phase(s, spec: AugmentationSpec) -> np.ndarray:
-    """Return [delta, 0 x gap, s_0, ..., s_{N-1}] (requires side='prefix')."""
-    s = as_signal(s)
-    if spec.side != "prefix":
-        raise ValueError("augment_min_phase requires a prefix spec")
-    _check_margin(s, spec)
     return np.concatenate(([complex(spec.delta)], np.zeros(spec.gap, dtype=complex), s))
-
-
-def augment_max_phase(s, spec: AugmentationSpec) -> np.ndarray:
-    """Return [s_0, ..., s_{N-1}, 0 x gap, delta] (requires side='suffix')."""
-    s = as_signal(s)
-    if spec.side != "suffix":
-        raise ValueError("augment_max_phase requires a suffix spec")
-    _check_margin(s, spec)
-    return np.concatenate((s, np.zeros(spec.gap, dtype=complex), [complex(spec.delta)]))
-
-
-def conjugate_reversal(x) -> np.ndarray:
-    """Conjugate and reverse (each row of a 2D stack); maps max phase to min
-    phase, preserving the Fourier intensity for every transform length
-    (zeros map to conjugate reciprocals)."""
-    x = as_rows(x)
-    return np.conj(x[..., ::-1])
 
 
 def deaugment(xmin, spec: AugmentationSpec) -> np.ndarray:
@@ -114,9 +86,7 @@ def deaugment(xmin, spec: AugmentationSpec) -> np.ndarray:
     row of a 2D stack of them).
 
     Rotates the global phase so the impulse entry is real positive, then
-    strips the impulse and gap zeros.  For a suffix spec the reconstruction
-    is the minimum-phase mirror [conj(delta), 0 x gap, conj(reversed s)], so
-    the stripped core is conjugate-reversed back to recover s.
+    strips the impulse and gap zeros.
     """
     xmin = as_rows(xmin)
     if xmin.shape[-1] < spec.gap + 2:
@@ -128,10 +98,7 @@ def deaugment(xmin, spec: AugmentationSpec) -> np.ndarray:
     # of a complex array can differ in the last bit), so a stack of rows
     # and a single estimate are rotated by the same factor
     rotated = xmin * (np.hypot(pivot.real, pivot.imag) / pivot)
-    core = rotated[..., 1 + spec.gap:]
-    if spec.side == "suffix":
-        core = conjugate_reversal(core)
-    return core
+    return rotated[..., 1 + spec.gap:]
 
 
 def add_noise(ms: MeasurementSet, sigma2: float, seed: int) -> MeasurementSet:
@@ -153,11 +120,8 @@ def add_noise(ms: MeasurementSet, sigma2: float, seed: int) -> MeasurementSet:
 
 def measure_augmented(s, spec: AugmentationSpec, m: int,
                       real_signal: bool = False) -> MeasurementSet:
-    """Augment ``s`` per ``spec``, measure M-point Fourier intensities, and
-    record the spec so the reconstruction can be de-augmented."""
-    if spec.side == "prefix":
-        smin = augment_min_phase(s, spec)
-    else:
-        smin = augment_max_phase(s, spec)
+    """Prepend the impulse of ``spec``, measure M-point Fourier intensities,
+    and record the spec so the reconstruction can be de-augmented."""
+    smin = augment_min_phase(s, spec)
     b = intensity_measure(smin, m)
     return MeasurementSet(b, smin.size, real_signal=real_signal, augmentation=spec)

@@ -1,4 +1,4 @@
-"""Core signal machinery: partial DFTs, autocorrelation, intensity maps, metrics.
+"""Core signal machinery: intensities, autocorrelation, correlation maps, metrics.
 
 Signals are plain 1D complex numpy arrays.  The one-sided autocorrelation
 ``r`` of a length-N signal is also a length-N complex array with ``r[0]``
@@ -21,7 +21,6 @@ __all__ = [
     "as_rows",
     "as_correlation",
     "as_correlation_rows",
-    "dft_partial",
     "intensity_measure",
     "autocorrelation",
     "doubled_lags",
@@ -102,20 +101,13 @@ def check_transform_length(n: int, l: int | None) -> int:
     return l
 
 
-def dft_partial(x, m: int) -> np.ndarray:
-    """First-N-columns M-point DFT: F_M @ x, computed by zero-padded FFT.
-
-    Requires ``m >= len(x)``.
-    """
+def intensity_measure(x, m: int) -> np.ndarray:
+    """Noiseless measurements |F_M x|^2: the squared modulus of the M-point
+    DFT of ``x``, by zero-padded FFT.  Requires ``m >= len(x)``."""
     x = as_signal(x)
     if m < x.size:
         raise ValueError(f"m={m} must be >= signal length {x.size}")
-    return np.fft.fft(x, n=m)
-
-
-def intensity_measure(x, m: int) -> np.ndarray:
-    """Squared modulus of the M-point DFT of ``x`` (noiseless measurements)."""
-    return np.abs(dft_partial(x, m)) ** 2
+    return np.abs(np.fft.fft(x, n=m)) ** 2
 
 
 def autocorrelation(x) -> np.ndarray:

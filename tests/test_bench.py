@@ -55,6 +55,36 @@ def test_gap_trial_fits_dominate_lower_bound():
     assert row["gaps_rel"]["cork"] <= 1e-5
 
 
+def test_cork_gap_is_the_fit_of_the_returned_estimate():
+    # the cork entry reported solve_cork's fit of the correlation r, which
+    # the factor it returns need not attain: this trial's row read a gap of
+    # -7.0e-6 * ||b||^2 below the PhaseLift bound, while the returned
+    # estimate's fit is 1.0e-3 * ||b||^2 above it
+    cfg = ExperimentConfig(kind="gap", n=16, trials=2, master_seed=1008,
+                           solvers=("cork",))
+    row = run_gap_trial(cfg, 1)
+    rng = cfg.trial_rng(1)  # the trial's own draws of M and b
+    m = int(rng.integers(2 * 16, 8 * 16 + 1))
+    b = rng.uniform(size=m)
+    assert m == row["m"] == 38
+    x, diag = SOLVERS["cork"](MeasurementSet(b, 16), 1)
+    assert row["fits"]["cork"] == diag["fit"]
+    assert diag["fit"] == np.linalg.norm(b - intensity_measure(x, m)) ** 2
+    assert row["gaps_rel"]["cork"] > 5e-4
+
+
+def test_cork_entry_fits_a_stack_row_by_row():
+    rng = np.random.default_rng(21)
+    ms = MeasurementSet(rng.uniform(size=(3, 38)), 16)
+    x, diags = SOLVERS["cork"](ms, None)
+    assert x.shape == (3, 16) and len(diags) == 3
+    for k in range(3):
+        xk, dk = SOLVERS["cork"](MeasurementSet(ms.b[k], 16), None)
+        assert np.array_equal(x[k], xk) and diags[k] == dk
+        residual = ms.b[k] - intensity_measure(xk, 38)
+        assert dk["fit"] == np.linalg.norm(residual) ** 2
+
+
 def test_gap_trial_determinism():
     cfg = ExperimentConfig(kind="gap", n=6, trials=1, solvers=("cork",))
     r1, r2 = run_gap_trial(cfg, 2), run_gap_trial(cfg, 2)

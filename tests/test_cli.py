@@ -279,7 +279,8 @@ def test_missing_input_gives_io_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["empty_csv", "nan_signal", "nan_reference",
                                   "gap_beyond_n", "negative_sigma2",
-                                  "nan_sigma2"])
+                                  "nan_sigma2", "fractional_n_signal",
+                                  "string_n_reference", "suffix_side"])
 def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
     # every malformed file is a validation error, whichever command reads it
     # and wherever in the command it is found; the error names the file, and
@@ -288,10 +289,28 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
     meas = tmp_path / "meas.json"
     bad = tmp_path / ("bad.csv" if case == "empty_csv" else "bad.json")
     out = tmp_path / "out.json"
+    if case in ("nan_reference", "string_n_reference", "suffix_side"):
+        write_signal(sig)
+        assert main(["measure", "--input", str(sig), "--output",
+                     str(meas)]) == 0
+        capsys.readouterr()
     if case == "empty_csv":
         bad.write_text("")
     elif case in ("nan_signal", "nan_reference"):
         bad.write_text('{"n": 2, "real": [1.0, NaN], "imag": [0.0, 0.0]}')
+    elif case == "fractional_n_signal":
+        # int() read n = 2.5 as 2, the length of the lists
+        bad.write_text('{"n": 2.5, "real": [1.0, 2.0], "imag": [0.0, 0.0]}')
+    elif case == "string_n_reference":
+        # int() read "8" as 8, the length of the estimate
+        bad.write_text(json.dumps({"n": "8", "real": [1.0] * 8,
+                                   "imag": [0.0] * 8}))
+    elif case == "suffix_side":
+        # a file of the appended-impulse mirror, which was de-augmented by
+        # conjugate reversal; it must not be read as a prefix file
+        obj = json.loads(meas.read_text())
+        obj["augmentation"]["side"] = "suffix"
+        bad.write_text(json.dumps(obj))
     elif case == "gap_beyond_n":
         # N = 2 holds the impulse and no room for a gap of 5
         bad.write_text(json.dumps({"m": 8, "n": 2, "b": [1.0] * 8,
@@ -301,13 +320,10 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
         sigma2 = -1.0 if case == "negative_sigma2" else float("nan")
         bad.write_text(json.dumps({"m": 8, "n": 2, "b": [1.0] * 8,
                                    "sigma2": sigma2}))
-    if case == "nan_reference":
-        write_signal(sig)
-        assert main(["measure", "--input", str(sig), "--output",
-                     str(meas)]) == 0
-        capsys.readouterr()
+    if case in ("nan_reference", "string_n_reference"):
         argv = ["recover", "--input", str(meas), "--reference", str(bad)]
-    elif case in ("gap_beyond_n", "negative_sigma2", "nan_sigma2"):
+    elif case in ("gap_beyond_n", "negative_sigma2", "nan_sigma2",
+                  "suffix_side"):
         argv = ["recover", "--input", str(bad)]
     else:
         argv = ["measure", "--input", str(bad)]

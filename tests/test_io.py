@@ -42,7 +42,13 @@ def test_measurement_round_trip_with_augmentation(tmp_path):
     assert back.n == ms.n and back.m == ms.m
     assert back.augmentation.delta == spec.delta
     assert back.augmentation.gap == 2
-    assert back.augmentation.side == "prefix"
+    # the prefix impulse is the only augmentation: no side is written, and
+    # a file that names another is rejected
+    obj = json.loads((tmp_path / "meas.json").read_text())
+    assert "side" not in obj["augmentation"]
+    obj["augmentation"]["side"] = "suffix"
+    with pytest.raises(ValueError, match="malformed measurement object"):
+        load_measurement(obj)
 
 
 def test_measurement_round_trip_without_augmentation():
@@ -128,6 +134,20 @@ def test_measurement_gap_must_leave_a_signal_sample():
         load_measurement(obj)
 
 
+@pytest.mark.parametrize("side", ["suffix", None, "Prefix", 0])
+def test_measurement_side_other_than_prefix_is_rejected(side):
+    # a file from the appended-impulse mirror must not be de-augmented as a
+    # prefix file; "side": "prefix" and no side load alike
+    aug = {"delta_re": 3.0, "gap": 1}
+    for same in ({}, {"side": "prefix"}):
+        obj = dict(VALID_MEASUREMENT, augmentation=dict(aug, **same))
+        assert load_measurement(obj).augmentation == AugmentationSpec(3.0, 1)
+    obj = dict(VALID_MEASUREMENT, augmentation=dict(aug, side=side))
+    with pytest.raises(ValueError, match="malformed measurement object: "
+                                         "unsupported augmentation side"):
+        load_measurement(obj)
+
+
 def test_measurement_real_signal_must_be_a_bool():
     assert load_measurement(dict(VALID_MEASUREMENT,
                                  real_signal=False)).real_signal is False
@@ -145,6 +165,15 @@ def test_measurement_sigma2_must_be_finite_and_nonnegative(sigma2):
 def test_measurement_n_must_be_an_integer():
     with pytest.raises(ValueError, match="malformed"):
         load_measurement(dict(VALID_MEASUREMENT, n=2.9))
+
+
+@pytest.mark.parametrize("n", [2.9, "2", 2.0])
+def test_signal_n_must_be_an_integer(n):
+    # the rule of load_measurement: int() made N = 2 of each of these
+    with pytest.raises(ValueError, match="malformed signal object"):
+        load_signal({"n": n, "real": [1.0, 2.0], "imag": [0.0, 0.0]})
+    assert load_signal({"n": 2, "real": [1.0, 2.0],
+                        "imag": [0.0, 0.0]}).size == 2
 
 
 @pytest.mark.parametrize("name,text", [

@@ -7,9 +7,8 @@ from phaseret.signals import (MeasurementSet, as_correlation,
                               autocorrelation, chord_slack,
                               correlation_adjoint, correlation_psd_check,
                               correlation_spectrum, correlation_to_intensity,
-                              default_transform_length, dft_partial,
-                              doubled_lags, global_phase_distance,
-                              intensity_measure)
+                              default_transform_length, doubled_lags,
+                              global_phase_distance, intensity_measure)
 
 
 def naive_dft(x, m):
@@ -19,37 +18,31 @@ def naive_dft(x, m):
     return grid @ np.asarray(x, dtype=complex)
 
 
-def test_dft_impulse_flat():
-    np.testing.assert_allclose(dft_partial([1], 4), np.ones(4))
-
-
-def test_dft_two_ones():
-    # direct evaluation: [2, 1-j, 0, 1+j]
-    np.testing.assert_allclose(dft_partial([1, 1], 4),
-                               [2, 1 - 1j, 0, 1 + 1j], atol=1e-14)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_dft_matches_naive(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 40))
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     m = 3 * n  # non-power-of-two on purpose
-    got = dft_partial(x, m)
-    want = naive_dft(x, m)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    got = intensity_measure(x, m)
+    want = np.abs(naive_dft(x, m)) ** 2
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
 def test_dft_rejects_short_m():
-    with pytest.raises(ValueError):
-        dft_partial([1, 2, 3], 2)
+    # the M-point DFT of a length-N signal needs M >= N
+    with pytest.raises(ValueError, match="must be >= signal length"):
+        intensity_measure([1, 2, 3], 2)
+    assert intensity_measure([1, 2, 3], 3).shape == (3,)
 
 
 def test_intensity_impulse():
+    np.testing.assert_allclose(intensity_measure([1], 4), np.ones(4))
     np.testing.assert_allclose(intensity_measure([1, 0], 4), np.ones(4))
 
 
 def test_intensity_two_ones():
+    # zero-padded to M = 4, the DFT is [2, 1-j, 0, 1+j] by direct evaluation
     np.testing.assert_allclose(intensity_measure([1, 1], 4), [4, 2, 0, 2],
                                atol=1e-13)
 
