@@ -9,7 +9,8 @@ Three experiment kinds:
   errors per arm and solver.
 * ``crb``: fixed signal, sweeps over measurement count and SNR; records
   normalized MSE of the ``cork`` pipeline, run on all trials as one stack
-  per distinct M and one factorization, against the normalized CRB.
+  per distinct M and one factorization, against the normalized CRB,
+  sigma^2 C / M from one Fisher factorization per study.
 
 Gap and recovery trials run the solvers named in ``ExperimentConfig.solvers``
 from ``SOLVERS``, the one table of minimum-phase solvers that ``phaseret
@@ -37,7 +38,7 @@ import numpy as np
 
 from .baselines import IterativeOptions, fienup_solve, gs_converged, gs_solve
 from .cork import AdmmOptions, solve_cork
-from .crb import compute_crb
+from .crb import unit_crb
 from .io import atomic_write_text
 from .measurement import (AugmentationSpec, augment_min_phase, deaugment,
                           measure_augmented)
@@ -59,11 +60,12 @@ def _options(cls, **values):
 # keeps the solver's default, and cork and phaselift-sf, which have no
 # tolerance, reject one) to (minimum-phase estimate, diagnostics) at the
 # default transform lengths; the diagnostics always hold ``fit`` and
-# ``converged``; ``fit`` is ||b - |F_M x|^2||^2 of the estimate x returned.
-# ``cork`` also takes a stacked measurement set and returns one estimate and
-# one diagnostics dict per row.  The entries and the CRB study call the
-# solvers through this module's globals, so a caller that rebinds them (a
-# tracer, a test) sees every call.
+# ``converged``; ``fit`` is ||b - |F_M x|^2||^2 of the estimate x returned,
+# and ``cork``'s ``gap`` is that fit minus solve_cork's certified lower
+# bound.  ``cork`` also takes a stacked measurement set and returns one
+# estimate and one diagnostics dict per row.  The entries and the CRB study
+# call the solvers through this module's globals, so a caller that rebinds
+# them (a tracer, a test) sees every call.
 
 def _fit(b, x) -> float:
     return float(np.linalg.norm(b - intensity_measure(x, b.size)) ** 2)
@@ -74,10 +76,13 @@ def _cork(ms, seed, max_iters=None, tol=None):
         raise ValueError("cork takes no tolerance: it stops at the KKT point")
     r, diag = solve_cork(ms, _options(AdmmOptions, max_iters=max_iters))
     x, out = kolmogorov_sf(r), diag.to_json()
-    # solve_cork's fit is that of r, which the factor need not attain
+    # solve_cork's fit and gap are those of r, which the factor need not
+    # attain; its lower bound, fit(r) - gap, holds for every estimate
     rows = out if isinstance(out, list) else [out]
     for row, b, xk in zip(rows, np.atleast_2d(ms.b), np.atleast_2d(x)):
-        row["fit"] = _fit(b, xk)
+        fit = _fit(b, xk)
+        row["gap"] += fit - row["fit"]
+        row["fit"] = fit
     return x, out
 
 
@@ -145,8 +150,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("gap", "recovery", "crb"):
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
-        if not all(isinstance(v, numbers.Integral) and v >= 1
-                   for v in (self.n, self.trials)):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   and v >= 1 for v in (self.n, self.trials)):
             raise ValueError(f"need integers n >= 1 and trials >= 1 (got "
                              f"n={self.n!r}, trials={self.trials!r})")
         unknown = [name for name in self.solvers if name not in SOLVERS]
@@ -290,8 +295,8 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
     trials are recovered as one stack, at the ``cork`` entry's defaults and
     each row with its own bits: one ``solve_cork`` per distinct M, then one
     ``kolmogorov_sf`` and ``deaugment``; every row's ``times`` holds their
-    wall time as ``stacked_recovery``.  The CRB is linear in sigma^2, so it
-    is computed once per M and scaled.
+    wall time as ``stacked_recovery``.  The CRB is exactly sigma^2 C / M,
+    so ``unit_crb`` computes C once per study and each point scales it.
     """
     # the signal's draw index lies outside the trial range
     s, s_energy, spec = _augmented_draw(config.trial_rng(2**31 - 1), config.n)
@@ -303,8 +308,9 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
     lo, hi, count = config.snr_sweep
     points += [(int(config.crb_m_multiplier * smin.size), float(snr),
                 "snr_sweep", float(snr)) for snr in np.linspace(lo, hi, count)]
-    unit_crb = {m: compute_crb(smin, m, 1.0) for m in sorted({p[0] for p in points})}
-    unit_noise = np.array([config.trial_rng(t).normal(size=max(unit_crb))
+    crb_c = unit_crb(smin)  # M * CRB / sigma^2 at every M
+    m_values = sorted({p[0] for p in points})
+    unit_noise = np.array([config.trial_rng(t).normal(size=m_values[-1])
                            for t in range(config.trials)])
 
     rows, noisy = [], []
@@ -314,10 +320,10 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
         noisy.append(b_clean + np.sqrt(sigma2) * unit_noise[:, :m])
         rows.append({"kind": "crb", "series": series, "x": x_value, "m": m,
                      "snr_db": snr_db, "sigma2": sigma2, "trials": config.trials,
-                     "crb_norm": unit_crb[m] * sigma2 / s_energy})
+                     "crb_norm": crb_c / m * sigma2 / s_energy})
     t0 = time.perf_counter()
     r = np.empty((len(rows), config.trials, smin.size), dtype=complex)
-    for m in unit_crb:
+    for m in m_values:
         at = [i for i, row in enumerate(rows) if row["m"] == m]
         ms = MeasurementSet(np.concatenate([noisy[i] for i in at]), smin.size)
         r[at] = solve_cork(ms)[0].reshape(len(at), config.trials, -1)
@@ -326,7 +332,7 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
     for row, est in zip(rows, shat.reshape(len(rows), config.trials, -1)):
         mse = float(np.mean([np.linalg.norm(s - x) ** 2 for x in est]))
         row.update(mse_norm=mse / s_energy, times={"stacked_recovery": elapsed},
-                   mse_over_crb=mse / (unit_crb[row["m"]] * row["sigma2"]))
+                   mse_over_crb=mse / (crb_c / row["m"] * row["sigma2"]))
     return rows
 
 

@@ -7,20 +7,20 @@ bool} plus optional prefix-impulse metadata {"delta_re", "delta_im", "gap"}.
 Files from before the prefix impulse was the only augmentation may carry
 "side": "prefix", which loads as no key; any other side is rejected.  Floats
 are written as Python's shortest round-trip repr, so every value round-trips
-exactly.  ``n`` must be an integer in both objects.
+exactly.  ``n`` must be an integer >= 1 in both objects, and ``m`` too; a
+float such as 2.9 or a JSON ``true`` is no length.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import os
 import tempfile
 
 import numpy as np
 
 from .measurement import AugmentationSpec
-from .signals import MeasurementSet, as_signal
+from .signals import MeasurementSet, as_count, as_signal
 
 __all__ = ["atomic_write_text", "dump_signal", "load_signal",
            "dump_measurement", "load_measurement", "load_json_file",
@@ -54,7 +54,7 @@ def dump_signal(x) -> dict:
 
 def load_signal(obj: dict) -> np.ndarray:
     try:
-        n = operator.index(obj["n"])  # 2.9 is not a length
+        n = as_count(obj["n"], "n", 1)
         real = np.asarray(obj["real"], dtype=float)
         imag = np.asarray(obj["imag"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
@@ -83,7 +83,7 @@ def dump_measurement(ms: MeasurementSet) -> dict:
 def load_measurement(obj: dict) -> MeasurementSet:
     try:
         b = np.asarray(obj["b"], dtype=float)
-        n = operator.index(obj["n"])  # 2.9 is not a length
+        n = as_count(obj["n"], "n", 1)
         sigma2 = float(obj.get("sigma2", 0.0))
         real_signal = obj.get("real_signal", False)
         a = obj.get("augmentation")
@@ -96,7 +96,7 @@ def load_measurement(obj: dict) -> MeasurementSet:
         # a prefix one
         if aug is not None and a.get("side", "prefix") != "prefix":
             raise ValueError(f"unsupported augmentation side {a['side']!r}")
-        m = operator.index(obj.get("m", b.size))
+        m = as_count(obj.get("m", b.size), "m", 1)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement object: {exc}") from exc
     if b.ndim != 1:

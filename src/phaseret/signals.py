@@ -17,6 +17,7 @@ import numbers
 import numpy as np
 
 __all__ = [
+    "as_count",
     "as_signal",
     "as_rows",
     "as_correlation",
@@ -35,6 +36,15 @@ __all__ = [
     "check_transform_length",
     "MeasurementSet",
 ]
+
+
+def as_count(value, name: str, least: int) -> int:
+    """``value`` as an int >= ``least``; anything else, a float such as 2.9
+    or 2.0, a string or a bool (JSON ``true``), raises ``ValueError``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def as_signal(x) -> np.ndarray:
@@ -224,8 +234,7 @@ class MeasurementSet:
                              "of length >= 1")
         if not np.all(np.isfinite(b)):
             raise ValueError("measurement entries must be finite")
-        if not isinstance(n, numbers.Integral) or n < 1:  # 2.9 is no length
-            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        n = as_count(n, "n", 1)
         sigma2 = float(sigma2)
         if not 0.0 <= sigma2 < np.inf:  # also NaN
             raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
@@ -238,7 +247,7 @@ class MeasurementSet:
         if b.shape[-1] < 2 * n:
             raise ValueError(f"b needs M >= 2N (got M={b.shape[-1]}, N={n})")
         self.b = b
-        self.n = int(n)
+        self.n = n
         self.sigma2 = sigma2
         self.real_signal = real_signal
         self.augmentation = augmentation

@@ -14,7 +14,7 @@ from phaseret.cork import AdmmOptions, solve_cork
 from phaseret.crb import compute_crb
 from phaseret.measurement import (AugmentationSpec, augment_min_phase,
                                   deaugment, measure_augmented)
-from phaseret.sdp import phaselift_sf
+from phaseret.sdp import phaselift_sf, phaselift_value
 from phaseret.signals import (MeasurementSet, autocorrelation,
                               default_transform_length, intensity_measure)
 from phaseret.specfact import SfOptions, kolmogorov_sf
@@ -71,6 +71,25 @@ def test_cork_gap_is_the_fit_of_the_returned_estimate():
     assert row["fits"]["cork"] == diag["fit"]
     assert diag["fit"] == np.linalg.norm(b - intensity_measure(x, m)) ** 2
     assert row["gaps_rel"]["cork"] > 5e-4
+
+
+def test_cork_gap_certifies_the_returned_estimate():
+    # solve_cork's gap is that of its correlation fit: at this trial it read
+    # 7.3e-18 * ||b||^2 while the returned estimate fits 1.0e-3 * ||b||^2
+    # above the PhaseLift bound
+    cfg = ExperimentConfig(kind="gap", n=16, trials=2, master_seed=1008,
+                           solvers=("cork",))
+    rng = cfg.trial_rng(1)
+    m = int(rng.integers(2 * 16, 8 * 16 + 1))
+    ms = MeasurementSet(rng.uniform(size=m), 16)
+    b2 = float(np.linalg.norm(ms.b) ** 2)
+    _, diag = SOLVERS["cork"](ms, 1)
+    _, bound, _ = phaselift_value(ms, 0.0)
+    assert diag["fit"] - bound > 5e-4 * b2
+    assert diag["gap"] >= diag["fit"] - bound - 1e-9 * b2
+    _, r_diag = solve_cork(ms)
+    assert diag["gap"] == pytest.approx(diag["fit"] - (r_diag.fit - r_diag.gap),
+                                        rel=1e-12)
 
 
 def test_cork_entry_fits_a_stack_row_by_row():
@@ -188,6 +207,13 @@ def test_unknown_solver_is_rejected():
     for bad in ({"kind": "gapp"}, {"n": 0}, {"trials": 0}):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", [{"n": True}, {"trials": True}])
+def test_config_count_must_not_be_a_bool(bad):
+    # a JSON true is an int subclass, and read as 1
+    with pytest.raises(ValueError, match="bad config: need integers"):
+        ExperimentConfig.from_json({"kind": "gap", **bad})
 
 
 @pytest.mark.parametrize("bad", [
@@ -392,6 +418,23 @@ def test_crb_study_calls_each_solver_once_per_distinct_m(monkeypatch):
         rows = (len(point_ms) * trials, 1 + 6)  # the impulse, then s
         assert [c for c in calls if c[0] != "solve_cork"] == [
             ("kolmogorov_sf", rows), ("deaugment", rows)]
+
+
+def test_crb_study_factors_the_fisher_information_once(monkeypatch):
+    # J(M) = M J_1 at every M >= 2N: one factorization serves the 8
+    # distinct M of the benchmark's study shape
+    shapes = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    rows = run_crb_study(ExperimentConfig(kind="crb", n=32, trials=8,
+                                          master_seed=1603))
+    assert len({row["m"] for row in rows}) == 8
+    assert shapes == [(66, 66)]
 
 
 @pytest.mark.parametrize("thresholds", [

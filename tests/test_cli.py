@@ -280,7 +280,8 @@ def test_missing_input_gives_io_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("case", ["empty_csv", "nan_signal", "nan_reference",
                                   "gap_beyond_n", "negative_sigma2",
                                   "nan_sigma2", "fractional_n_signal",
-                                  "string_n_reference", "suffix_side"])
+                                  "string_n_reference", "suffix_side",
+                                  "true_n_signal", "true_n_measurement"])
 def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
     # every malformed file is a validation error, whichever command reads it
     # and wherever in the command it is found; the error names the file, and
@@ -305,6 +306,11 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
         # int() read "8" as 8, the length of the estimate
         bad.write_text(json.dumps({"n": "8", "real": [1.0] * 8,
                                    "imag": [0.0] * 8}))
+    elif case == "true_n_signal":
+        # a JSON true read as N = 1
+        bad.write_text('{"n": true, "real": [1.0], "imag": [0.0]}')
+    elif case == "true_n_measurement":
+        bad.write_text('{"m": 4, "n": true, "b": [1.0, 1.0, 1.0, 1.0]}')
     elif case == "suffix_side":
         # a file of the appended-impulse mirror, which was de-augmented by
         # conjugate reversal; it must not be read as a prefix file
@@ -323,7 +329,7 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
     if case in ("nan_reference", "string_n_reference"):
         argv = ["recover", "--input", str(meas), "--reference", str(bad)]
     elif case in ("gap_beyond_n", "negative_sigma2", "nan_sigma2",
-                  "suffix_side"):
+                  "suffix_side", "true_n_measurement"):
         argv = ["recover", "--input", str(bad)]
     else:
         argv = ["measure", "--input", str(bad)]

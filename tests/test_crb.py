@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phaseret.crb import _fisher_information, compute_crb
+from phaseret.crb import _fisher_information, compute_crb, unit_crb
 from phaseret.measurement import AugmentationSpec, augment_min_phase, default_delta
 from phaseret.signals import intensity_measure
 
@@ -109,3 +109,62 @@ def test_crb_rejects_unidentifiable_signal(x):
 def test_crb_rejects_zero_signal():
     with pytest.raises(ValueError, match="zero signal"):
         compute_crb(np.zeros(3), 12, 1.0)
+
+
+UNIDENTIFIABLE = [[1, 1], [1, -1], [1, 1j], [1, 1e-3, 1], [1, 0, 1]]
+
+
+@pytest.mark.parametrize("x", UNIDENTIFIABLE)
+def test_crb_rejects_unidentifiable_signal_at_every_m(x):
+    # Whether the Cholesky factorization of J + c v v^T fails is decided by
+    # roundoff: without the rank test [1, 1] got a finite bound of 1e13 to
+    # 1e17 at 12 of these 40 M
+    for m in range(2 * len(x), 2 * len(x) + 40):
+        with pytest.raises(ValueError, match="singular beyond the global phase"):
+            compute_crb(x, m, 1.0)
+
+
+@pytest.mark.parametrize("n", [3, 8, 17, 33])
+def test_crb_rank_test_accepts_random_signals(n):
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        assert unit_crb(rng.normal(size=n) + 1j * rng.normal(size=n)) > 0
+
+
+def per_m_crb(smin, m):
+    """The unit-noise bound from M's own Fisher information, deflated as in
+    ``crb`` and inverted by LU."""
+    fisher = _fisher_information(smin, m)
+    n_tot = smin.size
+    v = np.concatenate((-smin.imag, smin.real)) / np.linalg.norm(smin)
+    c = np.trace(fisher) / (2 * n_tot)
+    variances = np.diag(np.linalg.inv(fisher + c * np.outer(v, v))) - v ** 2 / c
+    variances[[0, n_tot]] = 0.0
+    return variances.sum()
+
+
+@pytest.mark.parametrize("n_tot", [4, 8, 33])
+def test_crb_times_m_is_the_same_at_every_m(n_tot):
+    # for M >= 2N the M-point DFT is a tight frame, so G^T G = M J_1 and the
+    # bound is sigma^2 C / M; each M's own Fisher information agrees
+    smin = make_min_phase(n_tot, n_tot - 1)
+    c = unit_crb(smin)
+    for m in range(2 * n_tot, 8 * n_tot + 1):
+        assert compute_crb(smin, m, 1.0) * m == pytest.approx(c, rel=1e-13)
+        assert per_m_crb(smin, m) * m == pytest.approx(c, rel=1e-13)
+    assert compute_crb(smin, 40 * n_tot, 3e-5) == 3e-5 * c / (40 * n_tot)
+
+
+@pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), -1.0])
+def test_crb_rejects_a_noise_variance_that_is_not_finite_and_positive(sigma2):
+    with pytest.raises(ValueError, match="sigma2 must be finite and > 0"):
+        compute_crb(make_min_phase(4, 4), 40, sigma2)
+
+
+@pytest.mark.parametrize("m", [40.0, 40.5, True, "40", None])
+def test_crb_m_must_be_an_integer(m):
+    # m only divides the bound, so a fractional one would pass silently
+    smin = make_min_phase(4, 4)
+    with pytest.raises(ValueError, match="m must be an integer >= 10"):
+        compute_crb(smin, m, 1.0)
+    assert compute_crb(smin, np.int64(40), 1.0) == compute_crb(smin, 40, 1.0)

@@ -167,6 +167,16 @@ def test_measurement_n_must_be_an_integer():
         load_measurement(dict(VALID_MEASUREMENT, n=2.9))
 
 
+def test_a_json_true_is_not_a_length():
+    # bool is an int subclass: operator.index(True) made N = 1
+    with pytest.raises(ValueError, match="malformed signal object: n must be"):
+        load_signal(json.loads('{"n": true, "real": [1.0], "imag": [0.0]}'))
+    with pytest.raises(ValueError, match="malformed measurement object: n must"):
+        load_measurement(json.loads('{"m": 4, "n": true, "b": [1, 1, 1, 1]}'))
+    with pytest.raises(ValueError, match="malformed measurement object: m must"):
+        load_measurement(dict(VALID_MEASUREMENT, n=1, m=True, b=[1.0]))
+
+
 @pytest.mark.parametrize("n", [2.9, "2", 2.0])
 def test_signal_n_must_be_an_integer(n):
     # the rule of load_measurement: int() made N = 2 of each of these

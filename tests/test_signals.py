@@ -231,6 +231,12 @@ def test_measurement_set_n_must_be_an_integer():
     assert ms.n == 4 and type(ms.n) is int
 
 
+def test_measurement_set_n_must_not_be_a_bool():
+    # bool is numbers.Integral, and True read as N = 1
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got True"):
+        MeasurementSet([1, 1, 1, 1], True)
+
+
 def test_measurement_set_real_signal_must_be_a_bool():
     # bool("false") is True
     for flag in ("false", 1, None):
