@@ -43,8 +43,8 @@ from .io import atomic_write_text
 from .measurement import (AugmentationSpec, augment_min_phase, deaugment,
                           measure_augmented)
 from .sdp import SdpOptions, phaselift_sf, phaselift_value
-from .signals import (MeasurementSet, autocorrelation, global_phase_distance,
-                      intensity_measure)
+from .signals import (MeasurementSet, as_count, autocorrelation,
+                      global_phase_distance, intensity_measure)
 from .specfact import kolmogorov_sf
 
 __all__ = ["SOLVERS", "THRESHOLDS", "ExperimentConfig", "run_gap_trial",
@@ -150,33 +150,28 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("gap", "recovery", "crb"):
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   and v >= 1 for v in (self.n, self.trials)):
-            raise ValueError(f"need integers n >= 1 and trials >= 1 (got "
-                             f"n={self.n!r}, trials={self.trials!r})")
+        self.n = as_count(self.n, "n", 1)
+        self.trials = as_count(self.trials, "trials", 1)
         unknown = [name for name in self.solvers if name not in SOLVERS]
         if unknown:
             raise ValueError(f"unknown solvers {unknown}; "
                              f"choose from {list(SOLVERS)}")
         # every M the config draws or sweeps must reach 2N, as solve_cork
         # and compute_crb require
-        lo, hi = self.m_range
-        if not 2 <= lo <= hi:
-            raise ValueError(f"m_range must have 2 <= lo <= hi, got {self.m_range}")
+        m_lo, m_hi = self.m_range
         lo, hi, m_count = self.m_sweep
-        if min(lo, hi) < 2:
-            raise ValueError(f"m_sweep must stay >= 2, got {self.m_sweep}")
+        multipliers = (m_lo, lo, hi, self.m_multiplier, self.crb_m_multiplier)
+        if not (m_lo <= m_hi and all(v >= 2 for v in multipliers)):
+            raise ValueError(
+                f"M multipliers must be >= 2 and m_range lo <= hi, got "
+                f"m_range={self.m_range}, m_sweep={self.m_sweep}, m_multiplier="
+                f"{self.m_multiplier}, crb_m_multiplier={self.crb_m_multiplier}")
         _, _, snr_count = self.snr_sweep
-        if not all(isinstance(v, numbers.Integral) and v >= 0
-                   for v in (m_count, snr_count)):
-            raise ValueError(f"sweep counts must be integers >= 0 (got "
-                             f"m_sweep={self.m_sweep}, snr_sweep={self.snr_sweep})")
-        if self.kind == "crb" and m_count + snr_count == 0:
+        points = (as_count(m_count, "m_sweep count", 0)
+                  + as_count(snr_count, "snr_sweep count", 0))
+        if self.kind == "crb" and points == 0:
             raise ValueError("a crb study needs a point: m_sweep and "
                              "snr_sweep both have count 0")
-        for name in ("m_multiplier", "crb_m_multiplier"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
         th = self.thresholds
         if not (isinstance(th, dict) and set(th) <= set(THRESHOLDS) and all(
                 isinstance(v, numbers.Real) and not isinstance(v, bool)

@@ -7,8 +7,8 @@ bool} plus optional prefix-impulse metadata {"delta_re", "delta_im", "gap"}.
 Files from before the prefix impulse was the only augmentation may carry
 "side": "prefix", which loads as no key; any other side is rejected.  Floats
 are written as Python's shortest round-trip repr, so every value round-trips
-exactly.  ``n`` must be an integer >= 1 in both objects, and ``m`` too; a
-float such as 2.9 or a JSON ``true`` is no length.
+exactly.  ``n`` must be an integer >= 1 in both objects, and ``m`` too, and
+``gap`` an integer >= 0; a float such as 2.9 or a JSON ``true`` is no count.
 """
 
 from __future__ import annotations

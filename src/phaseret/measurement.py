@@ -8,13 +8,13 @@ Fourier intensities.  The prefix impulse is the package's one augmentation.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import MeasurementSet, as_rows, as_signal, intensity_measure
+from .signals import (MeasurementSet, as_count, as_rows, as_signal,
+                      intensity_measure)
 
 __all__ = [
     "AugmentationSpec",
@@ -45,12 +45,8 @@ class AugmentationSpec:
         # estimate; a non-finite one poisons every measurement
         if not (np.isfinite(self.delta) and self.delta != 0):
             raise ValueError(f"delta must be finite and nonzero, got {self.delta}")
-        try:  # 1.5 zeros is no gap; np.int64(2) is stored as 2
-            self.gap = operator.index(self.gap)
-        except TypeError:
-            raise ValueError(f"gap must be an integer, got {self.gap!r}") from None
-        if self.gap < 0:
-            raise ValueError("gap must be >= 0")
+        # 1.5 zeros and a JSON true are no gap; np.int64(2) is stored as 2
+        self.gap = as_count(self.gap, "gap", 0)
 
 
 def default_delta(s, margin: float = 1e-3) -> float:

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signals import (MeasurementSet, correlation_adjoint,
+from .signals import (MeasurementSet, as_count, correlation_adjoint,
                       correlation_spectrum, intensity_measure)
 from .specfact import kolmogorov_sf
 
@@ -54,8 +54,7 @@ class SdpOptions:
     def __post_init__(self):
         # with no step the lifted solution is zero, which phaselift_sf's
         # factorization would blame on the input
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        self.max_iters = as_count(self.max_iters, "max_iters", 1)
 
 
 @dataclass

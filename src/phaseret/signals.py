@@ -167,12 +167,12 @@ def correlation_adjoint(y: np.ndarray, n: int) -> np.ndarray:
     return doubled_lags(np.conj(np.fft.rfft(y)[..., :n]))
 
 
-def correlation_psd_check(r, l: int | None = None, tol: float | None = None):
+def correlation_psd_check(r, l: int | None = None):
     """Sampled nonnegativity check of the correlation spectrum.
 
     Returns ``(min_value, argmin_index, ok)`` where ``min_value`` is the
     smallest of ``l >= 2N - 1`` samples of Re{F_L I~ r} and ``ok`` is True
-    iff it is above ``-tol`` (default tol = 1e-9 * max(r0, 1)).
+    iff it is at least -1e-9 * max(r0, 1).
     """
     r = as_correlation(r)
     if l is None:
@@ -182,9 +182,7 @@ def correlation_psd_check(r, l: int | None = None, tol: float | None = None):
     spectrum = correlation_spectrum(r, l)
     idx = int(np.argmin(spectrum))
     min_value = float(spectrum[idx])
-    if tol is None:
-        tol = 1e-9 * max(r[0].real, 1.0)
-    return min_value, idx, min_value >= -tol
+    return min_value, idx, min_value >= -1e-9 * max(r[0].real, 1.0)
 
 
 def chord_slack(n: int, k: int, norm1):

@@ -209,11 +209,19 @@ def test_unknown_solver_is_rejected():
             ExperimentConfig(**bad)
 
 
-@pytest.mark.parametrize("bad", [{"n": True}, {"trials": True}])
+@pytest.mark.parametrize("bad", [{"n": True}, {"trials": True},
+                                 {"m_sweep": [2, 4, True]},
+                                 {"snr_sweep": [30, 50, True]}])
 def test_config_count_must_not_be_a_bool(bad):
-    # a JSON true is an int subclass, and read as 1
-    with pytest.raises(ValueError, match="bad config: need integers"):
-        ExperimentConfig.from_json({"kind": "gap", **bad})
+    # a JSON true is an int subclass, and read as 1: an m_sweep count of
+    # true ran a one-point study
+    name, = bad
+    count = {"n": "n must be an integer >= 1",
+             "trials": "trials must be an integer >= 1",
+             "m_sweep": "m_sweep count must be an integer >= 0",
+             "snr_sweep": "snr_sweep count must be an integer >= 0"}[name]
+    with pytest.raises(ValueError, match=f"bad config: {count}, got True$"):
+        ExperimentConfig.from_json({"kind": "crb", "n": 4, **bad})
 
 
 @pytest.mark.parametrize("bad", [
@@ -229,9 +237,12 @@ def test_config_with_m_below_2n_is_rejected(bad):
 
 @pytest.mark.parametrize("sweeps,message", [
     ({"m_sweep": (2.0, 4.0, 0), "snr_sweep": (30.0, 50.0, 0)}, "needs a point"),
-    ({"m_sweep": (2.0, 4.0, -1)}, "sweep counts"),
-    ({"snr_sweep": (30.0, 50.0, 2.5)}, "sweep counts"),
-    ({"snr_sweep": (30.0, 50.0, "3")}, "sweep counts")])
+    ({"m_sweep": (2.0, 4.0, -1)},
+     "m_sweep count must be an integer >= 0, got -1"),
+    ({"snr_sweep": (30.0, 50.0, 2.5)},
+     r"snr_sweep count must be an integer >= 0, got 2\.5"),
+    ({"snr_sweep": (30.0, 50.0, "3")},
+     "snr_sweep count must be an integer >= 0, got '3'")])
 def test_config_rejects_a_crb_study_without_points(sweeps, message):
     # no point ran the study and then failed to persist it, a negative count
     # failed in np.linspace, and a fractional one was truncated

@@ -281,7 +281,8 @@ def test_missing_input_gives_io_exit_code(tmp_path, capsys):
                                   "gap_beyond_n", "negative_sigma2",
                                   "nan_sigma2", "fractional_n_signal",
                                   "string_n_reference", "suffix_side",
-                                  "true_n_signal", "true_n_measurement"])
+                                  "true_n_signal", "true_n_measurement",
+                                  "true_gap_measurement"])
 def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
     # every malformed file is a validation error, whichever command reads it
     # and wherever in the command it is found; the error names the file, and
@@ -317,6 +318,11 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
         obj = json.loads(meas.read_text())
         obj["augmentation"]["side"] = "suffix"
         bad.write_text(json.dumps(obj))
+    elif case == "true_gap_measurement":
+        # a JSON true read as gap 1, and a gap-0 file then lost s_0
+        bad.write_text(json.dumps({"m": 8, "n": 3, "b": [1.0] * 8,
+                                   "augmentation": {"delta_re": 3.0,
+                                                    "gap": True}}))
     elif case == "gap_beyond_n":
         # N = 2 holds the impulse and no room for a gap of 5
         bad.write_text(json.dumps({"m": 8, "n": 2, "b": [1.0] * 8,
@@ -329,7 +335,8 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
     if case in ("nan_reference", "string_n_reference"):
         argv = ["recover", "--input", str(meas), "--reference", str(bad)]
     elif case in ("gap_beyond_n", "negative_sigma2", "nan_sigma2",
-                  "suffix_side", "true_n_measurement"):
+                  "suffix_side", "true_n_measurement",
+                  "true_gap_measurement"):
         argv = ["recover", "--input", str(bad)]
     else:
         argv = ["measure", "--input", str(bad)]
@@ -384,7 +391,7 @@ def test_factorize_complex_r0_exits_2(tmp_path, capsys, exact):
 @pytest.mark.parametrize("extra,message", [
     (["--m", "5"], "must be >= signal length 9"),
     (["--m", "12"], r"needs M >= 2N \(got M=12, N=9\)"),
-    (["--gap", "-1"], "gap must be >= 0"),
+    (["--gap", "-1"], "gap must be an integer >= 0, got -1"),
     (["--noise-sigma2", "-1"], "sigma2 must be finite and >= 0"),
     (["--noise-sigma2", "nan"], "sigma2 must be finite and >= 0"),
     (["--noise-sigma2", "inf"], "sigma2 must be finite and >= 0")])
@@ -588,8 +595,10 @@ def test_bench_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("text,message", [
-    ('{"kind": "gap", "n": "x"}', "bad config: need integers n >= 1"),
-    ('{"kind": "recovery", "n": 2.5}', "bad config: need integers n >= 1"),
+    ('{"kind": "gap", "n": "x"}',
+     "bad config: n must be an integer >= 1, got 'x'"),
+    ('{"kind": "recovery", "n": 2.5}',
+     "bad config: n must be an integer >= 1, got 2.5"),
     ('{"kind": "gap",', "invalid JSON at line 1"),
     ('{"kind": "crb", "m_sweep": [2, 4, 0], "snr_sweep": [30, 50, 0]}',
      "bad config: a crb study needs a point")])

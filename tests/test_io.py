@@ -134,6 +134,14 @@ def test_measurement_gap_must_leave_a_signal_sample():
         load_measurement(obj)
 
 
+def test_measurement_gap_must_not_be_a_bool():
+    # a JSON true was read as gap 1: a gap-0 file then lost s_0
+    obj = dict(VALID_MEASUREMENT, augmentation={"delta_re": 3.0, "gap": True})
+    with pytest.raises(ValueError, match="malformed measurement object: gap "
+                                         "must be an integer >= 0, got True"):
+        load_measurement(obj)
+
+
 @pytest.mark.parametrize("side", ["suffix", None, "Prefix", 0])
 def test_measurement_side_other_than_prefix_is_rejected(side):
     # a file from the appended-impulse mirror must not be de-augmented as a

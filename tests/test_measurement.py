@@ -53,11 +53,11 @@ def test_spec_rejects_a_zero_or_non_finite_delta(delta):
         AugmentationSpec(delta=delta)
 
 
-@pytest.mark.parametrize("gap", [1.5, 2.0, "1", None])
+@pytest.mark.parametrize("gap", [1.5, 2.0, "1", None, True])
 def test_spec_rejects_a_gap_that_is_not_an_integer(gap):
     # a fractional gap was built, then failed inside measure_augmented with
-    # a TypeError from np.zeros
-    with pytest.raises(ValueError, match="gap must be an integer"):
+    # a TypeError from np.zeros; True was read as gap 1
+    with pytest.raises(ValueError, match="gap must be an integer >= 0, got "):
         AugmentationSpec(3.0, gap=gap)
     spec = AugmentationSpec(3.0, gap=np.int64(2))
     assert spec.gap == 2 and type(spec.gap) is int

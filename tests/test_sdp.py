@@ -128,9 +128,11 @@ def test_phaselift_sf_recovers_min_phase_signal():
 
 def test_phaselift_needs_at_least_one_step():
     # with no step the lifted solution is zero, and phaselift_sf's
-    # factorization blamed the input ("correlation spectrum is entirely <= 0")
-    for max_iters in (0, -1):
-        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+    # factorization blamed the input ("correlation spectrum is entirely <= 0");
+    # True ran one step, and 2.5 raised a TypeError from range() in _fista
+    for max_iters in (0, -1, True, 2.5):
+        with pytest.raises(ValueError, match=f"max_iters must be an integer "
+                                             f">= 1, got {max_iters}"):
             SdpOptions(max_iters=max_iters)
     x = min_phase_signal(3, 4)
     _, _, diag = phaselift_sf(MeasurementSet(intensity_measure(x, 20), 5),
