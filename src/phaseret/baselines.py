@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import _pocketfft_umath
 
-from .signals import MeasurementSet, autocorrelation
+from .signals import MeasurementSet, as_count, as_real, autocorrelation
 from .specfact import kolmogorov_sf
 
 __all__ = ["IterativeOptions", "gs_solve", "fienup_solve", "fienup_sf",
@@ -48,8 +48,13 @@ _ifft = _pocketfft_umath.ifft
 @dataclass
 class IterativeOptions:
     max_iters: int = 1000
-    tol: float = 1e-10
+    tol: float = 1e-10            # a negative tol turns the stall rule off
     seed: int = 0
+
+    def __post_init__(self):
+        self.max_iters = as_count(self.max_iters, "max_iters", 0)
+        self.tol = as_real(self.tol, "tol")
+        self.seed = as_count(self.seed, "seed", 0)
 
 
 def _with_magnitude(spec: np.ndarray, mag: np.ndarray, root_b: np.ndarray,

@@ -63,8 +63,6 @@ def cmd_measure(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    if args.max_iters is not None and args.max_iters < 0:
-        raise ValueError(f"--max-iters must be >= 0, got {args.max_iters}")
     ms = pio.load_measurement_file(args.input)
     ref = pio.load_signal_file(args.reference) if args.reference else None
     diagnostics: dict = {"solver": args.solver, "m": ms.m, "n": ms.n}

@@ -55,9 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import (MeasurementSet, check_transform_length, chord_slack,
-                      coarse_transform_length, correlation_adjoint,
-                      correlation_spectrum, doubled_lags)
+from .signals import (MeasurementSet, as_count, check_transform_length,
+                      chord_slack, coarse_transform_length,
+                      correlation_adjoint, correlation_spectrum, doubled_lags)
 
 __all__ = ["AdmmOptions", "CorkDiagnostics", "StackDiagnostics", "solve_cork"]
 
@@ -77,6 +77,9 @@ class AdmmOptions:
     l: int | None = None          # transform length, power of two, >= 2N
     max_iters: int = 10000        # exchange steps
     tol_rel: float = 1e-8
+
+    def __post_init__(self):
+        self.max_iters = as_count(self.max_iters, "max_iters", 0)
 
 
 @dataclass

@@ -12,12 +12,14 @@ built on them, also take a 2D stack of equal-length rows along the last axis.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
 
 __all__ = [
     "as_count",
+    "as_real",
     "as_signal",
     "as_rows",
     "as_correlation",
@@ -45,6 +47,15 @@ def as_count(value, name: str, least: int) -> int:
             or value < least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def as_real(value, name: str) -> float:
+    """``value`` as a finite float; a string, a bool, NaN or an infinity
+    raises ``ValueError``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def as_signal(x) -> np.ndarray:

@@ -155,6 +155,24 @@ def test_gs_rejects_a_start_of_the_wrong_shape(length):
         gs_solve(ms, y0=np.ones((1, 36), complex))
 
 
+@pytest.mark.parametrize("bad,message", [
+    ({"max_iters": True}, "max_iters must be an integer >= 0, got True"),
+    ({"max_iters": 2.5}, r"max_iters must be an integer >= 0, got 2\.5"),
+    ({"max_iters": -1}, "max_iters must be an integer >= 0, got -1"),
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
+    ({"seed": 2.5}, r"seed must be an integer >= 0, got 2\.5"),
+    ({"tol": float("nan")}, "tol must be a finite real number, got nan"),
+    ({"tol": float("inf")}, "tol must be a finite real number, got inf"),
+    ({"tol": "x"}, "tol must be a finite real number, got 'x'")])
+def test_iterative_options_check_counts_and_tolerance(bad, message):
+    # max_iters=True ran one GS iteration and 2.5 raised a TypeError from
+    # range(); a NaN tol never stalled, so GS ran to its cap
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        IterativeOptions(**bad)
+    # a negative tol turns the stall rule off
+    assert IterativeOptions(tol=-1).tol == -1.0
+
+
 @pytest.mark.parametrize("solve", [gs_solve, fienup_solve])
 def test_alternating_projections_reject_a_stacked_set(solve):
     stack = MeasurementSet(np.ones((2, 40)), 8)

@@ -92,6 +92,42 @@ def test_cork_gap_certifies_the_returned_estimate():
                                         rel=1e-12)
 
 
+def test_gap_study_runs_beyond_desk_scale():
+    # the reference was phaselift_value's, which refuses N > 64: a cork-only
+    # gap config at N = 128 raised before any solver ran
+    cfg = ExperimentConfig(kind="gap", n=128, trials=3, master_seed=1008,
+                           solvers=("cork",))
+    for row in run_experiment(cfg):
+        assert row["errors"] == {}
+        assert row["gaps"]["cork"] >= -1e-12 * row["b_norm2"]
+        assert set(row["fits"]) == set(row["times"]) == {"cork"}
+
+
+def test_phaselift_sf_beyond_desk_scale_is_a_row_error():
+    cfg = ExperimentConfig(kind="gap", n=128, trials=1,
+                           solvers=("phaselift-sf", "cork"))
+    row = run_gap_trial(cfg, 0)
+    assert "desk-scale only" in row["errors"]["phaselift-sf"]
+    assert set(row["gaps"]) == {"cork"}
+    assert row["gaps"]["cork"] >= -1e-12 * row["b_norm2"]
+
+
+def test_gap_trial_bound_is_solve_corks_certified_bound():
+    # fit(r) - gap bounds every signal's fit from below, so it is at most
+    # the lifted lambda = 0 objective
+    cfg = ExperimentConfig(kind="gap", n=16, trials=5, master_seed=1008,
+                           solvers=("cork",))
+    for t in range(cfg.trials):
+        row = run_gap_trial(cfg, t)
+        rng = cfg.trial_rng(t)  # the trial's own draws of M and b
+        m = int(rng.integers(2 * 16, 8 * 16 + 1))
+        ms = MeasurementSet(rng.uniform(size=m), 16)
+        _, diag = solve_cork(ms)
+        assert row["lower_bound"] == diag.fit - diag.gap
+        assert row["lower_bound"] <= phaselift_value(ms, 0.0)[1] \
+            + 1e-9 * row["b_norm2"]
+
+
 def test_cork_entry_fits_a_stack_row_by_row():
     rng = np.random.default_rng(21)
     ms = MeasurementSet(rng.uniform(size=(3, 38)), 16)
@@ -211,13 +247,15 @@ def test_unknown_solver_is_rejected():
 
 @pytest.mark.parametrize("bad", [{"n": True}, {"trials": True},
                                  {"m_sweep": [2, 4, True]},
-                                 {"snr_sweep": [30, 50, True]}])
+                                 {"snr_sweep": [30, 50, True]},
+                                 {"master_seed": True}])
 def test_config_count_must_not_be_a_bool(bad):
     # a JSON true is an int subclass, and read as 1: an m_sweep count of
-    # true ran a one-point study
+    # true ran a one-point study, and a master_seed of true ran
     name, = bad
     count = {"n": "n must be an integer >= 1",
              "trials": "trials must be an integer >= 1",
+             "master_seed": "master_seed must be an integer >= 0",
              "m_sweep": "m_sweep count must be an integer >= 0",
              "snr_sweep": "snr_sweep count must be an integer >= 0"}[name]
     with pytest.raises(ValueError, match=f"bad config: {count}, got True$"):
@@ -248,6 +286,28 @@ def test_config_rejects_a_crb_study_without_points(sweeps, message):
     # failed in np.linspace, and a fractional one was truncated
     with pytest.raises(ValueError, match=f"bad config: .*{message}"):
         ExperimentConfig.from_json({"kind": "crb", "n": 4, "trials": 1, **sweeps})
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({"master_seed": 1.5}, r"master_seed must be an integer >= 0, got 1\.5"),
+    ({"master_seed": "7"}, "master_seed must be an integer >= 0, got '7'"),
+    ({"master_seed": -1}, "master_seed must be an integer >= 0, got -1"),
+    ({"snr_db": "x"}, "snr_db must be a finite real number, got 'x'"),
+    ({"snr_db": float("nan")}, "snr_db must be a finite real number, got nan"),
+    ({"snr_sweep": [30, "x", 2]},
+     "snr_sweep hi must be a finite real number, got 'x'"),
+    ({"m_range": [2, float("inf")]},
+     "m_range hi must be a finite real number, got inf"),
+    ({"crb_m_multiplier": True},
+     "crb_m_multiplier must be a finite real number, got True"),
+    ({"output_dir": 5}, "output_dir must be a string or null, got 5")])
+def test_config_rejects_a_field_of_the_wrong_type(bad, message):
+    # every field is checked at load, also one that the kind does not read:
+    # a string master_seed and an infinite m_range ran a crb study, a
+    # numeric output_dir failed after it, and the others raised mid-study or
+    # met the M rule's message
+    with pytest.raises(ValueError, match=f"^bad config: {message}$"):
+        ExperimentConfig.from_json({"kind": "crb", "n": 4, "trials": 1, **bad})
 
 
 def test_only_a_crb_study_needs_a_sweep_point():

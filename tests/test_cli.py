@@ -471,7 +471,28 @@ def test_recover_negative_max_iters_exits_2(tmp_path, capsys, solver):
     assert main(["recover", "--input", str(meas), "--output", str(out),
                  "--solver", solver, "--max-iters", "-3"]) == 2
     captured = capsys.readouterr()
-    assert "--max-iters must be >= 0" in captured.err and not captured.out
+    least = 1 if solver == "phaselift-sf" else 0
+    assert (f"max_iters must be an integer >= {least}, got -3" in captured.err
+            and not captured.out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", ["fienup", "gs"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_recover_non_finite_tol_exits_2(tmp_path, capsys, solver, tol):
+    # a NaN tolerance never stalls, so the solver ran to its cap and exited
+    # 3; an infinite one stalls at the tenth iteration and exited 0
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    out = tmp_path / "out.json"
+    write_signal(sig)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--input", str(meas), "--output", str(out),
+                 "--solver", solver, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert (f"tol must be a finite real number, got {tol}" in captured.err
+            and not captured.out)
     assert not out.exists()
 
 
@@ -601,11 +622,32 @@ def test_bench_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
      "bad config: n must be an integer >= 1, got 2.5"),
     ('{"kind": "gap",', "invalid JSON at line 1"),
     ('{"kind": "crb", "m_sweep": [2, 4, 0], "snr_sweep": [30, 50, 0]}',
-     "bad config: a crb study needs a point")])
+     "bad config: a crb study needs a point"),
+    ('{"kind": "gap", "n": 4, "master_seed": 1.5}',
+     "bad config: master_seed must be an integer >= 0, got 1.5"),
+    ('{"kind": "gap", "n": 4, "master_seed": true}',
+     "bad config: master_seed must be an integer >= 0, got True"),
+    ('{"kind": "gap", "n": 4, "master_seed": "7"}',
+     "bad config: master_seed must be an integer >= 0, got '7'"),
+    ('{"kind": "gap", "n": 4, "master_seed": -1}',
+     "bad config: master_seed must be an integer >= 0, got -1"),
+    ('{"kind": "crb", "n": 4, "snr_db": "x"}',
+     "bad config: snr_db must be a finite real number, got 'x'"),
+    ('{"kind": "crb", "n": 4, "snr_sweep": [30, "x", 2]}',
+     "bad config: snr_sweep hi must be a finite real number, got 'x'"),
+    ('{"kind": "recovery", "n": 4, "m_multiplier": Infinity}',
+     "bad config: m_multiplier must be a finite real number, got inf"),
+    ('{"kind": "gap", "n": 4, "trials": 1, "output_dir": 5}',
+     "bad config: output_dir must be a string or null, got 5")])
 def test_bench_bad_field_or_bad_json_exits_2(tmp_path, capsys, text, message):
     # a string n failed the config's checks with a TypeError, a fractional
     # n passed them and failed with one in the first trial, and a crb study
-    # without a point ran and then failed to persist no rows
+    # without a point ran and then failed to persist no rows; a fractional
+    # master_seed or a string snr failed with a TypeError traceback, a
+    # negative master_seed failed in the first trial, a JSON true or a
+    # string master_seed ran, an infinite multiplier overflowed in the first
+    # trial, and a numeric output_dir failed after the whole study ran
+    # (under --output it was ignored)
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(text)
     assert main(["bench", "--config", str(cfgfile),

@@ -403,6 +403,14 @@ def test_rejects_bad_transform_length():
         solve_cork(MeasurementSet(np.ones(8), 2), AdmmOptions(l=2))
 
 
+@pytest.mark.parametrize("max_iters", [-1, True, 2.5])
+def test_rejects_a_step_cap_that_is_not_a_count(max_iters):
+    # each of these was accepted and the solve ran
+    with pytest.raises(ValueError, match=f"^max_iters must be an integer "
+                                         f">= 0, got {max_iters}$"):
+        AdmmOptions(max_iters=max_iters)
+
+
 @pytest.mark.parametrize("real_signal", [False, True])
 def test_stacked_rows_equal_single_row_solves(real_signal):
     # augmented noisy rows exit at lam = 0; the speckle row (a draw that
