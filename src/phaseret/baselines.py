@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import _pocketfft_umath
 
-from .signals import MeasurementSet, as_count, as_real, autocorrelation
+from .signals import (MeasurementSet, as_count, as_real, autocorrelation,
+                      one_row)
 from .specfact import kolmogorov_sf
 
 __all__ = ["IterativeOptions", "gs_solve", "fienup_solve", "fienup_sf",
@@ -97,12 +98,9 @@ def gs_converged(history: np.ndarray, tol: float) -> bool:
     return bool(_stalled(history[:-1], tol))
 
 
-def _root_b(b: MeasurementSet) -> np.ndarray:
+def _root_b(b: MeasurementSet, name: str) -> np.ndarray:
     """sqrt(max(b, 0)) of one measurement row."""
-    if b.b.ndim != 1:
-        raise ValueError(f"the alternating projections take one measurement "
-                         f"row; got a stack of {b.b.shape[0]} rows")
-    return np.sqrt(np.maximum(b.b, 0.0))
+    return np.sqrt(np.maximum(one_row(b, name), 0.0))
 
 
 def _random_start(root_b: np.ndarray, seed: int) -> np.ndarray:
@@ -121,7 +119,7 @@ def gs_solve(b: MeasurementSet, opts: IterativeOptions | None = None,
     """
     opts = opts or IterativeOptions()
     n, m = b.n, b.m
-    root_b = _root_b(b)
+    root_b = _root_b(b, "gs_solve")
     if y0 is None:
         y0 = _random_start(root_b, opts.seed)
     elif np.shape(y0) != (m,):
@@ -160,7 +158,7 @@ def fienup_solve(b: MeasurementSet, opts: IterativeOptions | None = None):
     """
     opts = opts or IterativeOptions()
     n, m = b.n, b.m
-    root_b = _root_b(b)
+    root_b = _root_b(b, "fienup_solve")
     y = _random_start(root_b, opts.seed)
     p = np.zeros_like(y)
     q = np.zeros_like(y)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -45,7 +44,7 @@ from .measurement import (AugmentationSpec, augment_min_phase, deaugment,
                           measure_augmented)
 from .sdp import SdpOptions, phaselift_sf
 from .signals import (MeasurementSet, as_count, as_real, autocorrelation,
-                      global_phase_distance, intensity_measure)
+                      global_phase_distance, intensity_measure, one_row)
 from .specfact import kolmogorov_sf
 
 __all__ = ["SOLVERS", "THRESHOLDS", "ExperimentConfig", "run_gap_trial",
@@ -63,10 +62,10 @@ def _options(cls, **values):
 # default transform lengths; the diagnostics always hold ``fit`` and
 # ``converged``; ``fit`` is ||b - |F_M x|^2||^2 of the estimate x returned,
 # and ``cork``'s ``gap`` is that fit minus solve_cork's certified lower
-# bound.  ``cork`` also takes a stacked measurement set and returns one
-# estimate and one diagnostics dict per row.  The entries and the CRB study
-# call the solvers through this module's globals, so a caller that rebinds
-# them (a tracer, a test) sees every call.
+# bound.  Every entry takes one measurement row; a stacked set raises
+# ``ValueError``.  The entries and the CRB study call the solvers through
+# this module's globals, so a caller that rebinds them (a tracer, a test)
+# sees every call.
 
 def _fit(b, x) -> float:
     return float(np.linalg.norm(b - intensity_measure(x, b.size)) ** 2)
@@ -75,15 +74,14 @@ def _fit(b, x) -> float:
 def _cork(ms, seed, max_iters=None, tol=None):
     if tol is not None:
         raise ValueError("cork takes no tolerance: it stops at the KKT point")
+    b = one_row(ms, "cork")
     r, diag = solve_cork(ms, _options(AdmmOptions, max_iters=max_iters))
     x, out = kolmogorov_sf(r), diag.to_json()
     # solve_cork's fit and gap are those of r, which the factor need not
     # attain; its lower bound, fit(r) - gap, holds for every estimate
-    rows = out if isinstance(out, list) else [out]
-    for row, b, xk in zip(rows, np.atleast_2d(ms.b), np.atleast_2d(x)):
-        fit = _fit(b, xk)
-        row["gap"] += fit - row["fit"]
-        row["fit"] = fit
+    fit = _fit(b, x)
+    out["gap"] += fit - out["fit"]
+    out["fit"] = fit
     return x, out
 
 
@@ -145,7 +143,6 @@ class ExperimentConfig:
     # gap and recovery: names from SOLVERS
     solvers: tuple[str, ...] = ("cork", "phaselift-sf", "fienup")
     master_seed: int = 0
-    output_dir: str | None = None
     thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -158,9 +155,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown solvers {unknown}; "
                              f"choose from {list(SOLVERS)}")
-        if not (self.output_dir is None or isinstance(self.output_dir, str)):
-            raise ValueError(f"output_dir must be a string or null, got "
-                             f"{self.output_dir!r}")
         m_lo, m_hi = self.m_range
         lo, hi, m_count = self.m_sweep
         snr_lo, snr_hi, snr_count = self.snr_sweep
@@ -185,11 +179,11 @@ class ExperimentConfig:
             raise ValueError("a crb study needs a point: m_sweep and "
                              "snr_sweep both have count 0")
         th = self.thresholds
-        if not (isinstance(th, dict) and set(th) <= set(THRESHOLDS) and all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool)
-                and not np.isnan(v) for v in th.values())):
+        if not (isinstance(th, dict) and set(th) <= set(THRESHOLDS)):
             raise ValueError(f"thresholds must map names from "
                              f"{list(THRESHOLDS)} to numbers, got {th!r}")
+        for name, value in th.items():
+            as_real(value, f"thresholds[{name!r}]")
 
     def trial_rng(self, trial_index: int) -> np.random.Generator:
         return np.random.default_rng(

@@ -111,11 +111,8 @@ def cmd_factorize(args) -> int:
 
 def cmd_bench(args) -> int:
     config = pio.load_json_file(args.config, ExperimentConfig.from_json)
-    output_dir = args.output or config.output_dir
-    if not output_dir:
-        raise ValueError("no output directory (pass --output or set output_dir)")
     results = run_experiment(config)
-    paths = aggregate_and_persist(results, output_dir)
+    paths = aggregate_and_persist(results, args.output)
     failures = check_thresholds(config, results)
     print(json.dumps({"paths": paths, "failures": failures}))
     if failures:
@@ -167,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a Monte-Carlo experiment from a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -113,9 +113,6 @@ class StackDiagnostics(list):
     def converged(self) -> bool:
         return all(d.converged for d in self)
 
-    def to_json(self) -> list:
-        return [d.to_json() for d in self]
-
 
 def _working_set_kernel(s: np.ndarray, n: int, l: int) -> np.ndarray:
     """K_S, the block of A_L W^-1 A_L^* on the grid indices ``s``: entry

@@ -117,7 +117,12 @@ def add_noise(ms: MeasurementSet, sigma2: float, seed: int) -> MeasurementSet:
 def measure_augmented(s, spec: AugmentationSpec, m: int,
                       real_signal: bool = False) -> MeasurementSet:
     """Prepend the impulse of ``spec``, measure M-point Fourier intensities,
-    and record the spec so the reconstruction can be de-augmented."""
+    and record the spec so the reconstruction can be de-augmented.  With
+    ``real_signal``, an augmented signal with a nonzero imaginary part, in
+    ``s`` or in the impulse, raises ``ValueError``."""
     smin = augment_min_phase(s, spec)
+    if real_signal and np.any(smin.imag):
+        raise ValueError("real_signal is set, but the augmented signal has a "
+                         "nonzero imaginary part")
     b = intensity_measure(smin, m)
     return MeasurementSet(b, smin.size, real_signal=real_signal, augmentation=spec)

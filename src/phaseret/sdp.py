@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .signals import (MeasurementSet, as_count, correlation_adjoint,
-                      correlation_spectrum, intensity_measure)
+                      correlation_spectrum, intensity_measure, one_row)
 from .specfact import kolmogorov_sf
 
 __all__ = ["SdpOptions", "SdpDiagnostics", "psd_project", "phaselift_value",
@@ -204,7 +204,7 @@ def _solve(b: MeasurementSet, lam: float, opts: SdpOptions | None):
     if n > SIZE_GUARD:
         raise ValueError(f"phaselift_value is desk-scale only (N <= {SIZE_GUARD})")
     m = b.m
-    bvec = np.asarray(b.b, dtype=float)
+    bvec = one_row(b, "PhaseLift")
     key = (n, m, bvec.tobytes(), lam, opts.max_iters)
     last = _last_solve
     if last is not None and last[0] == key:

@@ -37,6 +37,7 @@ __all__ = [
     "coarse_transform_length",
     "check_transform_length",
     "MeasurementSet",
+    "one_row",
 ]
 
 
@@ -276,3 +277,12 @@ class MeasurementSet:
     def __repr__(self):
         return (f"MeasurementSet(m={self.m}, n={self.n}, sigma2={self.sigma2},"
                 f" real_signal={self.real_signal})")
+
+
+def one_row(ms: MeasurementSet, name: str) -> np.ndarray:
+    """The measurements of ``ms``, which must be one row; a stacked set
+    raises ``ValueError``."""
+    if ms.b.ndim != 1:
+        raise ValueError(f"{name} takes one measurement row; got a stack of "
+                         f"{ms.b.shape[0]} rows")
+    return ms.b

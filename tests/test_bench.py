@@ -128,18 +128,6 @@ def test_gap_trial_bound_is_solve_corks_certified_bound():
             + 1e-9 * row["b_norm2"]
 
 
-def test_cork_entry_fits_a_stack_row_by_row():
-    rng = np.random.default_rng(21)
-    ms = MeasurementSet(rng.uniform(size=(3, 38)), 16)
-    x, diags = SOLVERS["cork"](ms, None)
-    assert x.shape == (3, 16) and len(diags) == 3
-    for k in range(3):
-        xk, dk = SOLVERS["cork"](MeasurementSet(ms.b[k], 16), None)
-        assert np.array_equal(x[k], xk) and diags[k] == dk
-        residual = ms.b[k] - intensity_measure(xk, 38)
-        assert dk["fit"] == np.linalg.norm(residual) ** 2
-
-
 def test_gap_trial_determinism():
     cfg = ExperimentConfig(kind="gap", n=6, trials=1, solvers=("cork",))
     r1, r2 = run_gap_trial(cfg, 2), run_gap_trial(cfg, 2)
@@ -203,6 +191,19 @@ def test_solver_entries_are_their_library_compositions(name):
     x, diag = SOLVERS[name](ms, seed)
     assert np.array_equal(x, want)
     assert {"fit", "converged"} <= set(diag)
+
+
+@pytest.mark.parametrize("solve", [
+    *(lambda ms, name=name: SOLVERS[name](ms, 0) for name in SOLVERS),
+    lambda ms: phaselift_value(ms, 0.0), phaselift_sf],
+    ids=[*SOLVERS, "phaselift_value", "phaselift_sf"])
+def test_single_row_solvers_reject_a_stacked_set(solve):
+    # the cork entry fitted a stack row by row, which no caller passes, and
+    # PhaseLift raised an IndexError from its lifted map
+    stack = MeasurementSet(np.random.default_rng(4).uniform(size=(3, 40)), 8)
+    with pytest.raises(ValueError, match="takes one measurement row; got a "
+                                         "stack of 3 rows"):
+        solve(stack)
 
 
 def six_tap_set(seed):
@@ -300,12 +301,12 @@ def test_config_rejects_a_crb_study_without_points(sweeps, message):
      "m_range hi must be a finite real number, got inf"),
     ({"crb_m_multiplier": True},
      "crb_m_multiplier must be a finite real number, got True"),
-    ({"output_dir": 5}, "output_dir must be a string or null, got 5")])
+    ({"output_dir": "x"}, r"unknown config keys: \['output_dir'\]")])
 def test_config_rejects_a_field_of_the_wrong_type(bad, message):
     # every field is checked at load, also one that the kind does not read:
-    # a string master_seed and an infinite m_range ran a crb study, a
-    # numeric output_dir failed after it, and the others raised mid-study or
-    # met the M rule's message
+    # a string master_seed and an infinite m_range ran a crb study, and the
+    # others raised mid-study or met the M rule's message; the output
+    # directory is bench --output alone, so output_dir is no config key
     with pytest.raises(ValueError, match=f"^bad config: {message}$"):
         ExperimentConfig.from_json({"kind": "crb", "n": 4, "trials": 1, **bad})
 
@@ -413,7 +414,8 @@ def test_crb_results_jsonl_identical_modulo_times(tmp_path):
 
 def per_point_crb_study(config):
     """The CRB study as it ran before its trials were stacked across sweep
-    points: one ``SOLVERS["cork"]`` call on each point's own stack."""
+    points: one ``solve_cork`` and ``kolmogorov_sf`` on each point's own
+    stack."""
     rng = config.trial_rng(2**31 - 1)
     s = (rng.normal(size=config.n) + 1j * rng.normal(size=config.n)) / np.sqrt(2)
     s_energy = float(np.linalg.norm(s) ** 2)
@@ -439,7 +441,7 @@ def per_point_crb_study(config):
         crb = compute_crb(smin, m, 1.0) * sigma2
         noisy = b_clean + np.sqrt(sigma2) * unit_noise[:, :m]
         ms = MeasurementSet(noisy, smin.size, sigma2=sigma2, augmentation=spec)
-        shat = deaugment(SOLVERS["cork"](ms, None)[0], spec)
+        shat = deaugment(kolmogorov_sf(solve_cork(ms)[0]), spec)
         mse = float(np.mean([np.linalg.norm(s - row) ** 2 for row in shat]))
         rows.append({"kind": "crb", "series": series, "x": x_value, "m": m,
                      "snr_db": snr_db, "sigma2": sigma2,
@@ -511,9 +513,10 @@ def test_crb_study_factors_the_fisher_information_once(monkeypatch):
 @pytest.mark.parametrize("thresholds", [
     {"cork_gap_max": -1}, {"cork_gap_rel_max": "1e-3"},
     {"mse_over_crb_max": float("nan")}, {"mse_over_crb_max": True},
-    ["mse_over_crb_max"]])
+    ["mse_over_crb_max"], {"mse_over_crb_max": float("inf")}])
 def test_config_rejects_bad_thresholds(thresholds):
-    # an unknown name would check nothing, and NaN passes every comparison
+    # an unknown name would check nothing, NaN passes every comparison and
+    # an infinite limit never fails
     with pytest.raises(ValueError, match="thresholds"):
         ExperimentConfig(thresholds=thresholds)
 

@@ -145,6 +145,18 @@ def test_recover_real_signal_from_the_measurement_file(tmp_path, capsys):
     assert np.all(shat.imag == 0.0)
 
 
+def test_measure_real_rejects_a_complex_signal(tmp_path, capsys):
+    # its measurements were written as real and recovered with a wrong
+    # estimate (ref_error_rel 0.26) at exit 0
+    sig = tmp_path / "sig.csv"
+    sig.write_text("1,0.5\n2,-1\n-1,0.25\n0.5,1\n")
+    meas = tmp_path / "meas.json"
+    assert main(["measure", "--input", str(sig), "--output", str(meas),
+                 "--real"]) == 2
+    assert "nonzero imaginary part" in capsys.readouterr().err
+    assert not meas.exists()
+
+
 def test_recover_unconverged_solver_exits_3(tmp_path, capsys):
     from phaseret.io import save_measurement_file
     from phaseret.signals import MeasurementSet
@@ -518,11 +530,9 @@ def test_recover_phaselift_beyond_desk_scale_exits_2(tmp_path, capsys):
     assert "desk-scale only" in capsys.readouterr().err
 
 
-def write_bench_config(path, outdir=None, thresholds=None, solvers=("cork",)):
+def write_bench_config(path, thresholds=None, solvers=("cork",)):
     cfg = {"kind": "gap", "n": 4, "trials": 2, "solvers": list(solvers),
            "master_seed": 1}
-    if outdir:
-        cfg["output_dir"] = outdir
     if thresholds:
         cfg["thresholds"] = thresholds
     path.write_text(json.dumps(cfg))
@@ -637,8 +647,8 @@ def test_bench_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
      "bad config: snr_sweep hi must be a finite real number, got 'x'"),
     ('{"kind": "recovery", "n": 4, "m_multiplier": Infinity}',
      "bad config: m_multiplier must be a finite real number, got inf"),
-    ('{"kind": "gap", "n": 4, "trials": 1, "output_dir": 5}',
-     "bad config: output_dir must be a string or null, got 5")])
+    ('{"kind": "gap", "n": 4, "trials": 1, "output_dir": "x"}',
+     "bad config: unknown config keys: ['output_dir']")])
 def test_bench_bad_field_or_bad_json_exits_2(tmp_path, capsys, text, message):
     # a string n failed the config's checks with a TypeError, a fractional
     # n passed them and failed with one in the first trial, and a crb study
@@ -646,8 +656,8 @@ def test_bench_bad_field_or_bad_json_exits_2(tmp_path, capsys, text, message):
     # master_seed or a string snr failed with a TypeError traceback, a
     # negative master_seed failed in the first trial, a JSON true or a
     # string master_seed ran, an infinite multiplier overflowed in the first
-    # trial, and a numeric output_dir failed after the whole study ran
-    # (under --output it was ignored)
+    # trial; bench --output is the one output directory, so a config's
+    # output_dir is an unknown key
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(text)
     assert main(["bench", "--config", str(cfgfile),
@@ -656,10 +666,15 @@ def test_bench_bad_field_or_bad_json_exits_2(tmp_path, capsys, text, message):
     assert not (tmp_path / "out").exists()
 
 
-def test_bench_requires_output_dir(tmp_path, capsys):
+def test_bench_requires_output_dir(tmp_path, capsys, monkeypatch):
     cfgfile = tmp_path / "cfg.json"
     write_bench_config(cfgfile)
-    assert main(["bench", "--config", str(cfgfile)]) == 2
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    assert "--output" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("oversampling", ["1.5", "-3", "inf", "nan"])
