@@ -155,6 +155,9 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown solvers {unknown}; "
                              f"choose from {list(SOLVERS)}")
+        if self.kind != "crb" and not self.solvers:
+            raise ValueError(f"a {self.kind} study needs a solver; "
+                             f"choose from {list(SOLVERS)}")
         m_lo, m_hi = self.m_range
         lo, hi, m_count = self.m_sweep
         snr_lo, snr_hi, snr_count = self.snr_sweep

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -48,9 +49,8 @@ def cmd_measure(args) -> int:
         delta = 3.0 * args.sigma * n
     else:
         delta = default_delta(s)
-    m = args.m if args.m else int(np.ceil(args.oversampling * (n + args.gap + 1)))
-    spec = AugmentationSpec(delta, gap=args.gap)
-    ms = measure_augmented(s, spec, m, real_signal=args.real)
+    m = args.m if args.m else int(np.ceil(args.oversampling * (n + 1)))
+    ms = measure_augmented(s, AugmentationSpec(delta), m, real_signal=args.real)
     # add_noise rejects a negative or non-finite variance
     if args.noise_sigma2 != 0:
         ms = add_noise(ms, args.noise_sigma2, args.seed)
@@ -111,6 +111,8 @@ def cmd_factorize(args) -> int:
 
 def cmd_bench(args) -> int:
     config = pio.load_json_file(args.config, ExperimentConfig.from_json)
+    # an output path that cannot be a directory fails before any trial runs
+    os.makedirs(args.output, exist_ok=True)
     results = run_experiment(config)
     paths = aggregate_and_persist(results, args.output)
     failures = check_thresholds(config, results)
@@ -137,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--impulse", choices=["l1", "three-sigma"], default="l1")
     p.add_argument("--sigma", type=float, default=1.0,
                    help="per-element deviation for the three-sigma impulse")
-    p.add_argument("--gap", type=int, default=0)
     p.add_argument("--noise-sigma2", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--real", action="store_true")

@@ -3,12 +3,13 @@
 Signal JSON: {"n": N, "real": [...], "imag": [...]}.
 Signal CSV: two columns re,im, no header.
 Measurement JSON: {"m": M, "n": N, "b": [...], "sigma2": s, "real_signal":
-bool} plus optional prefix-impulse metadata {"delta_re", "delta_im", "gap"}.
+bool} plus optional prefix-impulse metadata {"delta_re", "delta_im"}.
 Files from before the prefix impulse was the only augmentation may carry
-"side": "prefix", which loads as no key; any other side is rejected.  Floats
-are written as Python's shortest round-trip repr, so every value round-trips
-exactly.  ``n`` must be an integer >= 1 in both objects, and ``m`` too, and
-``gap`` an integer >= 0; a float such as 2.9 or a JSON ``true`` is no count.
+"side": "prefix", and files from before it was the impulse alone "gap": 0;
+each loads as no key, and any other side or gap is rejected.  Floats are
+written as Python's shortest round-trip repr, so every value round-trips
+exactly.  ``n`` must be an integer >= 1 in both objects, and ``m`` too; a
+float such as 2.9 or a JSON ``true`` is no count.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ def dump_measurement(ms: MeasurementSet) -> dict:
         obj["augmentation"] = {
             "delta_re": float(np.real(spec.delta)),
             "delta_im": float(np.imag(spec.delta)),
-            "gap": int(spec.gap),
         }
     return obj
 
@@ -88,14 +88,15 @@ def load_measurement(obj: dict) -> MeasurementSet:
         real_signal = obj.get("real_signal", False)
         a = obj.get("augmentation")
         aug = None if a is None else AugmentationSpec(
-            delta=complex(float(a["delta_re"]), float(a.get("delta_im", 0.0))),
-            gap=a.get("gap", 0),
-        )
+            delta=complex(float(a["delta_re"]), float(a.get("delta_im", 0.0))))
         # an augmentation that is not an object has raised at a["delta_re"];
-        # a file of the appended-impulse mirror must not be de-augmented as
-        # a prefix one
+        # a file of the appended-impulse mirror, or one with zeros between
+        # the impulse and the signal, must not be de-augmented as the
+        # impulse alone
         if aug is not None and a.get("side", "prefix") != "prefix":
             raise ValueError(f"unsupported augmentation side {a['side']!r}")
+        if aug is not None and as_count(a.get("gap", 0), "gap", 0):
+            raise ValueError(f"unsupported augmentation gap {a['gap']}")
         m = as_count(obj.get("m", b.size), "m", 1)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement object: {exc}") from exc

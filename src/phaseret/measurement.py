@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import (MeasurementSet, as_count, as_rows, as_signal,
-                      intensity_measure)
+from .signals import MeasurementSet, as_rows, as_signal, intensity_measure
 
 __all__ = [
     "AugmentationSpec",
@@ -35,18 +34,16 @@ class ImpulseMarginWarning(UserWarning):
 
 @dataclass
 class AugmentationSpec:
-    """Prefix impulse: its value and the number of gap zeros after it."""
+    """Prefix impulse: its value, known to the receiver, which also fixes
+    the global phase of the de-augmented estimate."""
 
     delta: complex
-    gap: int = 0
 
     def __post_init__(self):
         # a zero impulse certifies nothing and de-augments to a wrong
         # estimate; a non-finite one poisons every measurement
         if not (np.isfinite(self.delta) and self.delta != 0):
             raise ValueError(f"delta must be finite and nonzero, got {self.delta}")
-        # 1.5 zeros and a JSON true are no gap; np.int64(2) is stored as 2
-        self.gap = as_count(self.gap, "gap", 0)
 
 
 def default_delta(s, margin: float = 1e-3) -> float:
@@ -66,7 +63,7 @@ def margin_violated(s, delta) -> bool:
 
 
 def augment_min_phase(s, spec: AugmentationSpec) -> np.ndarray:
-    """Return [delta, 0 x gap, s_0, ..., s_{N-1}]."""
+    """Return [delta, s_0, ..., s_{N-1}]."""
     s = as_signal(s)
     if margin_violated(s, spec.delta):
         warnings.warn(
@@ -74,27 +71,29 @@ def augment_min_phase(s, spec: AugmentationSpec) -> np.ndarray:
             "augmented signal is not certified minimum phase",
             ImpulseMarginWarning,
         )
-    return np.concatenate(([complex(spec.delta)], np.zeros(spec.gap, dtype=complex), s))
+    return np.concatenate(([complex(spec.delta)], s))
 
 
 def deaugment(xmin, spec: AugmentationSpec) -> np.ndarray:
     """Undo the impulse augmentation on a reconstructed signal (or on each
     row of a 2D stack of them).
 
-    Rotates the global phase so the impulse entry is real positive, then
-    strips the impulse and gap zeros.
+    Rotates the global phase so the impulse entry takes the phase of the
+    known ``spec.delta``, then strips the impulse.
     """
     xmin = as_rows(xmin)
-    if xmin.shape[-1] < spec.gap + 2:
+    if xmin.shape[-1] < 2:
         raise ValueError("augmented signal too short for this spec")
     pivot = xmin[..., :1]
     if np.any(pivot == 0):
         raise ValueError("impulse entry is exactly zero; cannot fix global phase")
     # np.hypot rounds |pivot| as abs() of one complex number does (np.abs
     # of a complex array can differ in the last bit), so a stack of rows
-    # and a single estimate are rotated by the same factor
-    rotated = xmin * (np.hypot(pivot.real, pivot.imag) / pivot)
-    return rotated[..., 1 + spec.gap:]
+    # and a single estimate are rotated by the same factor; for a real
+    # delta > 0 the phase factor is exactly 1
+    phase = spec.delta / abs(spec.delta)
+    rotated = xmin * (np.hypot(pivot.real, pivot.imag) * phase / pivot)
+    return rotated[..., 1:]
 
 
 def add_noise(ms: MeasurementSet, sigma2: float, seed: int) -> MeasurementSet:

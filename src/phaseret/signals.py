@@ -233,7 +233,7 @@ class MeasurementSet:
     together, and the other solvers take one row.  A caller whose rows do
     not share one ``sigma2`` leaves it 0.0; ``solve_cork`` does not read it.
     An augmentation must leave at least one sample of the signal after the
-    impulse and its gap.
+    impulse, so an augmented set needs N >= 2.
     """
 
     def __init__(self, b, n: int, sigma2: float = 0.0,
@@ -251,9 +251,8 @@ class MeasurementSet:
         if not isinstance(real_signal, bool):  # bool("false") is True
             raise ValueError(f"real_signal must be true or false, got "
                              f"{real_signal!r}")
-        if augmentation is not None and n < augmentation.gap + 2:
-            raise ValueError(f"n={n} leaves no signal sample after the "
-                             f"impulse and gap={augmentation.gap}")
+        if augmentation is not None and n < 2:
+            raise ValueError(f"n={n} leaves no signal sample after the impulse")
         if b.shape[-1] < 2 * n:
             raise ValueError(f"b needs M >= 2N (got M={b.shape[-1]}, N={n})")
         self.b = b

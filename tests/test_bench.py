@@ -311,6 +311,18 @@ def test_config_rejects_a_field_of_the_wrong_type(bad, message):
         ExperimentConfig.from_json({"kind": "crb", "n": 4, "trials": 1, **bad})
 
 
+@pytest.mark.parametrize("kind", ["gap", "recovery"])
+def test_config_rejects_a_study_without_a_solver(kind):
+    # no solver ran a study that compared nothing: empty rows, exit 0
+    with pytest.raises(ValueError, match=f"^bad config: a {kind} study needs "
+                                         "a solver; choose from "):
+        ExperimentConfig.from_json({"kind": kind, "n": 8, "trials": 2,
+                                    "solvers": []})
+    # a crb study runs no solver from SOLVERS, so it ignores the list
+    cfg = ExperimentConfig.from_json({"kind": "crb", "n": 4, "solvers": []})
+    assert cfg.solvers == ()
+
+
 def test_only_a_crb_study_needs_a_sweep_point():
     empty = {"m_sweep": (2.0, 4.0, 0), "snr_sweep": (30.0, 50.0, 0)}
     ExperimentConfig(kind="gap", **empty)

@@ -294,7 +294,7 @@ def test_missing_input_gives_io_exit_code(tmp_path, capsys):
                                   "nan_sigma2", "fractional_n_signal",
                                   "string_n_reference", "suffix_side",
                                   "true_n_signal", "true_n_measurement",
-                                  "true_gap_measurement"])
+                                  "true_gap_measurement", "nonzero_gap"])
 def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
     # every malformed file is a validation error, whichever command reads it
     # and wherever in the command it is found; the error names the file, and
@@ -303,7 +303,8 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
     meas = tmp_path / "meas.json"
     bad = tmp_path / ("bad.csv" if case == "empty_csv" else "bad.json")
     out = tmp_path / "out.json"
-    if case in ("nan_reference", "string_n_reference", "suffix_side"):
+    if case in ("nan_reference", "string_n_reference", "suffix_side",
+                "nonzero_gap"):
         write_signal(sig)
         assert main(["measure", "--input", str(sig), "--output",
                      str(meas)]) == 0
@@ -330,13 +331,21 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
         obj = json.loads(meas.read_text())
         obj["augmentation"]["side"] = "suffix"
         bad.write_text(json.dumps(obj))
+    elif case == "nonzero_gap":
+        # a file whose augmentation held 2 zeros between the impulse and s:
+        # de-augmented as the impulse alone, its estimate would start with
+        # those zeros and lose the last two samples of s
+        obj = json.loads(meas.read_text())
+        obj["augmentation"]["gap"] = 2
+        bad.write_text(json.dumps(obj))
     elif case == "true_gap_measurement":
         # a JSON true read as gap 1, and a gap-0 file then lost s_0
         bad.write_text(json.dumps({"m": 8, "n": 3, "b": [1.0] * 8,
                                    "augmentation": {"delta_re": 3.0,
                                                     "gap": True}}))
     elif case == "gap_beyond_n":
-        # N = 2 holds the impulse and no room for a gap of 5
+        # N = 2 holds the impulse and no room for a gap of 5; any nonzero
+        # gap is refused
         bad.write_text(json.dumps({"m": 8, "n": 2, "b": [1.0] * 8,
                                    "augmentation": {"delta_re": 3.0,
                                                     "gap": 5}}))
@@ -348,7 +357,7 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
         argv = ["recover", "--input", str(meas), "--reference", str(bad)]
     elif case in ("gap_beyond_n", "negative_sigma2", "nan_sigma2",
                   "suffix_side", "true_n_measurement",
-                  "true_gap_measurement"):
+                  "true_gap_measurement", "nonzero_gap"):
         argv = ["recover", "--input", str(bad)]
     else:
         argv = ["measure", "--input", str(bad)]
@@ -403,13 +412,13 @@ def test_factorize_complex_r0_exits_2(tmp_path, capsys, exact):
 @pytest.mark.parametrize("extra,message", [
     (["--m", "5"], "must be >= signal length 9"),
     (["--m", "12"], r"needs M >= 2N \(got M=12, N=9\)"),
-    (["--gap", "-1"], "gap must be an integer >= 0, got -1"),
+    (["--m", "17"], r"needs M >= 2N \(got M=17, N=9\)"),
     (["--noise-sigma2", "-1"], "sigma2 must be finite and >= 0"),
     (["--noise-sigma2", "nan"], "sigma2 must be finite and >= 0"),
     (["--noise-sigma2", "inf"], "sigma2 must be finite and >= 0")])
 def test_measure_out_of_range_exits_2(tmp_path, capsys, extra, message):
-    # N = 8 augments to 9: M = 5 cannot be measured and M = 12 < 2N could
-    # not be recovered, so neither writes a file
+    # N = 8 augments to 9: M = 5 cannot be measured and M = 12 or 17 < 2N
+    # could not be recovered, so none writes a file
     sig = tmp_path / "sig.json"
     write_signal(sig)
     out = tmp_path / "m.json"
@@ -417,6 +426,41 @@ def test_measure_out_of_range_exits_2(tmp_path, capsys, extra, message):
                 + extra) == 2
     assert re.search(message, capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_measure_has_no_gap_option(tmp_path, capsys):
+    # the impulse alone is the augmentation: no zeros follow it
+    sig = tmp_path / "sig.json"
+    write_signal(sig)
+    out = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--input", str(sig), "--output", str(out),
+              "--gap", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gap 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("legacy", [{"gap": 0}, {"gap": 0, "side": "prefix"}])
+def test_recover_reads_a_legacy_gap_zero_file_unchanged(tmp_path, capsys,
+                                                        legacy):
+    # files written while the augmentation held a gap carry "gap": 0
+    sig = tmp_path / "sig.json"
+    meas = tmp_path / "meas.json"
+    write_signal(sig)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    obj = json.loads(meas.read_text())
+    assert "gap" not in obj["augmentation"]
+    obj["augmentation"].update(legacy)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(obj))
+    estimates = []
+    for name, path in (("new", meas), ("old", old)):
+        out = tmp_path / f"{name}-est.json"
+        assert main(["recover", "--input", str(path), "--output", str(out),
+                     "--reference", str(sig)]) == 0
+        estimates.append(out.read_bytes())
+    assert estimates[0] == estimates[1]
 
 
 @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
@@ -648,7 +692,11 @@ def test_bench_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
     ('{"kind": "recovery", "n": 4, "m_multiplier": Infinity}',
      "bad config: m_multiplier must be a finite real number, got inf"),
     ('{"kind": "gap", "n": 4, "trials": 1, "output_dir": "x"}',
-     "bad config: unknown config keys: ['output_dir']")])
+     "bad config: unknown config keys: ['output_dir']"),
+    ('{"kind": "gap", "n": 8, "trials": 2, "solvers": []}',
+     "bad config: a gap study needs a solver"),
+    ('{"kind": "recovery", "n": 8, "trials": 2, "solvers": []}',
+     "bad config: a recovery study needs a solver")])
 def test_bench_bad_field_or_bad_json_exits_2(tmp_path, capsys, text, message):
     # a string n failed the config's checks with a TypeError, a fractional
     # n passed them and failed with one in the first trial, and a crb study
@@ -657,13 +705,32 @@ def test_bench_bad_field_or_bad_json_exits_2(tmp_path, capsys, text, message):
     # negative master_seed failed in the first trial, a JSON true or a
     # string master_seed ran, an infinite multiplier overflowed in the first
     # trial; bench --output is the one output directory, so a config's
-    # output_dir is an unknown key
+    # output_dir is an unknown key; a gap or recovery study without a
+    # solver wrote empty rows and exited 0
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(text)
     assert main(["bench", "--config", str(cfgfile),
                  "--output", str(tmp_path / "out")]) == 2
     assert f"error: {cfgfile}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_bench_makes_its_output_directory_before_the_study(tmp_path, capsys,
+                                                          monkeypatch):
+    # an --output that names a regular file failed only after every trial
+    cfgfile = tmp_path / "cfg.json"
+    write_bench_config(cfgfile)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+
+    def no_study(config):
+        raise AssertionError("the study ran before --output was made")
+
+    monkeypatch.setattr("phaseret.cli.run_experiment", no_study)
+    assert main(["bench", "--config", str(cfgfile),
+                 "--output", str(taken)]) == 4
+    assert capsys.readouterr().err.startswith("I/O error: ")
+    assert taken.read_text() == "keep"
 
 
 def test_bench_requires_output_dir(tmp_path, capsys, monkeypatch):

@@ -33,19 +33,18 @@ def test_signal_csv_round_trip_is_exact(tmp_path):
 
 
 def test_measurement_round_trip_with_augmentation(tmp_path):
-    spec = AugmentationSpec(delta=35.0 - 0.25j, gap=2)
+    spec = AugmentationSpec(delta=35.0 - 0.25j)
     ms = measure_augmented(random_signal(2, 6), spec, 40)
     path = str(tmp_path / "meas.json")
     save_measurement_file(path, ms)
     back = load_measurement_file(path)
     np.testing.assert_array_equal(back.b, ms.b)
     assert back.n == ms.n and back.m == ms.m
-    assert back.augmentation.delta == spec.delta
-    assert back.augmentation.gap == 2
-    # the prefix impulse is the only augmentation: no side is written, and
-    # a file that names another is rejected
+    assert back.augmentation == spec
+    # the prefix impulse alone is the augmentation: no side or gap is
+    # written, and a file that names another side is rejected
     obj = json.loads((tmp_path / "meas.json").read_text())
-    assert "side" not in obj["augmentation"]
+    assert set(obj["augmentation"]) == {"delta_re", "delta_im"}
     obj["augmentation"]["side"] = "suffix"
     with pytest.raises(ValueError, match="malformed measurement object"):
         load_measurement(obj)
@@ -123,15 +122,41 @@ def test_malformed_inputs_raise_with_context(tmp_path):
 
 
 VALID_MEASUREMENT = {"m": 8, "n": 3, "b": [1.0] * 8,
-                     "augmentation": {"delta_re": 3.0, "gap": 1}}
+                     "augmentation": {"delta_re": 3.0}}
 
 
-def test_measurement_gap_must_leave_a_signal_sample():
-    # the impulse, the gap zeros and at least one sample of s
-    assert load_measurement(VALID_MEASUREMENT).augmentation.gap == 1
-    obj = dict(VALID_MEASUREMENT, augmentation={"delta_re": 3.0, "gap": 2})
-    with pytest.raises(ValueError, match="no signal sample"):
+def test_measurement_augmentation_must_leave_a_signal_sample():
+    # the impulse and at least one sample of s
+    assert load_measurement(VALID_MEASUREMENT).n == 3
+    obj = dict(VALID_MEASUREMENT, n=1, m=2, b=[1.0, 1.0])
+    with pytest.raises(ValueError, match="n=1 leaves no signal sample after "
+                                         "the impulse"):
         load_measurement(obj)
+
+
+def test_measurement_legacy_gap_zero_loads_and_any_other_is_refused():
+    # files written while the augmentation held a count of zeros between
+    # the impulse and the signal carry "gap"; only the impulse alone (gap 0)
+    # is de-augmented, and a gap of k zeros would lose k samples of s
+    want = load_measurement(VALID_MEASUREMENT)
+    for gap in ({}, {"gap": 0}):
+        got = load_measurement(dict(VALID_MEASUREMENT,
+                                    augmentation={"delta_re": 3.0, **gap}))
+        assert got.augmentation == want.augmentation
+        np.testing.assert_array_equal(got.b, want.b)
+        assert (got.n, got.m, got.sigma2) == (want.n, want.m, want.sigma2)
+    for gap in (1, 2):
+        obj = dict(VALID_MEASUREMENT, augmentation={"delta_re": 3.0, "gap": gap})
+        with pytest.raises(ValueError, match="malformed measurement object: "
+                                             f"unsupported augmentation gap {gap}$"):
+            load_measurement(obj)
+    # 1.5 zeros, 0.0, a JSON false, a string and a null are no count (a
+    # JSON true: test_measurement_gap_must_not_be_a_bool)
+    for gap in (1.5, 2.0, 0.0, False, "0", None, -1):
+        obj = dict(VALID_MEASUREMENT, augmentation={"delta_re": 3.0, "gap": gap})
+        with pytest.raises(ValueError, match="malformed measurement object: gap "
+                                             "must be an integer >= 0, got "):
+            load_measurement(obj)
 
 
 def test_measurement_gap_must_not_be_a_bool():
@@ -146,10 +171,10 @@ def test_measurement_gap_must_not_be_a_bool():
 def test_measurement_side_other_than_prefix_is_rejected(side):
     # a file from the appended-impulse mirror must not be de-augmented as a
     # prefix file; "side": "prefix" and no side load alike
-    aug = {"delta_re": 3.0, "gap": 1}
+    aug = {"delta_re": 3.0}
     for same in ({}, {"side": "prefix"}):
         obj = dict(VALID_MEASUREMENT, augmentation=dict(aug, **same))
-        assert load_measurement(obj).augmentation == AugmentationSpec(3.0, 1)
+        assert load_measurement(obj).augmentation == AugmentationSpec(3.0)
     obj = dict(VALID_MEASUREMENT, augmentation=dict(aug, side=side))
     with pytest.raises(ValueError, match="malformed measurement object: "
                                          "unsupported augmentation side"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaseret.bench import SOLVERS
 from phaseret.cork import solve_cork
 from phaseret.measurement import (AugmentationSpec, ImpulseMarginWarning,
                                   add_noise, augment_min_phase, deaugment,
@@ -12,9 +13,9 @@ from phaseret.specfact import kolmogorov_sf
 
 
 def test_augment_prefix_layout():
-    spec = AugmentationSpec(delta=5.0, gap=2)
+    spec = AugmentationSpec(delta=5.0)
     out = augment_min_phase([1.0, 2.0], spec)
-    np.testing.assert_allclose(out, [5, 0, 0, 1, 2])
+    np.testing.assert_array_equal(out, [5, 1, 2])
 
 
 def test_quadratic_roots_inside_when_margin_holds():
@@ -32,7 +33,7 @@ def test_quadratic_roots_inside_when_margin_holds():
 def test_augmented_signal_is_min_phase(seed):
     rng = np.random.default_rng(seed)
     s = rng.normal(size=10) + 1j * rng.normal(size=10)
-    spec = AugmentationSpec(delta=default_delta(s), gap=int(rng.integers(0, 3)))
+    spec = AugmentationSpec(delta=default_delta(s))
     smin = augment_min_phase(s, spec)
     roots = np.roots(smin)
     assert np.abs(roots).max() < 1.0
@@ -53,20 +54,10 @@ def test_spec_rejects_a_zero_or_non_finite_delta(delta):
         AugmentationSpec(delta=delta)
 
 
-@pytest.mark.parametrize("gap", [1.5, 2.0, "1", None, True])
-def test_spec_rejects_a_gap_that_is_not_an_integer(gap):
-    # a fractional gap was built, then failed inside measure_augmented with
-    # a TypeError from np.zeros; True was read as gap 1
-    with pytest.raises(ValueError, match="gap must be an integer >= 0, got "):
-        AugmentationSpec(3.0, gap=gap)
-    spec = AugmentationSpec(3.0, gap=np.int64(2))
-    assert spec.gap == 2 and type(spec.gap) is int
-
-
 def test_deaugment_round_trip():
     rng = np.random.default_rng(13)
     s = rng.normal(size=9) + 1j * rng.normal(size=9)
-    spec = AugmentationSpec(delta=default_delta(s), gap=2)
+    spec = AugmentationSpec(delta=default_delta(s))
     xmin = augment_min_phase(s, spec)
     # global phase offset must be absorbed by the impulse pivot
     recovered = deaugment(np.exp(0.9j) * xmin, spec)
@@ -76,16 +67,16 @@ def test_deaugment_round_trip():
 def test_stacked_deaugment_rows_equal_single_rows():
     rng = np.random.default_rng(19)
     xmin = rng.normal(size=(6, 12)) + 1j * rng.normal(size=(6, 12))
-    spec = AugmentationSpec(delta=1.0, gap=1)
+    spec = AugmentationSpec(delta=1.0)
     core = deaugment(xmin, spec)
-    assert core.shape == (6, 10)
+    assert core.shape == (6, 11)
     for k in range(6):
         assert np.array_equal(core[k], deaugment(xmin[k], spec))
 
 
 def test_deaugment_zero_pivot_rejected():
     with pytest.raises(ValueError):
-        deaugment([0.0, 1.0, 2.0], AugmentationSpec(delta=1.0, gap=0))
+        deaugment([0.0, 1.0, 2.0], AugmentationSpec(delta=1.0))
 
 
 def test_default_delta_margin():
@@ -118,24 +109,35 @@ def test_add_noise_draws_every_row_of_a_stack():
 
 def test_measure_augmented_records_metadata():
     s = np.array([1.0, 2.0])
-    spec = AugmentationSpec(delta=default_delta(s), gap=1)
+    spec = AugmentationSpec(delta=default_delta(s))
     ms = measure_augmented(s, spec, 12)
     assert ms.m == 12
-    assert ms.n == 4  # impulse + gap + signal
+    assert ms.n == 3  # impulse + signal
     assert ms.augmentation is spec
     np.testing.assert_allclose(
         ms.b, intensity_measure(augment_min_phase(s, spec), 12), atol=1e-12)
 
 
-@pytest.mark.parametrize("gap", [0, 2])
-def test_measure_augmented_noiseless_round_trip(gap):
+def test_measure_augmented_noiseless_round_trip():
     # fit, factor and de-augment noiseless measurements: s comes back up to
     # a global phase (at N = 16; at an augmented length of 7 the factor is
     # still aliased at the fallback length)
     rng = np.random.default_rng(16)
     s = rng.normal(size=16) + 1j * rng.normal(size=16)
-    spec = AugmentationSpec(delta=default_delta(s), gap=gap)
-    ms = measure_augmented(s, spec, 4 * (s.size + gap + 1))
+    spec = AugmentationSpec(delta=default_delta(s))
+    ms = measure_augmented(s, spec, 4 * (s.size + 1))
     shat = deaugment(kolmogorov_sf(solve_cork(ms)[0]), spec)
     phase = np.vdot(shat, s) / abs(np.vdot(shat, s))
     assert np.linalg.norm(shat * phase - s) <= 1e-12 * np.linalg.norm(s)
+
+
+@pytest.mark.parametrize("delta", [10.7j, -10.7, 10.7 * np.exp(0.7j)],
+                         ids=["imaginary", "negative", "complex"])
+def test_deaugment_takes_the_phase_of_delta(delta):
+    # the known impulse fixes the global phase: the estimate comes back as
+    # s itself, not s times the conjugate phase of delta
+    rng = np.random.default_rng(6)
+    s = rng.normal(size=6) + 1j * rng.normal(size=6)
+    ms = measure_augmented(s, AugmentationSpec(delta), 4 * (s.size + 1))
+    shat = deaugment(SOLVERS["cork"](ms, 0)[0], ms.augmentation)
+    assert np.linalg.norm(shat - s) <= 1e-10 * np.linalg.norm(s)

@@ -246,14 +246,13 @@ def test_measurement_set_real_signal_must_be_a_bool():
 
 
 def test_measurement_set_augmentation_must_leave_a_signal_sample():
-    # [delta, 0] holds no sample of s: the solve ran, and only deaugment
+    # [delta] holds no sample of s: the solve ran, and only deaugment
     # raised afterwards
-    spec = AugmentationSpec(3.0, gap=1)
-    assert MeasurementSet(np.ones(8), 3, augmentation=spec).n == 3
-    with pytest.raises(ValueError, match="n=2 leaves no signal sample"):
-        MeasurementSet(np.ones(8), 2, augmentation=spec)
-    with pytest.raises(ValueError, match="no signal sample"):
-        MeasurementSet(np.ones(8), 1, augmentation=AugmentationSpec(3.0))
+    spec = AugmentationSpec(3.0)
+    assert MeasurementSet(np.ones(8), 2, augmentation=spec).n == 2
+    with pytest.raises(ValueError, match="n=1 leaves no signal sample after "
+                                         "the impulse$"):
+        MeasurementSet(np.ones(8), 1, augmentation=spec)
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 7)])
