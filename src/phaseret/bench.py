@@ -6,12 +6,15 @@ Three experiment kinds:
   compared to the lower bound that ``solve_cork`` certifies, fit(r) - gap,
   which holds for the fit of every signal.
 * ``recovery``: random complex-Gaussian signals measured directly and via
-  the impulse-augmented minimum-phase arm; records global-phase-aligned
-  errors per arm and solver.
+  the impulse-augmented minimum-phase arm; records errors per arm and
+  solver, ||s - shat||^2 on the augmented arm, whose known impulse fixes
+  the global phase, and the global-phase-aligned distance on the direct
+  arm, where no measurement fixes it.
 * ``crb``: fixed signal, sweeps over measurement count and SNR; records
   normalized MSE of the ``cork`` pipeline, run on all trials as one stack
   per distinct M and one factorization, against the normalized CRB,
-  sigma^2 C / M from one Fisher factorization per study.
+  sigma^2 C / M from one Fisher factorization per study.  The squared
+  errors of all rows are one ``np.vecdot`` reduction.
 
 Gap and recovery trials run the solvers named in ``ExperimentConfig.solvers``
 from ``SOLVERS``, the one table of minimum-phase solvers that ``phaseret
@@ -22,7 +25,8 @@ others' results stay.  A config file holds one JSON object whose keys are
 ``SeedSequence([master_seed, t])``, so runs are reproducible and trivially
 parallel.  Persistence writes results.jsonl (one trial per line),
 summary.json, and plot-ready curves.csv; only a row's ``times`` differ
-between runs, and the summary leaves them out.
+between runs, and the summary leaves them out.  The summary reduces the
+metrics that hold the same count of values as one array.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -60,12 +65,13 @@ def _options(cls, **values):
 # keeps the solver's default, and cork and phaselift-sf, which have no
 # tolerance, reject one) to (minimum-phase estimate, diagnostics) at the
 # default transform lengths; the diagnostics always hold ``fit`` and
-# ``converged``; ``fit`` is ||b - |F_M x|^2||^2 of the estimate x returned,
-# and ``cork``'s ``gap`` is that fit minus solve_cork's certified lower
-# bound.  Every entry takes one measurement row; a stacked set raises
-# ``ValueError``.  The entries and the CRB study call the solvers through
-# this module's globals, so a caller that rebinds them (a tracer, a test)
-# sees every call.
+# ``converged``; ``fit`` is ||b - |F_M x|^2||^2 of the estimate x returned.
+# ``cork`` reports solve_cork's certified lower bound on every signal's fit,
+# fit(r) - gap, as ``lower_bound``, as ``phaselift-sf`` reports its own, and
+# its ``gap`` is the fit of x minus that bound.  Every entry takes one
+# measurement row; a stacked set raises ``ValueError``.  The entries and the
+# CRB study call the solvers through this module's globals, so a caller that
+# rebinds them (a tracer, a test) sees every call.
 
 def _fit(b, x) -> float:
     return float(np.linalg.norm(b - intensity_measure(x, b.size)) ** 2)
@@ -79,6 +85,7 @@ def _cork(ms, seed, max_iters=None, tol=None):
     x, out = kolmogorov_sf(r), diag.to_json()
     # solve_cork's fit and gap are those of r, which the factor need not
     # attain; its lower bound, fit(r) - gap, holds for every estimate
+    out["lower_bound"] = out["fit"] - out["gap"]
     fit = _fit(b, x)
     out["gap"] += fit - out["fit"]
     out["fit"] = fit
@@ -242,7 +249,9 @@ def _augmented_draw(rng: np.random.Generator, n: int):
 
 def run_gap_trial(config: ExperimentConfig, trial_index: int) -> dict:
     """One random least-squares instance; every solver's gap is its fit
-    minus ``solve_cork``'s certified lower bound, fit(r) - gap."""
+    minus ``solve_cork``'s certified lower bound, fit(r) - gap, read from
+    the ``cork`` entry's row, or from a solve of its own when ``cork`` is
+    not listed or raised."""
     rng = config.trial_rng(trial_index)
     n = config.n
     lo, hi = config.m_range
@@ -250,14 +259,18 @@ def run_gap_trial(config: ExperimentConfig, trial_index: int) -> dict:
     b = rng.uniform(size=m)
     bscale = float(np.linalg.norm(b) ** 2)
     ms = MeasurementSet(b, n)
-    _, cork = solve_cork(ms)
-    lower_bound = cork.fit - cork.gap
 
     result = {"trial": trial_index, "kind": "gap", "n": n, "m": m,
-              "b_norm2": bscale, "lower_bound": lower_bound, "fits": {},
-              "gaps": {}, "gaps_rel": {}, "iters": {}, "times": {},
-              "errors": {}}
-    for name, _, _, diag in _solved(result, config, [("", ms)], trial_index):
+              "b_norm2": bscale, "fits": {}, "gaps": {}, "gaps_rel": {},
+              "iters": {}, "times": {}, "errors": {}}
+    solved = list(_solved(result, config, [("", ms)], trial_index))
+    lower_bound = next((diag["lower_bound"] for name, _, _, diag in solved
+                        if name == "cork"), None)
+    if lower_bound is None:
+        _, cork = solve_cork(ms)
+        lower_bound = cork.fit - cork.gap
+    result["lower_bound"] = lower_bound
+    for name, _, _, diag in solved:
         gap = diag["fit"] - lower_bound
         result["fits"][name] = diag["fit"]
         result["gaps"][name] = gap
@@ -282,7 +295,9 @@ def run_recovery_trial(config: ExperimentConfig, trial_index: int) -> dict:
             ("_direct", MeasurementSet(
                 intensity_measure(s, int(config.m_multiplier * n)), n)))
     for key, ms, shat, diag in _solved(result, config, arms, trial_index):
-        result["errors_rel"][key] = global_phase_distance(s, shat) / s_energy
+        err = (global_phase_distance(s, shat) if ms.augmentation is None
+               else float(np.linalg.norm(s - shat) ** 2))
+        result["errors_rel"][key] = err / s_energy
         result["fits_rel"][key] = diag["fit"] / float(np.linalg.norm(ms.b) ** 2)
     return result
 
@@ -296,8 +311,12 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
     trials are recovered as one stack, at the ``cork`` entry's defaults and
     each row with its own bits: one ``solve_cork`` per distinct M, then one
     ``kolmogorov_sf`` and ``deaugment``; every row's ``times`` holds their
-    wall time as ``stacked_recovery``.  The CRB is exactly sigma^2 C / M,
-    so ``unit_crb`` computes C once per study and each point scales it.
+    wall time as ``stacked_recovery``.  The clean intensities are measured
+    once per distinct M, and the squared errors of all rows are the two
+    ``np.vecdot`` dots that ``np.linalg.norm`` takes, rounded through its
+    square root, so each MSE keeps the bits of a mean of norm(s - x) ** 2.
+    The CRB is exactly sigma^2 C / M, so ``unit_crb`` computes C once per
+    study and each point scales it.
     """
     # the signal's draw index lies outside the trial range
     s, s_energy, spec = _augmented_draw(config.trial_rng(2**31 - 1), config.n)
@@ -314,9 +333,10 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
     unit_noise = np.array([config.trial_rng(t).normal(size=m_values[-1])
                            for t in range(config.trials)])
 
+    clean = {m: intensity_measure(smin, m) for m in m_values}
     rows, noisy = [], []
     for m, snr_db, series, x_value in points:
-        b_clean = intensity_measure(smin, m)
+        b_clean = clean[m]
         sigma2 = float(np.linalg.norm(b_clean) ** 2) / (m * 10.0 ** (snr_db / 10.0))
         noisy.append(b_clean + np.sqrt(sigma2) * unit_noise[:, :m])
         rows.append({"kind": "crb", "series": series, "x": x_value, "m": m,
@@ -330,8 +350,11 @@ def run_crb_study(config: ExperimentConfig) -> list[dict]:
         r[at] = solve_cork(ms)[0].reshape(len(at), config.trials, -1)
     shat = deaugment(kolmogorov_sf(r.reshape(-1, smin.size)), spec)
     elapsed = time.perf_counter() - t0
-    for row, est in zip(rows, shat.reshape(len(rows), config.trials, -1)):
-        mse = float(np.mean([np.linalg.norm(s - x) ** 2 for x in est]))
+    e = s - shat
+    sq = (np.vecdot(e.real, e.real) + np.vecdot(e.imag, e.imag)).tolist()
+    sq = np.reshape([math.sqrt(v) ** 2 for v in sq],
+                    (len(rows), config.trials))
+    for row, mse in zip(rows, np.mean(sq, axis=1).tolist()):
         row.update(mse_norm=mse / s_energy, times={"stacked_recovery": elapsed},
                    mse_over_crb=mse / (crb_c / row["m"] * row["sigma2"]))
     return rows
@@ -344,17 +367,11 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     return [trial(config, t) for t in range(config.trials)]
 
 
-def _quantiles(values) -> dict:
-    arr = np.asarray(values, dtype=float)
-    q25, q75 = np.quantile(arr, [0.25, 0.75])
-    return {"median": float(np.median(arr)), "q25": float(q25), "q75": float(q75),
-            "min": float(arr.min()), "max": float(arr.max()),
-            "mean": float(arr.mean()), "count": int(arr.size)}
-
-
 def summarize(results: list[dict]) -> dict:
     """Medians/quantiles of every numeric per-trial metric but the timings,
-    which differ between runs."""
+    which differ between runs.  The metrics with the same count of values
+    are one array, reduced along its rows by one call per statistic, each
+    row with the bits of that metric's own reduction."""
     if not results:
         raise ValueError("need at least one result")
     numeric: dict[str, list[float]] = {}
@@ -366,8 +383,21 @@ def summarize(results: list[dict]) -> dict:
                         numeric.setdefault(f"{key}.{sub}", []).append(float(v))
             elif isinstance(value, (int, float)) and not isinstance(value, bool):
                 numeric.setdefault(key, []).append(float(value))
+    groups: dict[int, list[str]] = {}
+    for key, values in numeric.items():
+        groups.setdefault(len(values), []).append(key)
+    metrics = {}
+    for count, keys in groups.items():
+        arr = np.array([numeric[key] for key in keys])
+        q25, q75 = np.quantile(arr, [0.25, 0.75], axis=1)
+        stats = np.column_stack((np.median(arr, axis=1), q25, q75,
+                                 arr.min(axis=1), arr.max(axis=1),
+                                 arr.mean(axis=1)))
+        for key, row in zip(keys, stats.tolist()):
+            metrics[key] = dict(zip(("median", "q25", "q75", "min", "max",
+                                     "mean"), row), count=count)
     return {"trials": len(results), "kind": results[0].get("kind"),
-            "metrics": {k: _quantiles(v) for k, v in sorted(numeric.items())}}
+            "metrics": dict(sorted(metrics.items()))}
 
 
 def _curves_rows(results: list[dict]) -> list[tuple]:

@@ -46,11 +46,13 @@ power of two >= 8N: every sample exceeds ``chord_slack(N, k, ||p||_1)``
 between samples) plus a roundoff allowance.  Impulse-augmented data pass
 it with a wide margin; only a row that fails it gets the L samples.  A
 stack of measurements (rows of a 2D ``b``) shares that start and test, one
-transform pair for all rows.
+transform pair for all rows, and its fits, one transform and one
+``np.vecdot`` over the residuals of all rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +183,9 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
     that row alone gives.  The least-squares start and its feasibility test
     are one transform pair for the whole stack, plus one length-L transform
     of the rows that the coarse-grid certificate leaves open; rows that
-    fail the test iterate one at a time.
+    fail the test iterate one at a time.  Every row's fit is its squared
+    residual norm from one ``np.vecdot`` over the stack, rounded through
+    its square root as ``np.linalg.norm(res) ** 2`` rounds it.
     """
     opts = opts or AdmmOptions()
     n, m = b.n, b.m
@@ -251,8 +255,8 @@ def solve_cork(b: MeasurementSet, opts: AdmmOptions | None = None):
 
     r[:, 0] += [diag.feasibility_lift for diag in diags]
     residual = rows - correlation_spectrum(r, m)
-    for diag, res in zip(diags, residual):
-        diag.fit = float(np.linalg.norm(res) ** 2)
+    for diag, fit in zip(diags, np.vecdot(residual, residual).tolist()):
+        diag.fit = math.sqrt(fit) ** 2
     if b.b.ndim == 1:
         return r[0], diags[0]
     return r, StackDiagnostics(diags)

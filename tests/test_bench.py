@@ -134,6 +134,61 @@ def test_gap_trial_determinism():
     assert strip_times(r1) == strip_times(r2)
 
 
+def gap_trial_set(cfg, trial):
+    """The measurements of a gap trial, from the trial's own draws."""
+    rng = cfg.trial_rng(trial)
+    lo, hi = cfg.m_range
+    m = int(rng.integers(int(lo * cfg.n), int(hi * cfg.n) + 1))
+    return MeasurementSet(rng.uniform(size=m), cfg.n)
+
+
+@pytest.mark.parametrize("solvers", [("cork",), ("gs", "cork"), ("gs",)])
+def test_gap_trial_solves_its_problem_once(monkeypatch, solvers):
+    # the trial took its bound from a solve of its own, and a trial that
+    # lists cork solved the same problem again inside the cork entry
+    calls = []
+    solve = bench.solve_cork
+
+    def counted(ms, *args):
+        calls.append(ms.m)
+        return solve(ms, *args)
+
+    cfg = ExperimentConfig(kind="gap", n=8, trials=3, master_seed=1008,
+                           solvers=solvers)
+    want = [strip_times(row) for row in run_experiment(cfg)]
+    monkeypatch.setattr(bench, "solve_cork", counted)
+    rows = run_experiment(cfg)
+    assert calls == [row["m"] for row in rows]
+    assert [strip_times(row) for row in rows] == want
+    for row in rows:
+        _, diag = solve(gap_trial_set(cfg, row["trial"]))
+        assert row["lower_bound"] == diag.fit - diag.gap
+        for name in solvers:
+            assert row["gaps"][name] == row["fits"][name] - row["lower_bound"]
+
+
+def test_gap_trial_bound_survives_a_raising_cork_entry(monkeypatch):
+    def broken(ms, seed):
+        raise ValueError("no factor")
+
+    cfg = ExperimentConfig(kind="gap", n=8, trials=2, master_seed=1008,
+                           solvers=("gs", "cork"))
+    monkeypatch.setitem(SOLVERS, "cork", broken)
+    for row in run_experiment(cfg):
+        assert row["errors"] == {"cork": "no factor"}
+        _, diag = solve_cork(gap_trial_set(cfg, row["trial"]))
+        assert row["lower_bound"] == diag.fit - diag.gap
+        assert row["gaps"] == {"gs": row["fits"]["gs"] - row["lower_bound"]}
+
+
+def test_cork_entry_reports_solve_corks_lower_bound():
+    ms = gap_trial_set(ExperimentConfig(kind="gap", n=16, master_seed=1008), 1)
+    _, diag = SOLVERS["cork"](ms, 1)
+    _, r_diag = solve_cork(ms)
+    assert diag["lower_bound"] == r_diag.fit - r_diag.gap
+    assert diag["gap"] == r_diag.gap + (diag["fit"] - r_diag.fit)
+
+
 def test_recovery_trial_min_phase_beats_direct():
     cfg = ExperimentConfig(kind="recovery", n=16, trials=1,
                            solvers=("cork",))
@@ -143,6 +198,22 @@ def test_recovery_trial_min_phase_beats_direct():
     assert row["fits_rel"]["cork_direct"] <= 1e-6
     # without augmentation the minimum-phase representative is far from s
     assert row["errors_rel"]["cork_direct"] >= 0.1
+
+
+def test_min_phase_error_sees_the_global_phase(monkeypatch):
+    # the known impulse fixes the phase of an augmented estimate: a
+    # de-augmentation that returned -s read an error of 0, as the distance
+    # up to a global phase ignores the sign
+    cfg = ExperimentConfig(kind="recovery", n=16, trials=1, solvers=("cork",))
+    honest = run_recovery_trial(cfg, 0)
+    flip = bench.deaugment
+    monkeypatch.setattr(bench, "deaugment", lambda x, spec: -flip(x, spec))
+    row = run_recovery_trial(cfg, 0)
+    assert row["errors_rel"]["cork_minphase"] == pytest.approx(4.0, rel=1e-9)
+    assert honest["errors_rel"]["cork_minphase"] <= 1e-12
+    # the direct arm, whose phase nothing fixes, is never de-augmented
+    assert row["errors_rel"]["cork_direct"] == \
+        honest["errors_rel"]["cork_direct"]
 
 
 def test_recovery_trial_runs_every_listed_solver():
@@ -355,6 +426,79 @@ def test_summarize_and_persist(tmp_path):
     assert header == "x,y,series"
 
 
+def per_metric_summary(results):
+    """``summarize`` as it was before it grouped the metrics by count: five
+    numpy reductions of each metric's own values."""
+    numeric = {}
+    for row in results:
+        for key, value in row.items():
+            if isinstance(value, dict) and key != "times":
+                for sub, v in value.items():
+                    if isinstance(v, (int, float)) and not isinstance(v, bool):
+                        numeric.setdefault(f"{key}.{sub}", []).append(float(v))
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                numeric.setdefault(key, []).append(float(value))
+    metrics = {}
+    for key, values in sorted(numeric.items()):
+        arr = np.asarray(values, dtype=float)
+        q25, q75 = np.quantile(arr, [0.25, 0.75])
+        metrics[key] = {"median": float(np.median(arr)), "q25": float(q25),
+                        "q75": float(q75), "min": float(arr.min()),
+                        "max": float(arr.max()), "mean": float(arr.mean()),
+                        "count": int(arr.size)}
+    return {"trials": len(results), "kind": results[0].get("kind"),
+            "metrics": metrics}
+
+
+def same_summary(results):
+    # json.dumps tells NaN, infinities and -0.0 apart, and prints every
+    # float with the digits that round-trip it
+    got = summarize(results)
+    assert json.dumps(got, sort_keys=True) == \
+        json.dumps(per_metric_summary(results), sort_keys=True)
+    return got
+
+
+def test_summarize_equals_the_per_metric_reduction_on_ragged_rows(monkeypatch):
+    # a solver that raises on odd trials leaves its metrics fewer values
+    cork = SOLVERS["cork"]
+
+    def odd_fails(ms, seed):
+        if seed % 2:
+            raise ValueError("odd trial")
+        return cork(ms, seed)
+
+    monkeypatch.setitem(SOLVERS, "gs", odd_fails)
+    cfg = ExperimentConfig(kind="gap", n=6, trials=7, master_seed=4,
+                           solvers=("cork", "gs"))
+    metrics = same_summary(run_experiment(cfg))["metrics"]
+    assert metrics["fits.cork"]["count"] == 7
+    assert metrics["fits.gs"]["count"] == 4
+    same_summary(run_experiment(ExperimentConfig(trials=2, **CRB_CONFIG)))
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 8, 9, 33])
+def test_summarize_equals_the_per_metric_reduction_on_edge_values(trials):
+    rng = np.random.default_rng(trials)
+    rows = []
+    for t in range(trials):
+        rows.append({"kind": "crb", "trial": t, "tie": float(t // 3),
+                     "sign": [np.inf, -np.inf, 1.0, -0.0][t % 4],
+                     "nan": np.nan if t == trials // 2 else rng.normal(),
+                     "wide": rng.normal() * 10.0 ** rng.integers(-200, 200),
+                     "flag": True, "times": {"solve": rng.uniform()},
+                     "fits": {"a": rng.normal(), "b": int(rng.integers(5))}})
+    rows[-1]["once"] = 2.5
+    rows[0]["twice"] = rng.normal()
+    rows[-1]["twice"] = rng.normal()
+    rows[trials // 2]["fits"]["c"] = 1e-300
+    with np.errstate(invalid="ignore"):   # the mean of inf and -inf
+        metrics = same_summary(rows)["metrics"]
+    assert metrics["once"]["count"] == 1
+    assert metrics["twice"]["count"] == (1 if trials == 1 else 2)
+    assert "flag" not in metrics and "times.solve" not in metrics
+
+
 def test_recovery_experiment_persists_an_error_series_per_arm(tmp_path):
     cfg = ExperimentConfig(kind="recovery", n=4, trials=2,
                            solvers=("cork", "gs"), master_seed=3)
@@ -503,6 +647,23 @@ def test_crb_study_calls_each_solver_once_per_distinct_m(monkeypatch):
         rows = (len(point_ms) * trials, 1 + 6)  # the impulse, then s
         assert [c for c in calls if c[0] != "solve_cork"] == [
             ("kolmogorov_sf", rows), ("deaugment", rows)]
+
+
+def test_crb_study_measures_each_distinct_m_once(monkeypatch):
+    # the clean intensities were measured once per sweep point: 15 calls
+    # at the benchmark's study shape, whose points share 8 distinct M
+    calls = []
+    measure = bench.intensity_measure
+
+    def counted(x, m):
+        calls.append(m)
+        return measure(x, m)
+
+    monkeypatch.setattr(bench, "intensity_measure", counted)
+    rows = run_crb_study(ExperimentConfig(kind="crb", n=32, trials=8,
+                                          master_seed=1603))
+    assert len(rows) == 15
+    assert sorted(calls) == sorted({row["m"] for row in rows})
 
 
 def test_crb_study_factors_the_fisher_information_once(monkeypatch):

@@ -261,6 +261,38 @@ def test_recover_direct_mode_warns(tmp_path, capsys):
     assert "direct mode" in diag["warning"]
 
 
+def test_recover_reference_error_sees_the_global_phase(tmp_path, capsys,
+                                                       monkeypatch):
+    # the known impulse fixes the phase of an augmented estimate: a
+    # de-augmentation that returned -s read ref_error_rel 0.0, as the
+    # distance up to a global phase ignores the sign
+    import phaseret.cli as cli
+    sig, meas, out = (tmp_path / name for name in ("s.json", "m.json",
+                                                   "o.json"))
+    write_signal(sig, seed=6, n=6)
+    assert main(["measure", "--input", str(sig), "--output", str(meas)]) == 0
+    deaugment = cli.deaugment
+    monkeypatch.setattr(cli, "deaugment", lambda x, spec: -deaugment(x, spec))
+    assert main(["recover", "--input", str(meas), "--output", str(out),
+                 "--reference", str(sig)]) == 0
+    diag = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert diag["ref_error_rel"] == pytest.approx(4.0, rel=1e-9)
+
+
+def test_recover_direct_mode_error_ignores_the_global_phase(tmp_path, capsys):
+    # no measurement fixes the phase of a direct estimate: a minimum-phase
+    # signal, measured without augmentation, against its negative
+    from phaseret.io import save_measurement_file
+    from phaseret.signals import MeasurementSet, intensity_measure
+    s = np.r_[20.0, np.random.default_rng(2).normal(size=5)]
+    meas, ref = tmp_path / "meas.json", tmp_path / "ref.json"
+    save_measurement_file(str(meas), MeasurementSet(intensity_measure(s, 24), 6))
+    save_signal_file(str(ref), -s)
+    assert main(["recover", "--input", str(meas), "--output",
+                 str(tmp_path / "out.json"), "--reference", str(ref)]) == 0
+    assert json.loads(capsys.readouterr().out)["ref_error_rel"] <= 1e-10
+
+
 def test_recover_rejects_insufficient_m(tmp_path, capsys):
     # no MeasurementSet holds M < 2N, so the file is written by hand
     meas = tmp_path / "meas.json"

@@ -760,3 +760,42 @@ def test_exchange_step_takes_few_dense_solves(monkeypatch):
     _, diag = solve_cork(MeasurementSet(b, 1024))
     assert diag.converged and diag.iters > 0
     assert len(calls) <= 3 * diag.iters
+
+
+@pytest.mark.parametrize("n,real_signal", [(5, False), (17, True), (32, False)])
+def test_stacked_fits_are_squared_residual_norms(n, real_signal):
+    # every row's fit comes from one vecdot over the stack's residuals: it
+    # keeps the bits of np.linalg.norm(res) ** 2 on that row and of the
+    # row's own solve, for rows that iterate and rows that exit at lam = 0
+    rng = np.random.default_rng(n)
+    m = 4 * n + 4
+    rows = []
+    while len(rows) < 2:   # speckle draws on which the constraint binds
+        b = rng.exponential(size=m)
+        if solve_cork(MeasurementSet(b, n, real_signal=real_signal))[1].iters:
+            rows.append(b)
+    rows += augmented_noisy_rows(rng, n, m, 3, real_signal)
+    rows += [rng.uniform(size=m) * 10.0 ** rng.uniform(-6, 6) for _ in range(3)]
+    ms = MeasurementSet(np.array(rows), n, real_signal=real_signal)
+    r, diags = solve_cork(ms)
+    residual = ms.b - correlation_spectrum(r, m)
+    for k, b in enumerate(rows):
+        assert diags[k].fit == np.linalg.norm(residual[k]) ** 2
+        alone = MeasurementSet(b, n, real_signal=real_signal)
+        assert diags[k] == solve_cork(alone)[1]
+    assert any(d.iters > 0 for d in diags)
+
+
+def test_random_stacks_fit_as_their_rows_alone():
+    # stacks of uniform rows, which may iterate, and augmented rows, which
+    # exit at lam = 0, at random N, M and K
+    rng = np.random.default_rng(2016)
+    for _ in range(20):
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        m = int(rng.integers(2 * n, 8 * n + 1))
+        b = np.where(rng.uniform(size=(k, 1)) < 0.5, rng.uniform(size=(k, m)),
+                     [intensity_measure(np.r_[3.0 * n, rng.normal(size=n - 1)],
+                                        m) for _ in range(k)])
+        _, diags = solve_cork(MeasurementSet(b, n))
+        for row, diag in zip(b, diags):
+            assert diag == solve_cork(MeasurementSet(row, n))[1]
