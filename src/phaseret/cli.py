@@ -1,9 +1,10 @@
 """Command-line pipeline: measure, recover, factorize, bench.
 
-``recover`` and ``factorize`` factor on the power of two >= 8N, and again on
-the default transform length (the smallest power of two above 32N) for a
-correlation whose cepstrum has not decayed there; that default is also the
-grid of ``recover``'s correlation fit where its constraint binds.
+``recover`` and ``factorize`` factor on the power of two >= 8N and double
+that length until the factor's own autocorrelation matches the correlation
+to roundoff, or the length reaches the larger of 2^16 and the default
+transform length (the smallest power of two above 32N); that default is
+also the grid of ``recover``'s correlation fit where its constraint binds.
 ``recover`` takes signal realness from the measurement file, which
 ``measure --real`` sets.
 

@@ -84,7 +84,7 @@ def load_measurement(obj: dict) -> MeasurementSet:
     try:
         b = np.asarray(obj["b"], dtype=float)
         n = as_count(obj["n"], "n", 1)
-        sigma2 = float(obj.get("sigma2", 0.0))
+        sigma2 = obj.get("sigma2", 0.0)
         real_signal = obj.get("real_signal", False)
         a = obj.get("augmentation")
         aug = None if a is None else AugmentationSpec(

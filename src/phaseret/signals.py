@@ -105,13 +105,15 @@ def as_correlation_rows(r) -> np.ndarray:
 
 def default_transform_length(n: int) -> int:
     """Smallest power of two strictly greater than 32N: the grid of
-    ``solve_cork``'s exchange and ``kolmogorov_sf``'s fallback length."""
+    ``solve_cork``'s exchange.  ``kolmogorov_sf`` doubles its length up to
+    the larger of this and 2^16."""
     return 1 << (32 * n).bit_length()
 
 
 def coarse_transform_length(n: int) -> int:
     """Smallest power of two >= 8N: the short grid on which ``solve_cork``
-    certifies a least-squares spectrum and ``kolmogorov_sf`` first factors."""
+    certifies a least-squares spectrum and ``kolmogorov_sf`` first factors,
+    keeping the rows whose factor residual clears there."""
     return 1 << (8 * n - 1).bit_length()
 
 
@@ -245,8 +247,8 @@ class MeasurementSet:
         if not np.all(np.isfinite(b)):
             raise ValueError("measurement entries must be finite")
         n = as_count(n, "n", 1)
-        sigma2 = float(sigma2)
-        if not 0.0 <= sigma2 < np.inf:  # also NaN
+        sigma2 = as_real(sigma2, "sigma2")  # a bool (JSON true) raises
+        if sigma2 < 0.0:
             raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
         if not isinstance(real_signal, bool):  # bool("false") is True
             raise ValueError(f"real_signal must be true or false, got "

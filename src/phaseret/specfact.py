@@ -4,10 +4,11 @@ Two routes are provided.  The cepstral route (``kolmogorov_sf``) samples the
 log spectrum of the correlation on L points, takes its causal cepstrum (the
 coefficients c_k of log X(z) = sum_k c_k z^-k) by one real FFT, and
 exponentiates that power series for the N taps it returns: 2 real FFTs and
-N^2/2 complex multiply-adds per row, with no wrap-around.  L is the power of
-two >= 8N; a row whose cepstrum has not decayed there, by an estimate read
-from the same FFT, is factored again at the smallest power of two above 32N
-(or ``SfOptions.l``).  The algebraic
+N^2/2 complex multiply-adds per row, with no wrap-around.  L starts at the
+power of two >= 8N and doubles for each row whose factor x misses its own
+correlation, ||x * x - r|| > ``FACTOR_TOL`` r0 (one transform pair at the
+power of two >= 2N - 1 measures it), up to ``SfOptions.l``, by default the
+larger of 2^16 and the smallest power of two above 32N.  The algebraic
 route (``root_sf``) finds the zeros of the two-sided correlation polynomial
 (companion-matrix eigenvalues, ``np.roots``), which come in
 conjugate-reciprocal pairs, and keeps the N-1 innermost; it is accurate only
@@ -24,14 +25,15 @@ import numpy as np
 from .signals import (as_correlation, as_correlation_rows, as_signal,
                       check_transform_length, chord_slack,
                       coarse_transform_length, correlation_psd_check,
-                      correlation_spectrum)
+                      correlation_spectrum, default_transform_length)
 
 __all__ = ["SfOptions", "kolmogorov_sf", "root_sf", "is_min_phase",
            "InvalidCorrelationError"]
 
 ROOT_SF_MAX_N = 48  # coefficient expansion loses accuracy as N approaches 64
 FLOOR_EPS = 1e-12   # relative spectral floor before the log
-WRAP_TOL = 1e-13    # largest cepstral wrap-around kolmogorov_sf accepts at 8N
+FACTOR_TOL = 1e-12         # largest factor residual rho kolmogorov_sf accepts
+FACTOR_MAX_L = 2 ** 16     # kolmogorov_sf's default cap for N < 2048
 MIN_PHASE_TOL = 1e-6       # zeros up to modulus 1 + tol count as inside
 MIN_PHASE_MAX_L = 2 ** 22  # longest transform is_min_phase tries
 
@@ -42,7 +44,7 @@ class InvalidCorrelationError(ValueError):
 
 @dataclass
 class SfOptions:
-    l: int | None = None       # fallback transform length, power of two, >= 2N
+    l: int | None = None       # longest transform length, power of two, >= 2N
 
 
 def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
@@ -51,73 +53,78 @@ def kolmogorov_sf(r, opts: SfOptions | None = None) -> np.ndarray:
     The log of the spectrum sampled on L points gives the causal cepstrum
     c_0..c_{N-1} of log X by one real FFT; X = exp(C) then obeys X' = C'X,
     so x_0 = exp(c_0) and t x_t = sum_{k=1..t} k c_k x_{t-k}, one dot
-    product per tap: ``np.dot`` for one correlation, ``np.vecdot`` over the
-    rows of a stack, which gives each row the same bits.  There is no
-    length-L inverse transform: the result is the factor that
-    exponentiating on the L-point grid would give, without its wrap-around
-    terms.  Spectrum samples below ``FLOOR_EPS * max`` are clamped to the
-    floor, which tolerates near-unit-circle zeros.
+    product per tap: ``np.dot`` for one row, ``np.vecdot`` over the rows of
+    a stack, which gives each row the same bits.  There is no length-L
+    inverse transform: the result is the factor that exponentiating on the
+    L-point grid would give, without its wrap-around terms.  Spectrum
+    samples below ``FLOOR_EPS * max`` are clamped to the floor, which
+    tolerates zeros on or close to the unit circle.
 
-    L is first ``coarse_transform_length(N)``, the power of two >= 8N.  The
-    cepstrum aliases there: c_{L-j} folds onto tap j.  Its size near
-    j = L - N is extrapolated, under geometric decay, from the largest
-    |c_j| over the last N + 1 bins up to L/4 (``near``) and up to L/2
-    (``far``), which the same rfft holds: far * (far / near)^(2 - 4N/L).
-    A row where that exceeds ``WRAP_TOL`` (zeros near the unit circle, or
-    a clamped spectrum) is factored again at ``opts.l``, default
-    ``default_transform_length(N)``, the smallest power of two above 32N,
-    and then gives bit for bit what one factorization at that length
-    gives.  The others stayed within ``WRAP_TOL * ||x||_1`` of that factor
-    on every tap, on 11760 augmented (noiseless and noisy) and Gaussian
-    correlations (at most 5.5e-14 ||x||_1); the extrapolation is an
-    estimate, not a bound.  So a row costs 2 real FFTs at the short
-    length, plus 2 at the long one when it falls back, and N^2/2 complex
-    multiply-adds.  A 2D ``r`` is a stack of correlations as rows, factored
-    together; each row's length depends on that row alone, so each gives
-    what it gives alone.
+    L is first ``coarse_transform_length(N)``, the power of two >= 8N, and
+    the cepstrum aliases there: c_{L-j} folds onto tap j.  So each factor
+    is checked against its own correlation: rho = ||x * x - r|| / r0 over
+    the 2N - 1 lags, by Parseval from one FFT of x and one spectrum of r at
+    the power of two >= 2N - 1.  A minimum-phase x with rho at roundoff is
+    r's factor.  L doubles for the rows above ``FACTOR_TOL`` until each
+    clears or L reaches ``opts.l``, by default the larger of
+    ``FACTOR_MAX_L`` and ``default_transform_length(N)``; a row whose
+    spectrum touches zero on the circle (a binding fit) never clears and
+    stops there.  A row that clears at L0 costs 2 real FFTs at L0, the
+    residual's transform pair and N^2/2 complex multiply-adds.  A 2D ``r``
+    is a stack of correlations as rows, factored together with one residual
+    pair per length; each row stops at its own length, so each gives what
+    it gives alone.
     """
-    r = as_correlation_rows(r)
+    rows = np.atleast_2d(as_correlation_rows(r))
     opts = opts or SfOptions()
-    n = r.shape[-1]
-    l = check_transform_length(n, opts.l)
-    short = min(coarse_transform_length(n), l)
+    n = rows.shape[1]
+    cap = max(FACTOR_MAX_L, default_transform_length(n))
+    l_max = check_transform_length(n, cap if opts.l is None else opts.l)
+    l = min(coarse_transform_length(n), l_max)
+    x = _factor(rows, l)
+    todo = _uncleared(x, rows)
+    while todo.any() and l < l_max:
+        l *= 2
+        x[todo] = redo = _factor(rows[todo], l)
+        todo[todo] = _uncleared(redo, rows[todo])
+    return x if np.ndim(r) == 2 else x[0]
 
-    ceps = _cepstrum(r, short)
-    c = ceps[..., :n] / short
-    if short < l:
-        # a flat log spectrum leaves 0 / 0, which falls back
-        with np.errstate(divide="ignore", invalid="ignore"):
-            near = np.abs(ceps[..., short // 4 - n:short // 4 + 1]).max(axis=-1)
-            far = np.abs(ceps[..., short // 2 - n:short // 2 + 1]).max(axis=-1)
-            wrap = far / short * (far / near) ** (2.0 - 4.0 * n / short)
-        redo = ~(wrap <= WRAP_TOL)
-        if redo.any():
-            c[redo] = _cepstrum(r[redo], l)[..., :n] / l
+
+def _factor(r: np.ndarray, l: int) -> np.ndarray:
+    """The cepstral factor at length ``l`` of each row of the stack ``r``,
+    from the log of its spectrum on ``l`` samples floored at ``FLOOR_EPS``
+    times the row's largest sample."""
+    n = r.shape[-1]
+    spectrum = correlation_spectrum(r, l)
+    top = spectrum.max(axis=-1, keepdims=True)
+    if np.any(top <= 0.0):
+        raise InvalidCorrelationError("correlation spectrum is entirely <= 0")
+    np.maximum(spectrum, FLOOR_EPS * top, out=spectrum)
+    c = np.fft.rfft(np.log(spectrum, out=spectrum))[:, :n] / l
     # the rfft of the real log spectrum holds conj(c_k) at k >= 1 and 2 c_0
     # at k = 0; vecdot conjugates its first argument, which undoes the conj,
     # and np.dot, which dispatches faster per tap, takes the conj'd taps
-    kc = (np.arange(n) * c)[..., ::-1].copy()
+    kc = (np.arange(n) * c)[:, ::-1].copy()
     x = np.empty(c.shape, dtype=complex)
-    x[..., 0] = np.exp(0.5 * c[..., 0].real)
-    if x.ndim == 1:
-        kc = np.conj(kc)
+    x[:, 0] = np.exp(0.5 * c[:, 0].real)
+    if len(x) == 1:
+        kc, x1 = np.conj(kc[0]), x[0]
         for t in range(1, n):  # t x_t = sum_{k=1..t} k c_k x_{t-k}
-            x[t] = np.dot(kc[n - 1 - t:n - 1], x[:t]) / t
+            x1[t] = np.dot(kc[n - 1 - t:n - 1], x1[:t]) / t
         return x
     for t in range(1, n):
         x[:, t] = np.vecdot(kc[:, n - 1 - t:n - 1], x[:, :t]) / t
     return x
 
 
-def _cepstrum(r: np.ndarray, l: int) -> np.ndarray:
-    """rfft of the log of each row's spectrum on ``l`` samples, floored at
-    ``FLOOR_EPS`` times the row's largest sample: l c_k, conjugated."""
-    spectrum = correlation_spectrum(r, l)
-    top = spectrum.max(axis=-1, keepdims=True)
-    if np.any(top <= 0.0):
-        raise InvalidCorrelationError("correlation spectrum is entirely <= 0")
-    np.maximum(spectrum, FLOOR_EPS * top, out=spectrum)
-    return np.fft.rfft(np.log(spectrum, out=spectrum))
+def _uncleared(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows whose factor residual rho exceeds ``FACTOR_TOL`` (or is NaN):
+    ||x * x - r||^2 over the lags is the mean square of |X|^2 - R on q
+    samples, since both are trigonometric polynomials of degree N - 1."""
+    q = 1 << (2 * r.shape[-1] - 2).bit_length()
+    f = np.fft.fft(x, q)
+    gap = f.real ** 2 + f.imag ** 2 - correlation_spectrum(r, q)
+    return ~(np.vecdot(gap, gap) <= q * (FACTOR_TOL * r[:, 0].real) ** 2)
 
 
 def is_min_phase(x):
@@ -126,8 +133,8 @@ def is_min_phase(x):
     Counts the zeros of P(w) = sum x_n w^n in |w| < 1/(1+tol) as the
     winding number about 0 of L samples fft(x_rho, L) on that circle.  L
     doubles from the power of two >= 4N until every chord between adjacent
-    samples is farther from 0 than ``chord_slack(N, L, ||x_rho||_1)``, the
-    linear-interpolation error under Bernstein's |P''| <= (N-1)^2 max|P|;
+    samples stays more than ``chord_slack(N, L, ||x_rho||_1)`` from 0, the
+    most P can stray from a chord under Bernstein's |P''| <= (N-1)^2 max|P|;
     then P has no zero between samples and the winding is exact.  Past
     ``MIN_PHASE_MAX_L`` x is not certified.  Returns ``(flag, margin)``,
     margin = min |P| over the samples / ||x_rho||_1; x[0] == 0 (a zero at
@@ -144,7 +151,7 @@ def is_min_phase(x):
         p = np.fft.fft(x_rho, l)
         p_next = np.roll(p, -1)
         step = p_next - p
-        # the point of each chord p + t * step nearest to 0
+        # the point of each chord p + t * step closest to 0
         t = np.clip(-(np.conj(p) * step).real
                     / np.maximum(np.abs(step) ** 2, 1e-300), 0.0, 1.0)
         margin = float(np.abs(p).min()) / norm1

@@ -59,7 +59,7 @@ def test_cork_gap_is_the_fit_of_the_returned_estimate():
     # the cork entry reported solve_cork's fit of the correlation r, which
     # the factor it returns need not attain: this trial's row read a gap of
     # -7.0e-6 * ||b||^2 below the PhaseLift bound, while the returned
-    # estimate's fit is 1.0e-3 * ||b||^2 above it
+    # estimate's fit is 2.6e-4 * ||b||^2 above it
     cfg = ExperimentConfig(kind="gap", n=16, trials=2, master_seed=1008,
                            solvers=("cork",))
     row = run_gap_trial(cfg, 1)
@@ -70,12 +70,12 @@ def test_cork_gap_is_the_fit_of_the_returned_estimate():
     x, diag = SOLVERS["cork"](MeasurementSet(b, 16), 1)
     assert row["fits"]["cork"] == diag["fit"]
     assert diag["fit"] == np.linalg.norm(b - intensity_measure(x, m)) ** 2
-    assert row["gaps_rel"]["cork"] > 5e-4
+    assert row["gaps_rel"]["cork"] > 1e-4
 
 
 def test_cork_gap_certifies_the_returned_estimate():
     # solve_cork's gap is that of its correlation fit: at this trial it read
-    # 7.3e-18 * ||b||^2 while the returned estimate fits 1.0e-3 * ||b||^2
+    # 7.3e-18 * ||b||^2 while the returned estimate fits 2.6e-4 * ||b||^2
     # above the PhaseLift bound
     cfg = ExperimentConfig(kind="gap", n=16, trials=2, master_seed=1008,
                            solvers=("cork",))
@@ -85,7 +85,7 @@ def test_cork_gap_certifies_the_returned_estimate():
     b2 = float(np.linalg.norm(ms.b) ** 2)
     _, diag = SOLVERS["cork"](ms, 1)
     _, bound, _ = phaselift_value(ms, 0.0)
-    assert diag["fit"] - bound > 5e-4 * b2
+    assert diag["fit"] - bound > 1e-4 * b2
     assert diag["gap"] >= diag["fit"] - bound - 1e-9 * b2
     _, r_diag = solve_cork(ms)
     assert diag["gap"] == pytest.approx(diag["fit"] - (r_diag.fit - r_diag.gap),

@@ -37,6 +37,25 @@ def test_measure_then_recover_round_trip(tmp_path, capsys):
     assert global_phase_distance(s, shat) <= 1e-10 * np.vdot(s, s).real
 
 
+@pytest.mark.parametrize("text", ["-1.74,-1.34\n",
+                                  "0.77,0.55\n-1.17,-1.04\n"],
+                         ids=["one", "two"])
+def test_measure_then_recover_one_and_two_samples_exactly(tmp_path, capsys,
+                                                          text):
+    # the first draw of default_rng(8) and the eighth of default_rng(9),
+    # rounded: each factor has a zero at modulus about 1/(1 + 1e-3), which a
+    # fixed factor length of 32N left aliased (ref_error_rel 1.8e-5 and
+    # 2.6e-5 at exit 0); the same signals run as a console-script CI step
+    sig = tmp_path / "sig.csv"
+    sig.write_text(text)
+    meas, out = str(tmp_path / "meas.json"), str(tmp_path / "out.json")
+    assert main(["measure", "--input", str(sig), "--output", meas]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--input", meas, "--output", out,
+                 "--reference", str(sig)]) == 0
+    assert json.loads(capsys.readouterr().out)["ref_error_rel"] <= 1e-10
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_recover_gs_factors_before_deaugment(tmp_path, capsys, n):
     # GS output is not minimum phase; de-augmenting it directly is wrong
@@ -326,7 +345,8 @@ def test_missing_input_gives_io_exit_code(tmp_path, capsys):
                                   "nan_sigma2", "fractional_n_signal",
                                   "string_n_reference", "suffix_side",
                                   "true_n_signal", "true_n_measurement",
-                                  "true_gap_measurement", "nonzero_gap"])
+                                  "true_gap_measurement", "nonzero_gap",
+                                  "true_sigma2"])
 def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
     # every malformed file is a validation error, whichever command reads it
     # and wherever in the command it is found; the error names the file, and
@@ -382,13 +402,15 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
                                    "augmentation": {"delta_re": 3.0,
                                                     "gap": 5}}))
     else:
-        sigma2 = -1.0 if case == "negative_sigma2" else float("nan")
+        # a JSON true read as sigma2 1.0
+        sigma2 = {"negative_sigma2": -1.0, "nan_sigma2": float("nan"),
+                  "true_sigma2": True}[case]
         bad.write_text(json.dumps({"m": 8, "n": 2, "b": [1.0] * 8,
                                    "sigma2": sigma2}))
     if case in ("nan_reference", "string_n_reference"):
         argv = ["recover", "--input", str(meas), "--reference", str(bad)]
     elif case in ("gap_beyond_n", "negative_sigma2", "nan_sigma2",
-                  "suffix_side", "true_n_measurement",
+                  "true_sigma2", "suffix_side", "true_n_measurement",
                   "true_gap_measurement", "nonzero_gap"):
         argv = ["recover", "--input", str(bad)]
     else:

@@ -352,7 +352,7 @@ def test_certified_rows_equal_the_reference_at_every_l(monkeypatch,
     for l in (64, coarse // 2, coarse):  # 64: the power of two >= 2N
         opts = AdmmOptions(l=l)
         for b in (*rows, np.array(rows)):
-            ms = MeasurementSet(b, n, real_signal)
+            ms = MeasurementSet(b, n, real_signal=real_signal)
             lengths.clear()
             r, diags = solve_cork(ms, opts)
             assert lengths == [coarse, m]
@@ -377,7 +377,8 @@ def test_rows_nonnegative_on_the_l_grid_take_no_exchange_step(monkeypatch,
         for seed in range(12):
             x, _ = make_instance(seed, n)
             ms = MeasurementSet(intensity_measure(x.real if real_signal else x,
-                                                  4 * n), n, real_signal)
+                                                  4 * n), n,
+                                real_signal=real_signal)
             lengths.clear()
             r, diag = solve_cork(ms)
             if l not in lengths or diag.feasibility_lift != 0.0:
@@ -389,7 +390,7 @@ def test_rows_nonnegative_on_the_l_grid_take_no_exchange_step(monkeypatch,
             assert (diag.iters, diag.converged, diag.gap, diag.active) == \
                 (0, True, 0.0, 0)
         assert len(picked) >= 2, n
-        ms = MeasurementSet(np.array(picked), n, real_signal)
+        ms = MeasurementSet(np.array(picked), n, real_signal=real_signal)
         r, diags = solve_cork(ms)
         r_want, want = reference_solve(ms, AdmmOptions())
         assert np.array_equal(r, r_want)
@@ -593,7 +594,8 @@ def iterating_draws(kind, n, count, real_signal=False):
         b = (rng.exponential(1.0, size=4 * n + 4) if kind == "speckle"
              else rng.uniform(0.0, 1.0, size=4 * n + 4))
         seed += 1
-        if solve_cork(MeasurementSet(b, n, real_signal))[1].iters > 0:
+        ms = MeasurementSet(b, n, real_signal=real_signal)
+        if solve_cork(ms)[1].iters > 0:
             rows.append(b)
     return rows
 
@@ -606,9 +608,10 @@ def iterating_draws(kind, n, count, real_signal=False):
 def test_exchange_bit_identical_to_reference_loop(kind, n, real_signal, count,
                                                   max_iters):
     opts = AdmmOptions(max_iters=max_iters)
-    for b in iterating_draws(kind, n, count, real_signal):
+    for b in iterating_draws(kind, n, count, real_signal=real_signal):
         ms = MeasurementSet(b, n, real_signal=real_signal)
         r, diag = solve_cork(ms, opts)
+        assert diag.iters >= 1  # the exchange, real or complex, takes a step
         r_want, want = reference_solve(ms, opts)
         assert np.array_equal(r, r_want[0])
         assert diag.to_json() == want[0].to_json()

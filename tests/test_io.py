@@ -190,8 +190,17 @@ def test_measurement_real_signal_must_be_a_bool():
 
 @pytest.mark.parametrize("sigma2", [-1.0, -1e-300, float("nan"), float("inf")])
 def test_measurement_sigma2_must_be_finite_and_nonnegative(sigma2):
-    # a negative or non-finite variance would make snr_db() inf or nan
-    with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
+    # a negative or non-finite variance would make snr_db() inf or nan; a
+    # non-finite one fails signals.as_real, a negative one the >= 0 check
+    why = "finite and >= 0" if sigma2 < 0 else "a finite real number"
+    with pytest.raises(ValueError, match=f"sigma2 must be {why}"):
+        load_measurement(dict(VALID_MEASUREMENT, sigma2=sigma2))
+
+
+@pytest.mark.parametrize("sigma2", [True, "0.5", None, [0.5]])
+def test_measurement_sigma2_must_be_a_real_number(sigma2):
+    # float() read a JSON true as 1.0 and the string "0.5" as 0.5
+    with pytest.raises(ValueError, match="sigma2 must be a finite real number"):
         load_measurement(dict(VALID_MEASUREMENT, sigma2=sigma2))
 
 

@@ -120,8 +120,7 @@ def test_measure_augmented_records_metadata():
 
 def test_measure_augmented_noiseless_round_trip():
     # fit, factor and de-augment noiseless measurements: s comes back up to
-    # a global phase (at N = 16; at an augmented length of 7 the factor is
-    # still aliased at the fallback length)
+    # a global phase
     rng = np.random.default_rng(16)
     s = rng.normal(size=16) + 1j * rng.normal(size=16)
     spec = AugmentationSpec(delta=default_delta(s))

@@ -218,9 +218,14 @@ def test_measurement_set_validation():
     assert np.isfinite(ms.snr_db())
     with pytest.raises(ValueError):
         MeasurementSet([np.nan], 1)
-    for sigma2 in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
+    with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
+        MeasurementSet([1.0, 2.0], 1, sigma2=-1.0)
+    # a bool is refused as signals.as_real refuses it: True held sigma2 1.0
+    for sigma2 in (np.nan, np.inf, True, "0.5"):
+        with pytest.raises(ValueError,
+                           match="sigma2 must be a finite real number"):
             MeasurementSet([1.0, 2.0], 1, sigma2=sigma2)
+    assert MeasurementSet([1.0, 2.0], 1, sigma2=np.float64(0.5)).sigma2 == 0.5
 
 
 def test_measurement_set_n_must_be_an_integer():

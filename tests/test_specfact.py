@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+import phaseret.specfact
 from phaseret.cork import solve_cork
 from phaseret.measurement import (AugmentationSpec, add_noise,
-                                  augment_min_phase, default_delta,
+                                  augment_min_phase, deaugment, default_delta,
                                   measure_augmented)
 from phaseret.signals import (autocorrelation, coarse_transform_length,
                               correlation_spectrum, default_transform_length,
                               global_phase_distance)
-from phaseret.specfact import (FLOOR_EPS, MIN_PHASE_TOL, ROOT_SF_MAX_N,
-                               WRAP_TOL, InvalidCorrelationError, SfOptions,
+from phaseret.specfact import (FACTOR_MAX_L, FACTOR_TOL, FLOOR_EPS,
+                               MIN_PHASE_TOL, ROOT_SF_MAX_N,
+                               InvalidCorrelationError, SfOptions,
                                is_min_phase, kolmogorov_sf, root_sf)
 
 
@@ -171,11 +173,46 @@ def test_stacked_kolmogorov_rows_equal_single_rows():
             assert np.array_equal(xs[k], kolmogorov_sf(rs[k], opts))
 
 
-def _kolmogorov_reference(r):
-    # the causal cepstrum of the log spectrum on L samples, exponentiated on
-    # a grid of 8L: the same cepstrum with its wrap-around pushed out of reach
+def _single_length_sf(r, l):
+    # the factorization at one transform length: the answer a row that
+    # stops at l must give bit for bit
     n = r.size
-    l = default_transform_length(n)
+    spectrum = correlation_spectrum(r, l)
+    np.maximum(spectrum, FLOOR_EPS * spectrum.max(), out=spectrum)
+    c = np.fft.rfft(np.log(spectrum))[:n] / l
+    kc = np.conj((np.arange(n) * c)[::-1])
+    x = np.empty(n, dtype=complex)
+    x[0] = np.exp(0.5 * c[0].real)
+    for t in range(1, n):
+        x[t] = np.dot(kc[n - 1 - t:n - 1], x[:t]) / t
+    return x
+
+
+def _rho(x, r):
+    # ||x * x - r|| / r0 over the 2N - 1 lags, from the lags themselves
+    e = autocorrelation(x) - r
+    return np.sqrt(abs(e[0]) ** 2 + 2 * np.sum(np.abs(e[1:]) ** 2)) / r[0].real
+
+
+def _cap(n):
+    return max(FACTOR_MAX_L, default_transform_length(n))
+
+
+def _stop_length(r, x):
+    # the length from L0 = coarse_transform_length(N) up the doubling whose
+    # factor x is, bit for bit; None when there is none
+    l = coarse_transform_length(r.size)
+    while l <= _cap(r.size):
+        if np.array_equal(x, _single_length_sf(r, l)):
+            return l
+        l *= 2
+    return None
+
+
+def _kolmogorov_reference(r, l):
+    # the causal cepstrum of the log spectrum on l samples, exponentiated on
+    # a grid of 8l: the same cepstrum with its wrap-around pushed out of reach
+    n = r.size
     two_sided = np.zeros(l, dtype=complex)
     two_sided[:n] = r
     two_sided[l - n + 1:] = np.conj(r[:0:-1])
@@ -196,13 +233,16 @@ def _augmented_correlation(rng, n, margin=1e-3):
 
 
 def test_kolmogorov_matches_same_cepstrum_reference():
+    # each row equals, within roundoff, the reference at the length where it
+    # stopped: L0 at N = 34, 256 to 16384 between, the cap at N = 129
     rng = np.random.default_rng(5)
     rs = [_augmented_correlation(rng, n) for n in (1, 2, 33, 257)]
     # zeros of Gaussian polynomials crowd the unit circle
     rs += [autocorrelation(rng.normal(size=n) + 1j * rng.normal(size=n))
            for n in (9, 33, 129)]
     for r in rs:
-        err = np.abs(kolmogorov_sf(r) - _kolmogorov_reference(r)).max()
+        x = kolmogorov_sf(r)
+        err = np.abs(x - _kolmogorov_reference(r, _stop_length(r, x))).max()
         assert err <= 1e-12 * np.sqrt(r[0].real), (r.size, err)
     np.testing.assert_allclose(kolmogorov_sf([4.0]), [2.0], rtol=1e-15)
 
@@ -225,42 +265,51 @@ def _fft_spy(monkeypatch):
 @pytest.mark.parametrize("shape", [(33,), (8, 33)])
 def test_kolmogorov_costs_two_real_ffts(monkeypatch, shape):
     # an impulse of twice ||s||_1 keeps the zeros of these N = 33 rows
-    # within modulus about 0.93, so their cepstrum has decayed by L0 = 512:
-    # one irfft for the spectrum and one rfft for the cepstrum, both there
+    # within modulus about 0.93, so their factors clear at L0 = 512: one
+    # irfft for the spectrum and one rfft for the cepstrum there, then one
+    # fft of the factors and one spectrum of r at q = 128 >= 2N - 1 for the
+    # residual, once for the whole stack
     rng = np.random.default_rng(6)
     r = np.array([_augmented_correlation(rng, shape[-1] - 1, margin=1.0)
                   for _ in range(int(np.prod(shape[:-1])))]).reshape(shape)
     calls = _fft_spy(monkeypatch)
     assert kolmogorov_sf(r).shape == shape
-    assert calls == [("irfft", 512), ("rfft", 512)]
+    assert calls == [("irfft", 512), ("rfft", 512), ("fft", 128),
+                     ("irfft", 128)]
 
 
 @pytest.mark.parametrize("shape", [(33,), (8, 33)])
-def test_kolmogorov_fallback_costs_four_real_ffts(monkeypatch, shape):
-    # at the l1 impulse margin of 1e-3 the cepstrum of these N = 33 rows
-    # has not decayed by L0 = 512, so they are factored again at L = 2048
+def test_kolmogorov_doubling_refactors_only_open_rows(monkeypatch, shape):
+    # at the l1 impulse margin of 1e-3 the first of these N = 33 rows, and
+    # 4 of the 8, do not clear at L0 = 512; they alone are factored and
+    # checked again at 1024, where they clear
     rng = np.random.default_rng(6)
     r = np.array([_augmented_correlation(rng, shape[-1] - 1)
                   for _ in range(int(np.prod(shape[:-1])))]).reshape(shape)
     calls = _fft_spy(monkeypatch)
-    assert kolmogorov_sf(r).shape == shape
-    assert calls == [("irfft", 512), ("rfft", 512),
-                     ("irfft", 2048), ("rfft", 2048)]
+    x = kolmogorov_sf(r)
+    assert calls == [("irfft", 512), ("rfft", 512), ("fft", 128),
+                     ("irfft", 128), ("irfft", 1024), ("rfft", 1024),
+                     ("fft", 128), ("irfft", 128)]
+    stops = [_stop_length(row, xk) for row, xk in
+             zip(np.atleast_2d(r), np.atleast_2d(x))]
+    assert stops == ([1024] if len(shape) == 1
+                     else [1024, 1024, 1024, 512, 512, 512, 1024, 512])
 
 
-def _single_length_sf(r, l):
-    # the factorization at one transform length, with no short first pass:
-    # the answer every fallback row must give bit for bit
-    n = r.size
-    spectrum = correlation_spectrum(r, l)
-    np.maximum(spectrum, FLOOR_EPS * spectrum.max(), out=spectrum)
-    c = np.fft.rfft(np.log(spectrum))[:n] / l
-    kc = np.conj((np.arange(n) * c)[::-1])
-    x = np.empty(n, dtype=complex)
-    x[0] = np.exp(0.5 * c[0].real)
-    for t in range(1, n):
-        x[t] = np.dot(kc[n - 1 - t:n - 1], x[:t]) / t
-    return x
+def test_noiseless_small_signals_recover_exactly():
+    # noiseless augmented signals of N = 1..8 samples (20 draws per N, seed
+    # 7 + N): at a fixed factor length of 32N some factors were certified
+    # min phase but wrong, up to 1.5e-4 at N = 1 and 1.0e-3 at N = 2
+    for n in range(1, 9):
+        rng = np.random.default_rng(7 + n)
+        for _ in range(20):
+            s = rng.normal(size=n) + 1j * rng.normal(size=n)
+            spec = AugmentationSpec(default_delta(s))
+            r = solve_cork(measure_augmented(s, spec, 4 * (n + 1)))[0]
+            shat = deaugment(kolmogorov_sf(r), spec)
+            err = np.linalg.norm(s - shat) ** 2 / np.linalg.norm(s) ** 2
+            assert err <= 1e-10, (n, err)
 
 
 def _factor_corpus():
@@ -280,45 +329,48 @@ def _factor_corpus():
             corpus.append((f"{snr_db} dB", solve_cork(noisy)[0]))
         corpus.append(("gaussian", autocorrelation(
             rng.normal(size=n) + 1j * rng.normal(size=n))))
-    # wider impulse margins at N = 30..47, where many rows' wrap-around
-    # estimates land within a decade of WRAP_TOL
-    for n in range(30, 48):
-        for margin in (0.01, 0.05, 0.1):
-            corpus.append((f"margin {margin}",
-                           _augmented_correlation(rng, n - 1, margin)))
     return corpus
 
 
-def test_kolmogorov_short_length_within_tolerance_or_bit_identical():
-    # each row is either the factor at L0 = coarse_transform_length(N),
-    # within WRAP_TOL ||x||_1 of every tap of the factor at the default L,
-    # or bit for bit the factor at the default L
-    accepted = fallback = 0
+def test_kolmogorov_rows_clear_the_residual_or_stop_at_the_cap(monkeypatch):
+    # each row is tried at L0, 2 L0, ... and returned bit for bit as the
+    # factor at the last length; rho is above FACTOR_TOL at the length
+    # before it, and at its own length it is within FACTOR_TOL or the length
+    # is the cap (the two rho computations round differently, hence the
+    # 1 % slack)
+    factor, lengths = phaseret.specfact._factor, []
+    monkeypatch.setattr(phaseret.specfact, "_factor",
+                        lambda r, l: lengths.append(l) or factor(r, l))
+    stops = {}
     for kind, r in _factor_corpus():
-        n = r.size
+        n, l0 = r.size, coarse_transform_length(r.size)
+        lengths.clear()
         x = kolmogorov_sf(r)
-        long = _single_length_sf(r, default_transform_length(n))
-        if np.array_equal(x, long):
-            fallback += 1
-            continue
-        assert np.array_equal(x, _single_length_sf(r, coarse_transform_length(n)))
-        err = np.abs(x - long).max()
-        assert err <= WRAP_TOL * np.abs(long).sum(), (n, kind, err)
-        assert kind != "gaussian", n
-        accepted += 1
-    assert accepted >= 20 and fallback >= 150
+        l = lengths[-1]
+        assert lengths == [l0 << k for k in range(len(lengths))]
+        assert np.array_equal(x, _single_length_sf(r, l)), (n, kind)
+        assert l == l0 or _rho(_single_length_sf(r, l // 2), r) \
+            > 0.99 * FACTOR_TOL, (n, kind)
+        assert _rho(x, r) <= 1.01 * FACTOR_TOL or l == _cap(n), (n, kind)
+        at = "L0" if l == l0 else "cap" if l == _cap(n) else "between"
+        stops[at] = stops.get(at, 0) + 1
+    assert min(stops.values()) >= 10, stops
 
 
-def test_stacked_kolmogorov_mixes_short_and_fallback_rows():
-    # rows of one stack take different lengths; each gives its single bits
+def test_stacked_kolmogorov_rows_stop_at_their_own_lengths():
+    # rows of one stack stop at different lengths; each gives its single
+    # bits: wide-margin rows at L0 = 512, 1e-3-margin rows at 1024, a
+    # Gaussian row at 16384 and a spectrum that touches zero at the cap
+    rng = np.random.default_rng(6)
+    narrow = [_augmented_correlation(rng, 32) for _ in range(3)]
     rng = np.random.default_rng(12)
-    rows = [_augmented_correlation(rng, 32, margin=margin)
-            for margin in (1.0, 1e-3, 1.0, 1e-3, 1.0)]
-    rows.append(autocorrelation(rng.normal(size=33) + 1j * rng.normal(size=33)))
+    rows = [_augmented_correlation(rng, 32, margin=1.0), narrow[0],
+            autocorrelation(rng.normal(size=33) + 1j * rng.normal(size=33)),
+            autocorrelation(np.r_[1.0, 1.0, np.zeros(31)]),
+            _augmented_correlation(rng, 32, margin=1.0), narrow[2]]
     xs = kolmogorov_sf(np.array(rows))
-    long = [np.array_equal(x, _single_length_sf(r, 2048))
-            for x, r in zip(xs, rows)]
-    assert long == [False, True, False, True, False, True]
+    assert [_stop_length(r, x) for x, r in zip(xs, rows)] == [
+        512, 1024, 16384, FACTOR_MAX_L, 512, 1024]
     for x, r in zip(xs, rows):
         assert np.array_equal(x, kolmogorov_sf(r))
 
